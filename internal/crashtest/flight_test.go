@@ -6,6 +6,7 @@ import (
 	"hinfs/internal/core"
 	"hinfs/internal/nvmm"
 	"hinfs/internal/obs/flight"
+	"hinfs/internal/vfs"
 )
 
 // TestExploreFlightStock: with the flight recorder wired into the image,
@@ -50,16 +51,16 @@ func TestFlightInvariantsHaveTeeth(t *testing.T) {
 		t.Fatal("Mkfs with FlightBlocks produced no recorder")
 	}
 	// Ring contents: seqs 1..4.
-	flt.Record(&flight.Record{Op: flight.OpWrite}) // 1: schedule says written after crash -> phantom
-	flt.Record(&flight.Record{Op: flight.OpFsync}) // 2: fsync floor on a file that is gone -> synced-lost
-	flt.Record(&flight.Record{Op: flight.OpWrite}) // 3: no matching op -> foreign
-	flt.Record(&flight.Record{Op: flight.OpRead})  // 4: schedule issued a write -> mismatch
+	flt.Record(&flight.Record{Op: vfs.OpWrite}) // 1: schedule says written after crash -> phantom
+	flt.Record(&flight.Record{Op: vfs.OpFsync}) // 2: fsync floor on a file that is gone -> synced-lost
+	flt.Record(&flight.Record{Op: vfs.OpWrite}) // 3: no matching op -> foreign
+	flt.Record(&flight.Record{Op: vfs.OpRead})  // 4: schedule issued a write -> mismatch
 	const pt = 50
 	base := &runResult{recs: []opRecord{
-		{kind: opWrite, path: "/a", flightSeq: 1, flightOp: flight.OpWrite, flightEv: pt + 50},
-		{kind: opFsync, path: "/missing", flightSeq: 2, flightOp: flight.OpFsync, flightEv: 10, synced: 4096},
-		{kind: opWrite, path: "/b", flightSeq: 4, flightOp: flight.OpWrite, flightEv: 10},
-		{kind: opWrite, path: "/c", flightSeq: 5, flightOp: flight.OpWrite, flightEv: 10}, // never reached the ring -> lost
+		{kind: opWrite, path: "/a", flightSeq: 1, flightOp: vfs.OpWrite, flightEv: pt + 50},
+		{kind: opFsync, path: "/missing", flightSeq: 2, flightOp: vfs.OpFsync, flightEv: 10, synced: 4096},
+		{kind: opWrite, path: "/b", flightSeq: 4, flightOp: vfs.OpWrite, flightEv: 10},
+		{kind: opWrite, path: "/c", flightSeq: 5, flightOp: vfs.OpWrite, flightEv: 10}, // never reached the ring -> lost
 	}}
 	rep := &Report{}
 	cfg.verifyFlight(rep, base, fs, dev, pt, 0)
@@ -99,10 +100,10 @@ func TestFlightSyncedFloorSkipsSuperseded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fs.Abandon()
-	fs.Flight().Record(&flight.Record{Op: flight.OpFsync}) // seq 1
+	fs.Flight().Record(&flight.Record{Op: vfs.OpFsync}) // seq 1
 	const pt = 50
 	base := &runResult{recs: []opRecord{
-		{kind: opFsync, path: "/gone", flightSeq: 1, flightOp: flight.OpFsync, flightEv: 10, synced: 4096},
+		{kind: opFsync, path: "/gone", flightSeq: 1, flightOp: vfs.OpFsync, flightEv: 10, synced: 4096},
 		{kind: opUnlink, path: "/gone", startEv: 20, ev: 25}, // started before the crash: floor lifted
 	}}
 	rep := &Report{}

@@ -7,6 +7,7 @@ import (
 	"hinfs/internal/core"
 	"hinfs/internal/nvmm"
 	"hinfs/internal/obs/flight"
+	"hinfs/internal/vfs"
 )
 
 // Forensics is the post-mortem flow: re-execute the deterministic
@@ -100,16 +101,16 @@ func (cfg *Config) verifyFlight(rep *Report, base *runResult, fs *core.FS, dev *
 		if rec.flightEv > pt {
 			rep.add(Violation{Event: pt, Seed: seed, Invariant: "flight-phantom", Path: rec.path,
 				Detail: fmt.Sprintf("record seq %d (%s) was written at event %d, after the crash at %d",
-					d.Seq, flight.OpName(d.Op), rec.flightEv, pt)}, cfg.Log)
+					d.Seq, d.Op, rec.flightEv, pt)}, cfg.Log)
 			continue
 		}
 		if d.Op != rec.flightOp {
 			rep.add(Violation{Event: pt, Seed: seed, Invariant: "flight-mismatch", Path: rec.path,
 				Detail: fmt.Sprintf("record seq %d decodes as %s, schedule issued %s",
-					d.Seq, flight.OpName(d.Op), flight.OpName(rec.flightOp))}, cfg.Log)
+					d.Seq, d.Op, rec.flightOp)}, cfg.Log)
 			continue
 		}
-		if d.Op == flight.OpFsync {
+		if d.Op == vfs.OpFsync {
 			cfg.checkSyncedFloor(rep, base, fs, d, rec, pt, seed)
 		}
 	}
@@ -124,7 +125,7 @@ func (cfg *Config) verifyFlight(rep *Report, base *runResult, fs *core.FS, dev *
 		if !log.Contains(seq) {
 			rep.add(Violation{Event: pt, Seed: seed, Invariant: "flight-lost", Path: rec.path,
 				Detail: fmt.Sprintf("record seq %d (%s, written at event %d) is durable by %d but did not decode",
-					seq, flight.OpName(rec.flightOp), rec.flightEv, pt)}, cfg.Log)
+					seq, rec.flightOp, rec.flightEv, pt)}, cfg.Log)
 		}
 	}
 }

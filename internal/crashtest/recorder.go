@@ -72,7 +72,7 @@ type opRecord struct {
 	// its lines right after its fault point); at exactly flightEv the
 	// record's two cachelines are pending — the torn-tail case.
 	flightSeq uint64
-	flightOp  uint8
+	flightOp  vfs.Op
 	flightEv  int64
 	// synced, for opFsync records, is the file size the completed fsync
 	// made durable — the floor the flight-forensics invariant asserts.
@@ -103,7 +103,7 @@ func (r *recorder) events() int64 { return r.dev.PersistEvents() }
 // its (seq, persist-event) stamps. It runs in BOTH record and replay
 // runs: the record's WriteNT is a persist event, so skipping it in
 // replays would desynchronize the two schedules the explorer compares.
-func (r *recorder) flightNote(op uint8, ino uint64, off int64, n int) (uint64, int64) {
+func (r *recorder) flightNote(op vfs.Op, ino uint64, off int64, n int) (uint64, int64) {
 	if r.flt == nil {
 		return 0, 0
 	}
@@ -132,10 +132,10 @@ func (r *recorder) Create(path string) (vfs.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	ino := inoOf(f)
-	seq, fev := r.flightNote(flight.OpCreate, ino, 0, 0)
+	ino := vfs.InodeOf(f)
+	seq, fev := r.flightNote(vfs.OpCreate, ino, 0, 0)
 	r.add(opRecord{kind: opCreate, path: path, startEv: start, ev: r.events(),
-		flightSeq: seq, flightOp: flight.OpCreate, flightEv: fev})
+		flightSeq: seq, flightOp: vfs.OpCreate, flightEv: fev})
 	return &recFile{r: r, f: f, path: path, ino: ino}, nil
 }
 
@@ -153,15 +153,15 @@ func (r *recorder) Open(path string, flags int) (vfs.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	ino := inoOf(f)
+	ino := vfs.InodeOf(f)
 	if creating {
-		seq, fev := r.flightNote(flight.OpCreate, ino, 0, 0)
+		seq, fev := r.flightNote(vfs.OpCreate, ino, 0, 0)
 		r.add(opRecord{kind: opCreate, path: path, startEv: start, ev: r.events(),
-			flightSeq: seq, flightOp: flight.OpCreate, flightEv: fev})
+			flightSeq: seq, flightOp: vfs.OpCreate, flightEv: fev})
 	} else if flags&vfs.OTrunc != 0 {
-		seq, fev := r.flightNote(flight.OpTruncate, ino, 0, 0)
+		seq, fev := r.flightNote(vfs.OpTruncate, ino, 0, 0)
 		r.add(opRecord{kind: opUntrack, path: path, startEv: start, ev: r.events(),
-			flightSeq: seq, flightOp: flight.OpTruncate, flightEv: fev})
+			flightSeq: seq, flightOp: vfs.OpTruncate, flightEv: fev})
 	}
 	return &recFile{r: r, f: f, path: path, ino: ino, app: flags&vfs.OAppend != 0}, nil
 }
@@ -171,9 +171,9 @@ func (r *recorder) Mkdir(path string) error {
 	start := r.events()
 	err := r.fs.Mkdir(path)
 	if err == nil {
-		seq, fev := r.flightNote(flight.OpMkdir, 0, 0, 0)
+		seq, fev := r.flightNote(vfs.OpMkdir, 0, 0, 0)
 		r.add(opRecord{kind: opMkdir, path: path, startEv: start, ev: r.events(),
-			flightSeq: seq, flightOp: flight.OpMkdir, flightEv: fev})
+			flightSeq: seq, flightOp: vfs.OpMkdir, flightEv: fev})
 	}
 	return err
 }
@@ -183,9 +183,9 @@ func (r *recorder) Rmdir(path string) error {
 	start := r.events()
 	err := r.fs.Rmdir(path)
 	if err == nil {
-		seq, fev := r.flightNote(flight.OpRmdir, 0, 0, 0)
+		seq, fev := r.flightNote(vfs.OpRmdir, 0, 0, 0)
 		r.add(opRecord{kind: opRmdir, path: path, startEv: start, ev: r.events(),
-			flightSeq: seq, flightOp: flight.OpRmdir, flightEv: fev})
+			flightSeq: seq, flightOp: vfs.OpRmdir, flightEv: fev})
 	}
 	return err
 }
@@ -195,9 +195,9 @@ func (r *recorder) Unlink(path string) error {
 	start := r.events()
 	err := r.fs.Unlink(path)
 	if err == nil {
-		seq, fev := r.flightNote(flight.OpUnlink, 0, 0, 0)
+		seq, fev := r.flightNote(vfs.OpUnlink, 0, 0, 0)
 		r.add(opRecord{kind: opUnlink, path: path, startEv: start, ev: r.events(),
-			flightSeq: seq, flightOp: flight.OpUnlink, flightEv: fev})
+			flightSeq: seq, flightOp: vfs.OpUnlink, flightEv: fev})
 	}
 	return err
 }
@@ -208,10 +208,10 @@ func (r *recorder) Rename(oldpath, newpath string) error {
 	start := r.events()
 	err := r.fs.Rename(oldpath, newpath)
 	if err == nil {
-		seq, fev := r.flightNote(flight.OpRename, 0, 0, 0)
+		seq, fev := r.flightNote(vfs.OpRename, 0, 0, 0)
 		ev := r.events()
 		r.add(opRecord{kind: opUntrack, path: oldpath, startEv: start, ev: ev,
-			flightSeq: seq, flightOp: flight.OpRename, flightEv: fev})
+			flightSeq: seq, flightOp: vfs.OpRename, flightEv: fev})
 		r.add(opRecord{kind: opUntrack, path: newpath, startEv: start, ev: ev})
 	}
 	return err
@@ -240,14 +240,6 @@ type recFile struct {
 	app  bool
 }
 
-// inoOf probes a handle for its inode number (vfs.InodeNumberer).
-func inoOf(f vfs.File) uint64 {
-	if n, ok := vfs.FileAs[vfs.InodeNumberer](f); ok {
-		return n.InodeNumber()
-	}
-	return 0
-}
-
 // ReadAt implements vfs.File.
 func (f *recFile) ReadAt(p []byte, off int64) (int, error) { return f.f.ReadAt(p, off) }
 
@@ -262,12 +254,12 @@ func (f *recFile) WriteAt(p []byte, off int64) (int, error) {
 		if f.app {
 			at = f.f.Size() - int64(n)
 		}
-		seq, fev := f.r.flightNote(flight.OpWrite, f.ino, at, n)
+		seq, fev := f.r.flightNote(vfs.OpWrite, f.ino, at, n)
 		if f.r.keep {
 			data := make([]byte, n)
 			copy(data, p[:n])
 			f.r.add(opRecord{kind: opWrite, path: f.path, off: at, data: data, startEv: start, ev: f.r.events(),
-				flightSeq: seq, flightOp: flight.OpWrite, flightEv: fev})
+				flightSeq: seq, flightOp: vfs.OpWrite, flightEv: fev})
 		}
 	}
 	return n, err
@@ -278,9 +270,9 @@ func (f *recFile) Fsync() error {
 	start := f.r.events()
 	err := f.f.Fsync()
 	if err == nil {
-		seq, fev := f.r.flightNote(flight.OpFsync, f.ino, 0, 0)
+		seq, fev := f.r.flightNote(vfs.OpFsync, f.ino, 0, 0)
 		f.r.add(opRecord{kind: opFsync, path: f.path, startEv: start, ev: f.r.events(),
-			flightSeq: seq, flightOp: flight.OpFsync, flightEv: fev, synced: f.f.Size()})
+			flightSeq: seq, flightOp: vfs.OpFsync, flightEv: fev, synced: f.f.Size()})
 	}
 	return err
 }
@@ -290,9 +282,9 @@ func (f *recFile) Truncate(size int64) error {
 	start := f.r.events()
 	err := f.f.Truncate(size)
 	if err == nil {
-		seq, fev := f.r.flightNote(flight.OpTruncate, f.ino, size, 0)
+		seq, fev := f.r.flightNote(vfs.OpTruncate, f.ino, size, 0)
 		f.r.add(opRecord{kind: opUntrack, path: f.path, startEv: start, ev: f.r.events(),
-			flightSeq: seq, flightOp: flight.OpTruncate, flightEv: fev})
+			flightSeq: seq, flightOp: vfs.OpTruncate, flightEv: fev})
 	}
 	return err
 }

@@ -106,7 +106,7 @@ var trafficTenants = []struct {
 type trafficOp struct {
 	tenant string
 	path   string // server-side absolute path
-	op     uint8  // flight canonical op code
+	op     vfs.Op
 	off    int64
 	n      int
 	floor  int64 // fsync: client-acked bytes at issue — the durable floor
@@ -167,7 +167,7 @@ func (tc *trafficClient) run(ready *sync.WaitGroup, stop <-chan struct{}, done *
 	relPath := tc.file.path[len("/tenants/"+tc.file.tenant):]
 	f, err := tc.cl.Open(relPath, vfs.ORdwr|vfs.OCreate)
 	tc.ops = append(tc.ops, trafficOp{tenant: tc.file.tenant, path: tc.file.path,
-		op: flight.OpOpen, ok: err == nil})
+		op: vfs.OpOpen, ok: err == nil})
 	ready.Done()
 	if err != nil {
 		return
@@ -187,7 +187,7 @@ func (tc *trafficClient) run(ready *sync.WaitGroup, stop <-chan struct{}, done *
 		tc.file.issued += int64(len(buf))
 		n, werr := f.WriteAt(buf, off)
 		tc.ops = append(tc.ops, trafficOp{tenant: tc.file.tenant, path: tc.file.path,
-			op: flight.OpWrite, off: off, n: n, ok: werr == nil && n == len(buf)})
+			op: vfs.OpWrite, off: off, n: n, ok: werr == nil && n == len(buf)})
 		if werr != nil || n != len(buf) {
 			tc.file.dirty = true
 			return
@@ -198,7 +198,7 @@ func (tc *trafficClient) run(ready *sync.WaitGroup, stop <-chan struct{}, done *
 			floor := tc.file.acked
 			serr := f.Fsync()
 			tc.ops = append(tc.ops, trafficOp{tenant: tc.file.tenant, path: tc.file.path,
-				op: flight.OpFsync, floor: floor, ok: serr == nil})
+				op: vfs.OpFsync, floor: floor, ok: serr == nil})
 			if serr != nil {
 				return
 			}
@@ -442,12 +442,12 @@ func (cfg *TrafficConfig) verifyTrafficCase(rep *TrafficReport, run *trafficRun,
 		}
 		if d.Op != op.op {
 			rep.add(Violation{Event: pt, Seed: seed, Invariant: "traffic-op", Path: op.path,
-				Detail: fmt.Sprintf("record seq %d decodes as %s, op was %s", d.Seq, flight.OpName(d.Op), flight.OpName(op.op))}, cfg.Log)
+				Detail: fmt.Sprintf("record seq %d decodes as %s, op was %s", d.Seq, d.Op, op.op)}, cfg.Log)
 		}
 		// A surviving successful-fsync record proves durability: the
 		// fsync's flushes and fences are strictly earlier persist events
 		// than the record's own WriteNT, so the floor must be met.
-		if d.Op == flight.OpFsync && d.Result == 0 && op.ok {
+		if d.Op == vfs.OpFsync && d.Result == 0 && op.ok {
 			sz, exists := sizes[op.path]
 			if !exists {
 				rep.add(Violation{Event: pt, Seed: seed, Invariant: "traffic-synced-lost", Path: op.path,

@@ -1,8 +1,8 @@
-// Package goid returns the current goroutine's ID cheaply.
+// Package goid returns the current goroutine's ID cheaply and keeps the
+// tree's one goroutine-keyed table (Local) on top of it.
 //
-// Both goroutine-local registries in this tree — obs's per-request OpCtx
-// attachment and nvmm's fence-scope table — key an open-addressed table
-// by goroutine ID. The portable way to get that ID is parsing the
+// obs's per-request OpCtx attachment and nvmm's fence scopes are both a
+// Local keyed by goroutine ID. The portable way to get that ID is parsing the
 // runtime.Stack header ("goroutine N [running]:"), but the traceback
 // machinery behind runtime.Stack costs on the order of a microsecond,
 // and the lookups sit on the per-persist device hot path: with a server

@@ -230,71 +230,16 @@ func scaled(d time.Duration, scale float64) time.Duration {
 // Close unmounts the instance.
 func (i *Instance) Close() error { return i.FS.Unmount() }
 
-// spin waits out an emulated software delay.
-func spin(d time.Duration) { nvmm.Wait(d) }
-
 // WithSyscallOverhead wraps fs so every operation pays a fixed software
 // cost, modelling syscall entry/exit and VFS dispatch (the dominant part
 // of Fig. 1's "Others" at small I/O sizes).
 func WithSyscallOverhead(fs vfs.FileSystem, d time.Duration) vfs.FileSystem {
-	return &overheadFS{inner: fs, d: d}
+	return vfs.Intercept(fs, syscallCost(d))
 }
 
-type overheadFS struct {
-	inner vfs.FileSystem
-	d     time.Duration
-}
+// syscallCost is the vfs.Observer behind WithSyscallOverhead: it waits
+// out the emulated delay before each operation is passed on.
+type syscallCost time.Duration
 
-func (o *overheadFS) Create(path string) (vfs.File, error) {
-	spin(o.d)
-	f, err := o.inner.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	return &overheadFile{inner: f, d: o.d}, nil
-}
-
-func (o *overheadFS) Open(path string, flags int) (vfs.File, error) {
-	spin(o.d)
-	f, err := o.inner.Open(path, flags)
-	if err != nil {
-		return nil, err
-	}
-	return &overheadFile{inner: f, d: o.d}, nil
-}
-
-func (o *overheadFS) Mkdir(path string) error  { spin(o.d); return o.inner.Mkdir(path) }
-func (o *overheadFS) Rmdir(path string) error  { spin(o.d); return o.inner.Rmdir(path) }
-func (o *overheadFS) Unlink(path string) error { spin(o.d); return o.inner.Unlink(path) }
-func (o *overheadFS) Rename(a, b string) error { spin(o.d); return o.inner.Rename(a, b) }
-func (o *overheadFS) Stat(path string) (vfs.FileInfo, error) {
-	spin(o.d)
-	return o.inner.Stat(path)
-}
-func (o *overheadFS) ReadDir(path string) ([]vfs.DirEntry, error) {
-	spin(o.d)
-	return o.inner.ReadDir(path)
-}
-func (o *overheadFS) Sync() error    { spin(o.d); return o.inner.Sync() }
-func (o *overheadFS) Unmount() error { return o.inner.Unmount() }
-
-type overheadFile struct {
-	inner vfs.File
-	d     time.Duration
-}
-
-func (f *overheadFile) ReadAt(p []byte, off int64) (int, error) {
-	spin(f.d)
-	return f.inner.ReadAt(p, off)
-}
-func (f *overheadFile) WriteAt(p []byte, off int64) (int, error) {
-	spin(f.d)
-	return f.inner.WriteAt(p, off)
-}
-func (f *overheadFile) Fsync() error              { spin(f.d); return f.inner.Fsync() }
-func (f *overheadFile) Truncate(size int64) error { spin(f.d); return f.inner.Truncate(size) }
-func (f *overheadFile) Size() int64               { return f.inner.Size() }
-func (f *overheadFile) Close() error              { spin(f.d); return f.inner.Close() }
-
-// Unwrap exposes the decorated handle for vfs.FileAs capability probes.
-func (f *overheadFile) Unwrap() vfs.File { return f.inner }
+func (d syscallCost) Begin(vfs.Op) { nvmm.Wait(time.Duration(d)) }
+func (syscallCost) End(vfs.Call)   {}

@@ -2,7 +2,6 @@ package nvmm
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"hinfs/internal/goid"
 )
@@ -32,43 +31,23 @@ import (
 // the coalesced persist-event schedule — the schedule it verifies is the
 // schedule production runs.
 //
-// Attachment is goroutine-local via the same open-addressed
-// goroutine-ID table obs uses for OpCtx: deep layers (journal, pmfs,
-// core) call d.Fence() through interfaces that must not grow scope
-// parameters. When no scope is active anywhere, Fence() pays one atomic
-// load over the old path.
-
-const (
-	fsSlots    = 512 // power of two
-	fsMaxProbe = 16
-)
-
-type fsEntry struct {
-	gid   atomic.Int64
-	scope atomic.Pointer[FenceScope]
-	_     [6]uint64 // pad to a cacheline to keep neighbors independent
-}
+// Attachment is goroutine-local (goid.Local, the table obs uses for
+// OpCtx): deep layers (journal, pmfs, core) call d.Fence() through
+// interfaces that must not grow scope parameters. When no scope is
+// active anywhere, Fence() pays one atomic load over the old path.
 
 var (
-	fsTab    [fsSlots]fsEntry
-	fsActive atomic.Int64
-
+	scopes    goid.Local[FenceScope]
 	scopePool = sync.Pool{New: func() any { return new(FenceScope) }}
 )
-
-// fenceGoid is the table key; goid.ID keeps the per-fence and
-// per-store lookups at nanoseconds.
-func fenceGoid() int64 { return goid.ID() }
-
-func fsHash(gid int64) uint64 { return uint64(gid) * 0x9e3779b97f4a7c15 }
 
 // FenceScope is a goroutine-attached fence-coalescing window. Not safe
 // for concurrent use: it belongs to the goroutine that entered it.
 type FenceScope struct {
-	d        *Device
-	slot     int32
-	attached bool
-	depth    int32
+	d *Device
+	// slot is the scope's goroutine binding; zero when it runs detached.
+	slot  goid.Slot
+	depth int32
 	// pending is a requested-but-unissued fence with no store after it
 	// yet — it may still need to materialize if the current op stores
 	// again, or it may prove trailing at the next OpBoundary.
@@ -83,61 +62,28 @@ type FenceScope struct {
 // device is attached returns a detached scope, under which fences stay
 // real. The scope must be Closed on the same goroutine.
 func (d *Device) EnterFenceScope() *FenceScope {
-	gid := fenceGoid()
-	h := fsHash(gid)
-	if fsActive.Load() != 0 {
-		for i := 0; i < fsMaxProbe; i++ {
-			e := &fsTab[(h+uint64(i))%fsSlots]
-			if e.gid.Load() == gid {
-				s := e.scope.Load()
-				if s != nil && s.d == d {
-					s.depth++
-					return s
-				}
-				// Another device's scope owns this goroutine; don't
-				// entangle the two — run detached.
-				return &FenceScope{d: d}
-			}
-		}
-	}
-	s := scopePool.Get().(*FenceScope)
-	s.d = d
-	s.depth = 0
-	s.pending = false
-	s.deferred = 0
-	s.attached = false
-	for i := 0; i < fsMaxProbe; i++ {
-		idx := (h + uint64(i)) % fsSlots
-		e := &fsTab[idx]
-		if e.gid.CompareAndSwap(0, gid) {
-			e.scope.Store(s)
-			s.slot = int32(idx)
-			s.attached = true
-			fsActive.Add(1)
+	if s := scopes.Get(); s != nil {
+		if s.d == d {
+			s.depth++
 			return s
 		}
+		// Another device's scope owns this goroutine; don't entangle
+		// the two — run detached.
+		return &FenceScope{d: d}
 	}
-	// Probe window full (pathological collision): run detached; every
-	// fence stays real, so only the optimization is lost.
+	s := scopePool.Get().(*FenceScope)
+	*s = FenceScope{d: d}
+	// A full probe window (pathological collision) leaves the scope
+	// detached: every fence stays real, so only the optimization is lost.
+	s.slot = scopes.Set(s)
 	return s
 }
 
 // fenceScope returns the scope attached to the calling goroutine for
 // this device, or nil. One atomic load when no scope is active anywhere.
 func (d *Device) fenceScope() *FenceScope {
-	if fsActive.Load() == 0 {
-		return nil
-	}
-	gid := fenceGoid()
-	h := fsHash(gid)
-	for i := 0; i < fsMaxProbe; i++ {
-		e := &fsTab[(h+uint64(i))%fsSlots]
-		if e.gid.Load() == gid {
-			if s := e.scope.Load(); s != nil && s.d == d {
-				return s
-			}
-			return nil
-		}
+	if s := scopes.Get(); s != nil && s.d == d {
+		return s
 	}
 	return nil
 }
@@ -197,21 +143,13 @@ func (s *FenceScope) Close() {
 		s.pending = false
 		d.fencesPending.Add(-1)
 	}
-	if s.attached {
-		e := &fsTab[s.slot]
-		e.scope.Store(nil)
-		e.gid.Store(0)
-		fsActive.Add(-1)
-		s.attached = false
-	}
 	// Detach before fencing so the closing fence is real even though it
 	// runs on the scope's own goroutine.
+	scopes.Clear(s.slot)
 	if absorbed > 0 {
 		d.fenceReal()
 		d.fencesElided.Add(absorbed - 1)
 	}
 	s.d = nil
-	s.pending = false
-	s.deferred = 0
 	scopePool.Put(s)
 }

@@ -1,9 +1,6 @@
 package nvmm
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 func fenceTestDev(t *testing.T) *Device {
 	t.Helper()
@@ -141,29 +138,6 @@ func TestFenceScopeOtherDevice(t *testing.T) {
 	s.Close()
 	if st := d1.Stats(); st.Fences != 1 {
 		t.Errorf("d1 Fences = %d, want 1", st.Fences)
-	}
-}
-
-// TestFenceScopeGoroutineLocal: a scope on one goroutine must not absorb
-// fences issued by others.
-func TestFenceScopeGoroutineLocal(t *testing.T) {
-	d := fenceTestDev(t)
-	s := d.EnterFenceScope()
-	defer func() {
-		s.OpBoundary()
-		s.Close()
-	}()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			d.Fence()
-		}()
-	}
-	wg.Wait()
-	if st := d.Stats(); st.Fences != 8 {
-		t.Errorf("Fences = %d, want 8 (foreign goroutines coalesced)", st.Fences)
 	}
 }
 

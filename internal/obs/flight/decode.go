@@ -119,7 +119,7 @@ func (l *Log) WriteJSON(w io.Writer) error {
 		r := &l.Records[i]
 		if _, err := fmt.Fprintf(w,
 			`{"kind":"flight","seq":%d,"trace":"%s","tenant":%q,"op":"%s","ino":%d,"off":%d,"len":%d,"result":%d,"start_unix_ns":%d`,
-			r.Seq, obs.TraceString(r.Trace), r.Tenant, OpName(r.Op), r.Ino, r.Off, r.Len, r.Result, r.Start); err != nil {
+			r.Seq, obs.TraceString(r.Trace), r.Tenant, r.Op, r.Ino, r.Off, r.Len, r.Result, r.Start); err != nil {
 			return err
 		}
 		for _, st := range obs.Stages() {

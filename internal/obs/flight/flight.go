@@ -25,6 +25,7 @@ import (
 
 	"hinfs/internal/nvmm"
 	"hinfs/internal/obs"
+	"hinfs/internal/vfs"
 )
 
 // Region layout:
@@ -41,7 +42,7 @@ import (
 //	 24     8  off     byte offset (int64 bits; 0 when n/a)
 //	 32     8  start   op start, unix nanoseconds
 //	 40     4  len     I/O length in bytes
-//	 44     1  op      canonical op code (Op* constants)
+//	 44     1  op      vfs.Op code (values 1–14 are frozen)
 //	 45     1  result  0 = ok, else the server status / error code
 //	 46     1  tlen    tenant-name length (<= 16)
 //	 47    16  tenant  tenant name bytes, zero-padded
@@ -64,61 +65,9 @@ const (
 	crcEnd = 120
 )
 
-// Canonical op codes. The recorder is shared by the server (proto ops),
-// the crash explorer (workload ops) and the direct-FS wrapper, so the
-// record carries its own vocabulary rather than any one caller's.
-const (
-	OpUnknown uint8 = iota
-	OpOpen
-	OpCreate
-	OpClose
-	OpRead
-	OpWrite
-	OpFsync
-	OpTruncate
-	OpMkdir
-	OpRmdir
-	OpUnlink
-	OpRename
-	OpStat
-	OpReadDir
-	OpSync
-)
-
-// OpName returns the display name for a canonical op code.
-func OpName(op uint8) string {
-	switch op {
-	case OpOpen:
-		return "open"
-	case OpCreate:
-		return "create"
-	case OpClose:
-		return "close"
-	case OpRead:
-		return "read"
-	case OpWrite:
-		return "write"
-	case OpFsync:
-		return "fsync"
-	case OpTruncate:
-		return "truncate"
-	case OpMkdir:
-		return "mkdir"
-	case OpRmdir:
-		return "rmdir"
-	case OpUnlink:
-		return "unlink"
-	case OpRename:
-		return "rename"
-	case OpStat:
-		return "stat"
-	case OpReadDir:
-		return "readdir"
-	case OpSync:
-		return "sync"
-	}
-	return "unknown"
-}
+// OpWrite aliases vfs.OpWrite for the benchmark adapter, which spells it
+// this way and is frozen; everything else names ops as vfs.Op* directly.
+const OpWrite = vfs.OpWrite
 
 // Record is one flight-recorder entry, both the write-side input and the
 // decode-side output.
@@ -129,7 +78,7 @@ type Record struct {
 	Off    int64
 	Start  int64 // unix nanoseconds at op start
 	Len    uint32
-	Op     uint8
+	Op     vfs.Op
 	Result uint8
 	Tenant string
 	Stages [obs.NumStages]int64
@@ -163,7 +112,7 @@ func encode(buf *[SlotSize]byte, r *Record, seq uint64) {
 	binary.LittleEndian.PutUint64(buf[24:], uint64(r.Off))
 	binary.LittleEndian.PutUint64(buf[32:], uint64(r.Start))
 	binary.LittleEndian.PutUint32(buf[40:], r.Len)
-	buf[44] = r.Op
+	buf[44] = byte(r.Op)
 	buf[45] = r.Result
 	t := r.Tenant
 	if len(t) > MaxTenant {
@@ -200,7 +149,7 @@ func decodeSlot(slot []byte) (r Record, ok, torn bool) {
 	r.Off = int64(binary.LittleEndian.Uint64(slot[24:]))
 	r.Start = int64(binary.LittleEndian.Uint64(slot[32:]))
 	r.Len = binary.LittleEndian.Uint32(slot[40:])
-	r.Op = slot[44]
+	r.Op = vfs.Op(slot[44])
 	r.Result = slot[45]
 	tlen := int(slot[46])
 	if tlen > MaxTenant {

@@ -10,6 +10,7 @@ import (
 	"hinfs/internal/cacheline"
 	"hinfs/internal/nvmm"
 	"hinfs/internal/obs"
+	"hinfs/internal/vfs"
 )
 
 func testDevice(t *testing.T, size int64, track bool) *nvmm.Device {
@@ -50,7 +51,7 @@ func TestRoundTrip(t *testing.T) {
 		Off:    4096,
 		Start:  time.Now().UnixNano(),
 		Len:    8192,
-		Op:     OpWrite,
+		Op:     vfs.OpWrite,
 		Result: 0,
 		Tenant: "gold",
 		Stages: [obs.NumStages]int64{1, 2, 3, 4, 5, 6},
@@ -86,7 +87,7 @@ func TestDecodeTable(t *testing.T) {
 	mkRecs := func(n int) []Record {
 		recs := make([]Record, n)
 		for i := range recs {
-			recs[i] = Record{Trace: uint64(i + 1), Op: OpWrite, Ino: uint64(i)}
+			recs[i] = Record{Trace: uint64(i + 1), Op: vfs.OpWrite, Ino: uint64(i)}
 		}
 		return recs
 	}
@@ -197,14 +198,14 @@ func TestTornPermutations(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 3; i++ {
-			r.Record(&Record{Trace: uint64(i + 1), Op: OpWrite})
+			r.Record(&Record{Trace: uint64(i + 1), Op: vfs.OpWrite})
 		}
 		dev.Fence() // make records 1..3 durable
 		// Crash exactly at the 4th record's WriteNT persist event: its two
 		// cachelines are pending, and seed selects the surviving subset.
 		target := dev.PersistEvents() + 1
 		dev.SetCrashPlan(func(ev int64, _ nvmm.EventKind) bool { return ev == target })
-		r.Record(&Record{Trace: 4, Op: OpFsync})
+		r.Record(&Record{Trace: 4, Op: vfs.OpFsync})
 		st := dev.TakeCrashState()
 		if st == nil {
 			t.Fatal("crash plan did not fire")
@@ -240,7 +241,7 @@ func TestTornPermutations(t *testing.T) {
 		case len(log.Records) == 4:
 			// Whole record survived: must be exactly what was written.
 			r := log.Records[3]
-			if r.Seq != 4 || r.Trace != 4 || r.Op != OpFsync || log.Torn != 0 {
+			if r.Seq != 4 || r.Trace != 4 || r.Op != vfs.OpFsync || log.Torn != 0 {
 				t.Fatalf("seed %d: surviving tail misdecoded: %+v torn=%d", seed, r, log.Torn)
 			}
 			sawWhole = true
@@ -272,20 +273,20 @@ func TestAttachResumesSeq(t *testing.T) {
 	}
 	r, _ := Attach(dev, 0, regionSize)
 	for i := 0; i < 5; i++ {
-		r.Record(&Record{Op: OpWrite})
+		r.Record(&Record{Op: vfs.OpWrite})
 	}
 	r2, err := Attach(dev, 0, regionSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r2.Record(&Record{Op: OpWrite}); got != 6 {
+	if got := r2.Record(&Record{Op: vfs.OpWrite}); got != 6 {
 		t.Fatalf("resumed seq = %d, want 6", got)
 	}
 }
 
 func TestWriteJSON(t *testing.T) {
 	img := regionImage(t, 4, []Record{
-		{Trace: 0xabc, Tenant: "gold", Op: OpWrite, Ino: 7, Off: 512, Len: 64},
+		{Trace: 0xabc, Tenant: "gold", Op: vfs.OpWrite, Ino: 7, Off: 512, Len: 64},
 	})
 	log, err := DecodeBytes(img)
 	if err != nil {
@@ -318,7 +319,7 @@ func TestRecordAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	r, _ := Attach(dev, 0, regionSize)
-	rec := Record{Trace: 1, Tenant: "gold", Op: OpWrite, Len: 4096}
+	rec := Record{Trace: 1, Tenant: "gold", Op: vfs.OpWrite, Len: 4096}
 	if n := testing.AllocsPerRun(200, func() { r.Record(&rec) }); n != 0 {
 		t.Fatalf("Record allocates %v times per op", n)
 	}

@@ -1,173 +1,38 @@
 package flight
 
-import (
-	"time"
-
-	"hinfs/internal/vfs"
-)
+import "hinfs/internal/vfs"
 
 // WrapFS decorates fs so every operation appends one flight record to r
 // — the non-server recording path, used by direct-library embedders and
 // the obs-overhead benchmark leg. Stamping is allocation-free on the
-// data plane (ReadAt/WriteAt/Fsync); handle creation allocates one small
-// wrapper, as Open itself already does.
-//
-// Stage breakdowns are taken from the goroutine's attached obs.OpCtx
-// when present (server-style embedding) and left zero otherwise.
+// data plane (ReadAt/WriteAt/Fsync). Trace and stage breakdown are left
+// zero: the library path has neither a wire trace nor a scheduler. A
+// tenant name longer than MaxTenant is stored truncated.
 func WrapFS(fs vfs.FileSystem, r *Recorder, tenant string) vfs.FileSystem {
-	if len(tenant) > MaxTenant {
-		tenant = tenant[:MaxTenant]
-	}
-	return &wrapFS{fs: fs, r: r, tenant: tenant}
+	return vfs.Intercept(fs, &stamper{r: r, tenant: tenant})
 }
 
-type wrapFS struct {
-	fs     vfs.FileSystem
+// stamper is the vfs.Observer behind WrapFS.
+type stamper struct {
 	r      *Recorder
 	tenant string
 }
 
-// note records one completed op. err is folded to a 0/1 result code —
-// the library path has no wire status vocabulary.
-func (w *wrapFS) note(op uint8, ino uint64, off int64, n int, start int64, err error) {
+func (*stamper) Begin(vfs.Op) {}
+
+func (s *stamper) End(c vfs.Call) {
 	rec := Record{
-		Trace:  0,
-		Ino:    ino,
-		Off:    off,
-		Start:  start,
-		Len:    uint32(n),
-		Op:     op,
-		Tenant: w.tenant,
+		Ino:    c.Ino,
+		Off:    c.Off,
+		Start:  c.Start.UnixNano(),
+		Len:    uint32(c.N),
+		Op:     c.Op,
+		Tenant: s.tenant,
 	}
-	if err != nil {
+	// err is folded to a 0/1 result code — the library path has no wire
+	// status vocabulary. A partial read at EOF is a success.
+	if c.Err != nil && !(c.Op == vfs.OpRead && c.N > 0) {
 		rec.Result = 1
 	}
-	w.r.Record(&rec)
-}
-
-func (w *wrapFS) Create(path string) (vfs.File, error) {
-	start := time.Now().UnixNano()
-	f, err := w.fs.Create(path)
-	wf, ino := w.wrapFile(f)
-	w.note(OpCreate, ino, 0, 0, start, err)
-	return wf, err
-}
-
-func (w *wrapFS) Open(path string, flags int) (vfs.File, error) {
-	start := time.Now().UnixNano()
-	f, err := w.fs.Open(path, flags)
-	wf, ino := w.wrapFile(f)
-	w.note(OpOpen, ino, 0, 0, start, err)
-	return wf, err
-}
-
-func (w *wrapFS) wrapFile(f vfs.File) (vfs.File, uint64) {
-	if f == nil {
-		return nil, 0
-	}
-	var ino uint64
-	if n, ok := vfs.FileAs[vfs.InodeNumberer](f); ok {
-		ino = n.InodeNumber()
-	}
-	return &wrapFile{f: f, w: w, ino: ino}, ino
-}
-
-func (w *wrapFS) Mkdir(path string) error {
-	start := time.Now().UnixNano()
-	err := w.fs.Mkdir(path)
-	w.note(OpMkdir, 0, 0, 0, start, err)
-	return err
-}
-
-func (w *wrapFS) Rmdir(path string) error {
-	start := time.Now().UnixNano()
-	err := w.fs.Rmdir(path)
-	w.note(OpRmdir, 0, 0, 0, start, err)
-	return err
-}
-
-func (w *wrapFS) Unlink(path string) error {
-	start := time.Now().UnixNano()
-	err := w.fs.Unlink(path)
-	w.note(OpUnlink, 0, 0, 0, start, err)
-	return err
-}
-
-func (w *wrapFS) Rename(oldpath, newpath string) error {
-	start := time.Now().UnixNano()
-	err := w.fs.Rename(oldpath, newpath)
-	w.note(OpRename, 0, 0, 0, start, err)
-	return err
-}
-
-func (w *wrapFS) Stat(path string) (vfs.FileInfo, error) {
-	start := time.Now().UnixNano()
-	fi, err := w.fs.Stat(path)
-	w.note(OpStat, 0, 0, 0, start, err)
-	return fi, err
-}
-
-func (w *wrapFS) ReadDir(path string) ([]vfs.DirEntry, error) {
-	start := time.Now().UnixNano()
-	des, err := w.fs.ReadDir(path)
-	w.note(OpReadDir, 0, 0, len(des), start, err)
-	return des, err
-}
-
-func (w *wrapFS) Sync() error {
-	start := time.Now().UnixNano()
-	err := w.fs.Sync()
-	w.note(OpSync, 0, 0, 0, start, err)
-	return err
-}
-
-func (w *wrapFS) Unmount() error { return w.fs.Unmount() }
-
-type wrapFile struct {
-	f   vfs.File
-	w   *wrapFS
-	ino uint64
-}
-
-func (f *wrapFile) Unwrap() vfs.File { return f.f }
-
-func (f *wrapFile) ReadAt(p []byte, off int64) (int, error) {
-	start := time.Now().UnixNano()
-	n, err := f.f.ReadAt(p, off)
-	e := err
-	if e != nil && n > 0 {
-		e = nil // partial read at EOF is a success for result-coding
-	}
-	f.w.note(OpRead, f.ino, off, n, start, e)
-	return n, err
-}
-
-func (f *wrapFile) WriteAt(p []byte, off int64) (int, error) {
-	start := time.Now().UnixNano()
-	n, err := f.f.WriteAt(p, off)
-	f.w.note(OpWrite, f.ino, off, n, start, err)
-	return n, err
-}
-
-func (f *wrapFile) Fsync() error {
-	start := time.Now().UnixNano()
-	err := f.f.Fsync()
-	f.w.note(OpFsync, f.ino, 0, 0, start, err)
-	return err
-}
-
-func (f *wrapFile) Truncate(size int64) error {
-	start := time.Now().UnixNano()
-	err := f.f.Truncate(size)
-	f.w.note(OpTruncate, f.ino, size, 0, start, err)
-	return err
-}
-
-func (f *wrapFile) Size() int64 { return f.f.Size() }
-
-func (f *wrapFile) Close() error {
-	start := time.Now().UnixNano()
-	err := f.f.Close()
-	f.w.note(OpClose, f.ino, 0, 0, start, err)
-	return err
+	s.r.Record(&rec)
 }

@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"sync/atomic"
-
-	"hinfs/internal/goid"
-)
+import "hinfs/internal/goid"
 
 // Stage identifies one attributable segment of a request's latency. The
 // paper's argument is that on NVMM the interesting time is software time;
@@ -72,21 +68,17 @@ func Stages() []Stage {
 type OpCtx struct {
 	// Trace is the wire-propagated request/trace ID (client-assigned).
 	Trace uint64
-	// Op is the op class of the request.
-	Op OpClass
 
 	stage [NumStages]int64
-	slot  int32
-	live  bool
+	slot  goid.Slot
 }
 
 // Reset prepares the context for a new request.
-func (c *OpCtx) Reset(trace uint64, op OpClass) {
+func (c *OpCtx) Reset(trace uint64) {
 	if c == nil {
 		return
 	}
 	c.Trace = trace
-	c.Op = op
 	for i := range c.stage {
 		c.stage[i] = 0
 	}
@@ -130,37 +122,14 @@ func (c *OpCtx) Breakdown() [NumStages]int64 {
 // persists) sit behind interfaces that must not grow context parameters,
 // so the executing goroutine carries the OpCtx instead: the scheduler
 // worker Attaches the context around the request body and those layers
-// look it up with CurrentOp. The registry is a fixed-size open-addressed
-// table keyed by goroutine ID with no allocation on any path, and a
-// global active counter makes CurrentOp a single atomic load when no op
-// is attached anywhere — non-server workloads pay ~nothing.
-
-const (
-	tlsSlots    = 1024 // power of two
-	tlsMaxProbe = 16
-)
-
-type tlsEntry struct {
-	gid atomic.Int64
-	ctx atomic.Pointer[OpCtx]
-	_   [6]uint64 // pad to a cacheline to keep neighbors independent
-}
-
-var (
-	tlsTab    [tlsSlots]tlsEntry
-	tlsActive atomic.Int64
-)
-
-// goroutineID is the table key. goid.ID is two loads on amd64, which is
+// look it up with CurrentOp. goid.ID is two loads on amd64, which is
 // what lets CurrentOp sit on the per-persist device path: with a server
 // op attached everywhere, a traceback-based ID would tax every flush.
-func goroutineID() int64 { return goid.ID() }
 
-func tlsHash(gid int64) uint64 {
-	return uint64(gid) * 0x9e3779b97f4a7c15
-}
+var attached goid.Local[OpCtx]
 
-// Attach registers c as the current goroutine's active op. If the probe
+// Attach registers c as the current goroutine's active op, replacing a
+// context attached earlier on the same goroutine. If the table's probe
 // window is full (pathological collision), the context stays detached:
 // deep-layer charges are lost for this op but explicit charges (queue,
 // quota, service) still land. Nil-safe.
@@ -168,58 +137,23 @@ func (c *OpCtx) Attach() {
 	if c == nil {
 		return
 	}
-	gid := goroutineID()
-	h := tlsHash(gid)
-	for i := 0; i < tlsMaxProbe; i++ {
-		e := &tlsTab[(h+uint64(i))%tlsSlots]
-		if e.gid.CompareAndSwap(0, gid) {
-			e.ctx.Store(c)
-			c.slot = int32((h + uint64(i)) % tlsSlots)
-			c.live = true
-			tlsActive.Add(1)
-			return
-		}
-		if e.gid.Load() == gid {
-			// Re-attach on the same goroutine (nested use): replace.
-			e.ctx.Store(c)
-			c.slot = int32((h + uint64(i)) % tlsSlots)
-			c.live = true
-			return
-		}
-	}
-	c.live = false
+	c.slot = attached.Set(c)
 }
 
 // Detach removes the registration made by Attach. Nil-safe; a context
 // that never attached (or lost the probe race) is a no-op.
 func (c *OpCtx) Detach() {
-	if c == nil || !c.live {
+	if c == nil {
 		return
 	}
-	e := &tlsTab[c.slot]
-	e.ctx.Store(nil)
-	e.gid.Store(0)
-	c.live = false
-	tlsActive.Add(-1)
+	attached.Clear(c.slot)
+	c.slot = 0
 }
 
 // CurrentOp returns the OpCtx attached to the calling goroutine, or nil.
 // When no op is attached anywhere in the process, it is a single atomic
 // load — the obs-off fast path for every deep layer.
-func CurrentOp() *OpCtx {
-	if tlsActive.Load() == 0 {
-		return nil
-	}
-	gid := goroutineID()
-	h := tlsHash(gid)
-	for i := 0; i < tlsMaxProbe; i++ {
-		e := &tlsTab[(h+uint64(i))%tlsSlots]
-		if e.gid.Load() == gid {
-			return e.ctx.Load()
-		}
-	}
-	return nil
-}
+func CurrentOp() *OpCtx { return attached.Get() }
 
 // CurrentTrace returns the attached op's trace ID, or 0.
 func CurrentTrace() uint64 {

@@ -1,13 +1,10 @@
 package obs
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 func TestOpCtxChargeAndBreakdown(t *testing.T) {
 	var c OpCtx
-	c.Reset(0xabcd, OpWrite)
+	c.Reset(0xabcd)
 	c.Charge(StageQueue, 100)
 	c.Charge(StageQueue, 50)
 	c.Charge(StageFlush, 7)
@@ -28,14 +25,14 @@ func TestOpCtxChargeAndBreakdown(t *testing.T) {
 	}
 
 	// Reset clears every stage for reuse.
-	c.Reset(1, OpRead)
+	c.Reset(1)
 	if b := c.Breakdown(); b != ([NumStages]int64{}) {
 		t.Fatalf("breakdown after reset = %v", b)
 	}
 
 	// Everything is nil-safe.
 	var nilCtx *OpCtx
-	nilCtx.Reset(1, OpRead)
+	nilCtx.Reset(1)
 	nilCtx.Charge(StageQueue, 1)
 	nilCtx.Attach()
 	nilCtx.Detach()
@@ -63,7 +60,7 @@ func TestAttachDetachCurrent(t *testing.T) {
 		t.Fatal("no op attached, CurrentOp must be nil")
 	}
 	var c OpCtx
-	c.Reset(42, OpFsync)
+	c.Reset(42)
 	c.Attach()
 	if got := CurrentOp(); got != &c {
 		t.Fatalf("CurrentOp = %p, want %p", got, &c)
@@ -88,76 +85,4 @@ func TestAttachDetachCurrent(t *testing.T) {
 	}
 	// Double detach is harmless.
 	c.Detach()
-}
-
-func TestAttachReplaceSameGoroutine(t *testing.T) {
-	var a, b OpCtx
-	a.Reset(1, OpRead)
-	b.Reset(2, OpWrite)
-	a.Attach()
-	b.Attach() // nested attach on the same goroutine replaces
-	if got := CurrentTrace(); got != 2 {
-		t.Fatalf("CurrentTrace = %d, want 2 after re-attach", got)
-	}
-	b.Detach()
-	if CurrentOp() != nil {
-		t.Fatal("detach after replace must clear the slot")
-	}
-}
-
-// TestTLSConcurrent exercises the goroutine-local table under -race:
-// many goroutines attach, charge through CurrentOp, and detach in loops,
-// each verifying it only ever sees its own context.
-func TestTLSConcurrent(t *testing.T) {
-	const goroutines = 64
-	const rounds = 200
-	var wg sync.WaitGroup
-	errs := make(chan string, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			var c OpCtx
-			for r := 0; r < rounds; r++ {
-				trace := uint64(g)<<32 | uint64(r)
-				c.Reset(trace, OpWrite)
-				c.Attach()
-				cur := CurrentOp()
-				if cur == nil {
-					// Probe-window overflow is a documented graceful
-					// degradation, but with 64 goroutines in 1024 slots it
-					// should be vanishingly rare.
-					errs <- "lost context to probe overflow"
-				} else if cur.Trace != trace {
-					errs <- "saw another goroutine's context"
-				}
-				cur.Charge(StageFlush, 1)
-				c.Detach()
-				if CurrentOp() != nil {
-					errs <- "context visible after detach"
-				}
-			}
-			if c.StageNS(StageFlush) != 1 {
-				// Only the last round's charge survives its Reset.
-				errs <- "charges through CurrentOp did not land"
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Fatal(e)
-	}
-}
-
-func TestGoroutineID(t *testing.T) {
-	id := goroutineID()
-	if id <= 0 {
-		t.Fatalf("goroutineID = %d", id)
-	}
-	done := make(chan int64)
-	go func() { done <- goroutineID() }()
-	if other := <-done; other == id {
-		t.Fatalf("two goroutines share ID %d", id)
-	}
 }

@@ -7,122 +7,42 @@ import (
 )
 
 // WrapFS instruments fs at the VFS boundary: every operation's latency
-// is recorded into c's op-class histograms. Because the wrapper works on
-// the vfs interfaces, the same instrumentation covers HiNFS and every
-// baseline system, which is what makes cross-system latency tables
+// is recorded into c's op-class histograms. Because the interceptor
+// works on the vfs interfaces, the same instrumentation covers HiNFS and
+// every baseline system, which is what makes cross-system latency tables
 // (hinfs-bench -fig latency) comparable. A nil collector returns fs
 // unchanged.
 func WrapFS(fs vfs.FileSystem, c *Collector) vfs.FileSystem {
 	if c == nil {
 		return fs
 	}
-	return &obsFS{inner: fs, c: c}
+	return vfs.Intercept(fs, opTimer{c})
 }
 
-type obsFS struct {
-	inner vfs.FileSystem
-	c     *Collector
-}
+// opTimer is the vfs.Observer behind WrapFS.
+type opTimer struct{ c *Collector }
 
-func (o *obsFS) Create(path string) (vfs.File, error) {
-	start := time.Now()
-	f, err := o.inner.Create(path)
-	o.c.Op(OpCreate, time.Since(start))
-	if err != nil {
-		return nil, err
+func (opTimer) Begin(vfs.Op) {}
+
+func (t opTimer) End(c vfs.Call) {
+	class := OpMeta
+	switch c.Op {
+	case vfs.OpRead:
+		class = OpRead
+	case vfs.OpWrite:
+		class = OpWrite
+	case vfs.OpFsync:
+		class = OpFsync
+	case vfs.OpCreate:
+		class = OpCreate
+	case vfs.OpOpen:
+		if c.Flags&vfs.OCreate != 0 {
+			class = OpCreate
+		}
+	case vfs.OpUnlink:
+		class = OpUnlink
+	case vfs.OpClose:
+		return // handle lifecycle, not a workload op
 	}
-	return &obsFile{inner: f, c: o.c}, nil
+	t.c.Op(class, time.Since(c.Start))
 }
-
-func (o *obsFS) Open(path string, flags int) (vfs.File, error) {
-	op := OpMeta
-	if flags&vfs.OCreate != 0 {
-		op = OpCreate
-	}
-	start := time.Now()
-	f, err := o.inner.Open(path, flags)
-	o.c.Op(op, time.Since(start))
-	if err != nil {
-		return nil, err
-	}
-	return &obsFile{inner: f, c: o.c}, nil
-}
-
-func (o *obsFS) Unlink(path string) error {
-	start := time.Now()
-	err := o.inner.Unlink(path)
-	o.c.Op(OpUnlink, time.Since(start))
-	return err
-}
-
-func (o *obsFS) meta(fn func() error) error {
-	start := time.Now()
-	err := fn()
-	o.c.Op(OpMeta, time.Since(start))
-	return err
-}
-
-func (o *obsFS) Mkdir(path string) error { return o.meta(func() error { return o.inner.Mkdir(path) }) }
-func (o *obsFS) Rmdir(path string) error { return o.meta(func() error { return o.inner.Rmdir(path) }) }
-func (o *obsFS) Rename(a, b string) error {
-	return o.meta(func() error { return o.inner.Rename(a, b) })
-}
-func (o *obsFS) Sync() error { return o.meta(func() error { return o.inner.Sync() }) }
-
-func (o *obsFS) Stat(path string) (vfs.FileInfo, error) {
-	start := time.Now()
-	fi, err := o.inner.Stat(path)
-	o.c.Op(OpMeta, time.Since(start))
-	return fi, err
-}
-
-func (o *obsFS) ReadDir(path string) ([]vfs.DirEntry, error) {
-	start := time.Now()
-	ents, err := o.inner.ReadDir(path)
-	o.c.Op(OpMeta, time.Since(start))
-	return ents, err
-}
-
-// Unmount is not timed: it is teardown, not a workload op.
-func (o *obsFS) Unmount() error { return o.inner.Unmount() }
-
-type obsFile struct {
-	inner vfs.File
-	c     *Collector
-}
-
-func (f *obsFile) ReadAt(p []byte, off int64) (int, error) {
-	start := time.Now()
-	n, err := f.inner.ReadAt(p, off)
-	f.c.Op(OpRead, time.Since(start))
-	return n, err
-}
-
-func (f *obsFile) WriteAt(p []byte, off int64) (int, error) {
-	start := time.Now()
-	n, err := f.inner.WriteAt(p, off)
-	f.c.Op(OpWrite, time.Since(start))
-	return n, err
-}
-
-func (f *obsFile) Fsync() error {
-	start := time.Now()
-	err := f.inner.Fsync()
-	f.c.Op(OpFsync, time.Since(start))
-	return err
-}
-
-func (f *obsFile) Truncate(size int64) error {
-	start := time.Now()
-	err := f.inner.Truncate(size)
-	f.c.Op(OpMeta, time.Since(start))
-	return err
-}
-
-func (f *obsFile) Size() int64 { return f.inner.Size() }
-
-func (f *obsFile) Close() error { return f.inner.Close() }
-
-// Unwrap exposes the decorated handle so optional capabilities (mmap)
-// stay discoverable via vfs.FileAs.
-func (f *obsFile) Unwrap() vfs.File { return f.inner }

@@ -50,7 +50,8 @@ func TestWrapFSRecordsOpClasses(t *testing.T) {
 	f.WriteAt(make([]byte, 8), 0)
 	f.ReadAt(make([]byte, 8), 0)
 	f.Fsync()
-	f.Close()
+	f.Truncate(0)
+	f.Close() // handle lifecycle: not timed
 	fs.Unlink("/a")
 	fs.Mkdir("/d")
 	fs.Stat("/d")
@@ -66,7 +67,7 @@ func TestWrapFSRecordsOpClasses(t *testing.T) {
 		OpRead:   1,
 		OpFsync:  1,
 		OpUnlink: 1,
-		OpMeta:   3, // Mkdir, Stat, Sync
+		OpMeta:   4, // Truncate, Mkdir, Stat, Sync
 	}
 	for op, n := range want {
 		if got := s.Op(op).Count; got != n {
@@ -76,5 +77,46 @@ func TestWrapFSRecordsOpClasses(t *testing.T) {
 	// The slow write must dominate the write histogram's magnitude.
 	if p50 := s.Op(OpWrite).Quantile(0.5); p50 < int64(100*time.Microsecond) {
 		t.Errorf("write p50 %d ns implausibly fast for a 1ms op", p50)
+	}
+}
+
+// recordingFS notes the paths it is asked for, so composition tests can
+// check both that the wrapper observed and that the inner layer ran.
+type recordingFS struct {
+	fakeFS
+	paths []string
+}
+
+func (r *recordingFS) Create(path string) (vfs.File, error) {
+	r.paths = append(r.paths, path)
+	return r.fakeFS.Create(path)
+}
+
+// TestWrapFSCoversSub checks the wrapper still observes when layered
+// over a vfs.Sub view — the composition every server tenant runs under
+// (obs outermost, Sub re-anchoring paths beneath it).
+func TestWrapFSCoversSub(t *testing.T) {
+	base := &recordingFS{}
+	sub, err := vfs.Sub(base, "/tenant")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New()
+	fs := WrapFS(sub, c)
+	f, err := fs.Create("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(make([]byte, 64), 0); err != nil {
+		t.Fatal(err)
+	}
+	s := c.Snapshot()
+	if s.Op(OpCreate).Count != 1 || s.Op(OpWrite).Count != 1 {
+		t.Fatalf("sub-view ops not observed: create=%d write=%d",
+			s.Op(OpCreate).Count, s.Op(OpWrite).Count)
+	}
+	// And the create really went through the Sub re-anchoring.
+	if len(base.paths) != 1 || base.paths[0] != "/tenant/f" {
+		t.Fatalf("inner create paths = %v, want [/tenant/f]", base.paths)
 	}
 }

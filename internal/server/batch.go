@@ -57,7 +57,7 @@ const batchRespWindow = 256 << 10
 // BatchOp is one queued operation and, after Wait (or a Flush that
 // happened to reap it), its result. Valid until the batch is Reset.
 type BatchOp struct {
-	op        byte
+	op        vfs.Op
 	fid       uint32
 	off       int64
 	buf       []byte // read destination / write source
@@ -120,7 +120,7 @@ func (b *Batch) AchievedDepth() float64 {
 
 // add queues an op against f, validating that f is a remote file of this
 // batch's client. Validation errors complete the op immediately.
-func (b *Batch) add(op byte, f vfs.File, buf []byte, off int64, respBytes int) *BatchOp {
+func (b *Batch) add(op vfs.Op, f vfs.File, buf []byte, off int64, respBytes int) *BatchOp {
 	o := batchOpPool.Get().(*BatchOp)
 	*o = BatchOp{op: op, off: off, buf: buf, respBytes: respBytes}
 	rf, ok := f.(*remoteFile)
@@ -142,7 +142,7 @@ func (b *Batch) add(op byte, f vfs.File, buf []byte, off int64, respBytes int) *
 // are rejected (the synchronous path chunks; the batch API keeps one op
 // = one frame).
 func (b *Batch) ReadAt(f vfs.File, p []byte, off int64) *BatchOp {
-	o := b.add(opRead, f, p, off, 13+len(p))
+	o := b.add(vfs.OpRead, f, p, off, 13+len(p))
 	if !o.done && len(p) > MaxIO {
 		o.Err = vfs.ErrInvalid
 		o.done = true
@@ -152,7 +152,7 @@ func (b *Batch) ReadAt(f vfs.File, p []byte, off int64) *BatchOp {
 
 // WriteAt queues a write of p at off.
 func (b *Batch) WriteAt(f vfs.File, p []byte, off int64) *BatchOp {
-	o := b.add(opWrite, f, p, off, 17)
+	o := b.add(vfs.OpWrite, f, p, off, 17)
 	if !o.done && len(p) > MaxIO {
 		o.Err = vfs.ErrInvalid
 		o.done = true
@@ -162,7 +162,7 @@ func (b *Batch) WriteAt(f vfs.File, p []byte, off int64) *BatchOp {
 
 // Fsync queues an fsync of f.
 func (b *Batch) Fsync(f vfs.File) *BatchOp {
-	return b.add(opFsync, f, nil, 0, 13)
+	return b.add(vfs.OpFsync, f, nil, 0, 13)
 }
 
 // Flush submits queued ops up to the window without waiting for every
@@ -219,14 +219,14 @@ func (b *Batch) pumpLocked(drain bool) error {
 			o.sentAt = time.Now()
 		}
 		c.out.b = c.out.b[:0]
-		c.out.u8(o.op)
+		c.out.u8(byte(o.op))
 		c.out.u64(o.trace)
 		c.out.u32(o.fid)
 		switch o.op {
-		case opRead:
+		case vfs.OpRead:
 			c.out.u64(uint64(o.off))
 			c.out.u32(uint32(len(o.buf)))
-		case opWrite:
+		case vfs.OpWrite:
 			c.out.u64(uint64(o.off))
 			c.out.bytes(o.buf)
 		}
@@ -283,16 +283,16 @@ func (b *Batch) reapOneLocked() error {
 	}
 	st := d.u8()
 	switch {
-	case st == stOK, st == stEOF && o.op == opRead:
+	case st == stOK, st == stEOF && o.op == vfs.OpRead:
 		switch o.op {
-		case opRead:
+		case vfs.OpRead:
 			// Copy now: the decoded slice aliases the connection's
 			// reusable receive buffer.
 			o.N = copy(o.buf, d.bytes())
 			if st == stEOF {
 				o.Err = io.EOF
 			}
-		case opWrite:
+		case vfs.OpWrite:
 			o.N = int(d.u32())
 		}
 		if d.err != nil {

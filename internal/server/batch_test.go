@@ -261,7 +261,7 @@ func TestClientEncodeZeroAllocs(t *testing.T) {
 	payload := make([]byte, 4096)
 	n := testing.AllocsPerRun(1000, func() {
 		e.b = e.b[:0]
-		e.u8(opWrite)
+		e.u8(byte(vfs.OpWrite))
 		e.u64(0x1234)
 		e.u32(7)
 		e.u64(8192)

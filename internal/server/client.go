@@ -75,7 +75,7 @@ func NewClient(conn net.Conn, tenant string) (*Client, error) {
 	c.trace.Store(uint64(time.Now().UnixNano()) * 0x9e3779b97f4a7c15)
 	c.mu.Lock()
 	c.out.b = c.out.b[:0]
-	c.out.u8(opAttach)
+	c.out.u8(byte(opAttach))
 	trace := c.nextTrace()
 	c.out.u64(trace)
 	c.out.str(tenant)
@@ -120,7 +120,7 @@ func (c *Client) roundTripLocked() ([]byte, error) {
 // call performs one request for op: the op byte and a fresh trace ID are
 // written first, then build encodes the request body into c.out; parse
 // (optional) decodes a successful response body.
-func (c *Client) call(op byte, build func(*enc), parse func(*dec) error) error {
+func (c *Client) call(op vfs.Op, build func(*enc), parse func(*dec) error) error {
 	slow := c.slow.Load()
 	var start time.Time
 	if slow != nil {
@@ -129,7 +129,7 @@ func (c *Client) call(op byte, build func(*enc), parse func(*dec) error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.out.b = c.out.b[:0]
-	c.out.u8(op)
+	c.out.u8(byte(op))
 	trace := c.nextTrace()
 	c.out.u64(trace)
 	if build != nil {
@@ -141,7 +141,7 @@ func (c *Client) call(op byte, build func(*enc), parse func(*dec) error) error {
 			rec := obs.SlowOp{
 				Side:    "client",
 				Trace:   obs.TraceString(trace),
-				Op:      opName(op),
+				Op:      op.String(),
 				TotalNS: lat,
 			}
 			if err != nil {
@@ -187,7 +187,7 @@ func (c *Client) call(op byte, build func(*enc), parse func(*dec) error) error {
 // Create implements vfs.FileSystem.
 func (c *Client) Create(path string) (vfs.File, error) {
 	var id uint32
-	err := c.call(opCreate, func(e *enc) {
+	err := c.call(vfs.OpCreate, func(e *enc) {
 		e.str(path)
 	}, func(d *dec) error {
 		id = d.u32()
@@ -202,7 +202,7 @@ func (c *Client) Create(path string) (vfs.File, error) {
 // Open implements vfs.FileSystem.
 func (c *Client) Open(path string, flags int) (vfs.File, error) {
 	var id uint32
-	err := c.call(opOpen, func(e *enc) {
+	err := c.call(vfs.OpOpen, func(e *enc) {
 		e.u32(uint32(flags))
 		e.str(path)
 	}, func(d *dec) error {
@@ -217,28 +217,28 @@ func (c *Client) Open(path string, flags int) (vfs.File, error) {
 
 // Mkdir implements vfs.FileSystem.
 func (c *Client) Mkdir(path string) error {
-	return c.call(opMkdir, func(e *enc) { e.str(path) }, nil)
+	return c.call(vfs.OpMkdir, func(e *enc) { e.str(path) }, nil)
 }
 
 // Rmdir implements vfs.FileSystem.
 func (c *Client) Rmdir(path string) error {
-	return c.call(opRmdir, func(e *enc) { e.str(path) }, nil)
+	return c.call(vfs.OpRmdir, func(e *enc) { e.str(path) }, nil)
 }
 
 // Unlink implements vfs.FileSystem.
 func (c *Client) Unlink(path string) error {
-	return c.call(opUnlink, func(e *enc) { e.str(path) }, nil)
+	return c.call(vfs.OpUnlink, func(e *enc) { e.str(path) }, nil)
 }
 
 // Rename implements vfs.FileSystem.
 func (c *Client) Rename(oldpath, newpath string) error {
-	return c.call(opRename, func(e *enc) { e.str(oldpath); e.str(newpath) }, nil)
+	return c.call(vfs.OpRename, func(e *enc) { e.str(oldpath); e.str(newpath) }, nil)
 }
 
 // Stat implements vfs.FileSystem.
 func (c *Client) Stat(path string) (vfs.FileInfo, error) {
 	var fi vfs.FileInfo
-	err := c.call(opStat, func(e *enc) {
+	err := c.call(vfs.OpStat, func(e *enc) {
 		e.str(path)
 	}, func(d *dec) error {
 		fi.Name = d.str()
@@ -253,7 +253,7 @@ func (c *Client) Stat(path string) (vfs.FileInfo, error) {
 // ReadDir implements vfs.FileSystem.
 func (c *Client) ReadDir(path string) ([]vfs.DirEntry, error) {
 	var ents []vfs.DirEntry
-	err := c.call(opReadDir, func(e *enc) {
+	err := c.call(vfs.OpReadDir, func(e *enc) {
 		e.str(path)
 	}, func(d *dec) error {
 		n := int(d.u32())
@@ -276,7 +276,7 @@ func (c *Client) ReadDir(path string) ([]vfs.DirEntry, error) {
 
 // Sync implements vfs.FileSystem.
 func (c *Client) Sync() error {
-	return c.call(opSync, nil, nil)
+	return c.call(vfs.OpSync, nil, nil)
 }
 
 // Unmount implements vfs.FileSystem: it ends the session and closes the
@@ -329,7 +329,7 @@ func (f *remoteFile) ReadAt(p []byte, off int64) (int, error) {
 			chunk = MaxIO
 		}
 		var n int
-		err := f.c.call(opRead, func(e *enc) {
+		err := f.c.call(vfs.OpRead, func(e *enc) {
 			e.u32(f.id)
 			e.u64(uint64(off + int64(total)))
 			e.u32(uint32(chunk))
@@ -365,7 +365,7 @@ func (f *remoteFile) WriteAt(p []byte, off int64) (int, error) {
 			chunk = MaxIO
 		}
 		var n int
-		err := f.c.call(opWrite, func(e *enc) {
+		err := f.c.call(vfs.OpWrite, func(e *enc) {
 			e.u32(f.id)
 			e.u64(uint64(off + int64(total)))
 			e.bytes(p[total : total+chunk])
@@ -391,7 +391,7 @@ func (f *remoteFile) Fsync() error {
 	if err := f.checkOpen(); err != nil {
 		return err
 	}
-	return f.c.call(opFsync, func(e *enc) { e.u32(f.id) }, nil)
+	return f.c.call(vfs.OpFsync, func(e *enc) { e.u32(f.id) }, nil)
 }
 
 // Truncate implements vfs.File.
@@ -399,7 +399,7 @@ func (f *remoteFile) Truncate(size int64) error {
 	if err := f.checkOpen(); err != nil {
 		return err
 	}
-	return f.c.call(opTruncate, func(e *enc) {
+	return f.c.call(vfs.OpTruncate, func(e *enc) {
 		e.u32(f.id)
 		e.u64(uint64(size))
 	}, nil)
@@ -411,7 +411,7 @@ func (f *remoteFile) Size() int64 {
 		return 0
 	}
 	var size int64
-	err := f.c.call(opSize, func(e *enc) { e.u32(f.id) }, func(d *dec) error {
+	err := f.c.call(vfs.OpSize, func(e *enc) { e.u32(f.id) }, func(d *dec) error {
 		size = int64(d.u64())
 		return nil
 	})
@@ -431,5 +431,5 @@ func (f *remoteFile) Close() error {
 	}
 	f.closed = true
 	f.mu.Unlock()
-	return f.c.call(opClose, func(e *enc) { e.u32(f.id) }, nil)
+	return f.c.call(vfs.OpClose, func(e *enc) { e.u32(f.id) }, nil)
 }

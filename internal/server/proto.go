@@ -32,63 +32,11 @@ import (
 // pipeline (client.go/batch.go). The server bounds in-flight requests
 // per session with a window; connections remain cheap, so large-scale
 // concurrency still comes from connections.
-const (
-	opAttach byte = iota + 1
-	opOpen
-	opCreate
-	opClose
-	opRead
-	opWrite
-	opFsync
-	opTruncate
-	opSize
-	opMkdir
-	opRmdir
-	opUnlink
-	opRename
-	opStat
-	opReadDir
-	opSync
-)
-
-// opName names an opcode for logs and metrics.
-func opName(op byte) string {
-	switch op {
-	case opAttach:
-		return "attach"
-	case opOpen:
-		return "open"
-	case opCreate:
-		return "create"
-	case opClose:
-		return "close"
-	case opRead:
-		return "read"
-	case opWrite:
-		return "write"
-	case opFsync:
-		return "fsync"
-	case opTruncate:
-		return "truncate"
-	case opSize:
-		return "size"
-	case opMkdir:
-		return "mkdir"
-	case opRmdir:
-		return "rmdir"
-	case opUnlink:
-		return "unlink"
-	case opRename:
-		return "rename"
-	case opStat:
-		return "stat"
-	case opReadDir:
-		return "readdir"
-	case opSync:
-		return "sync"
-	}
-	return "unknown"
-}
+//
+// The op byte is a vfs.Op — the same code a flight record persists and
+// the same name slow-op logs print — except for session attach, which is
+// not a file-system operation and takes a code outside the Op range.
+const opAttach vfs.Op = 0xff
 
 // MaxIO bounds the data bytes of one read or write request; larger client
 // I/O is chunked. Combined with the path limits in vfs, it gives MaxFrame.

@@ -385,11 +385,10 @@ type request struct {
 	sr   schedReq
 	sess *session
 
-	op     byte
-	trace  uint64
-	lclass opClass
-	start  time.Time
-	ran    bool
+	op    vfs.Op
+	trace uint64
+	start time.Time
+	ran   bool
 
 	// Decoded arguments (per-op subset).
 	id    uint32
@@ -398,6 +397,7 @@ type request struct {
 	off   int64
 	size  int64
 	ino   uint64 // resolved handle inode, for the flight record
+	moved int    // bytes the op read or wrote, for the flight record
 	path  string
 	path2 string
 	data  []byte // aliases buf; valid until the request is pooled
@@ -425,7 +425,7 @@ func putReq(r *request) {
 	r.data = nil
 	r.path, r.path2 = "", ""
 	r.ran = false
-	r.ino = 0
+	r.ino, r.moved = 0, 0
 	reqPool.Put(r)
 }
 
@@ -481,7 +481,7 @@ func (s *Server) serveConn(conn net.Conn) {
 // slot; the request releases it when the writer completes it.
 func (sess *session) admit(req *request) {
 	d := dec{b: req.buf}
-	req.op = d.u8()
+	req.op = vfs.Op(d.u8())
 	req.trace = d.u64()
 	if d.err != nil {
 		// Header too short to even carry a trace; echo zero.
@@ -515,7 +515,7 @@ func (sess *session) admit(req *request) {
 		sess.respondErr(req, vfs.ErrInvalid)
 		return
 	}
-	req.opctx.Reset(req.trace, obsClass(req.op))
+	req.opctx.Reset(req.trace)
 	req.start = time.Now()
 	if err := sess.srv.sched.enqueue(sess.ten.name, &req.sr); err != nil {
 		sess.respondErr(req, err)
@@ -533,19 +533,18 @@ func (sess *session) respondErr(req *request, err error) {
 }
 
 // parse decodes the per-op arguments into req and sets its scheduler
-// cost and latency class. False means a malformed request.
+// cost. False means a malformed request.
 func (req *request) parse(d *dec) bool {
 	req.sr.cost = 1
-	req.lclass = classMeta
 	switch req.op {
-	case opOpen:
+	case vfs.OpOpen:
 		req.flags = int(d.u32())
 		req.path = d.str()
-	case opCreate:
+	case vfs.OpCreate:
 		req.path = d.str()
-	case opClose, opFsync, opSize:
+	case vfs.OpClose, vfs.OpFsync, vfs.OpSize:
 		req.id = d.u32()
-	case opRead:
+	case vfs.OpRead:
 		req.id = d.u32()
 		req.off = int64(d.u64())
 		req.n = int(d.u32())
@@ -553,22 +552,20 @@ func (req *request) parse(d *dec) bool {
 			return false
 		}
 		req.sr.cost = opCost(req.n)
-		req.lclass = classRead
-	case opWrite:
+	case vfs.OpWrite:
 		req.id = d.u32()
 		req.off = int64(d.u64())
 		req.data = d.bytes()
 		req.sr.cost = opCost(len(req.data))
-		req.lclass = classWrite
-	case opTruncate:
+	case vfs.OpTruncate:
 		req.id = d.u32()
 		req.size = int64(d.u64())
-	case opMkdir, opRmdir, opUnlink, opStat, opReadDir:
+	case vfs.OpMkdir, vfs.OpRmdir, vfs.OpUnlink, vfs.OpStat, vfs.OpReadDir:
 		req.path = d.str()
-	case opRename:
+	case vfs.OpRename:
 		req.path = d.str()
 		req.path2 = d.str()
-	case opSync:
+	case vfs.OpSync:
 	default:
 		return false
 	}
@@ -605,81 +602,45 @@ func (sess *session) complete(req *request) {
 	if req.ran {
 		t := sess.ten
 		lat := time.Since(req.start).Nanoseconds()
-		t.record(req.lclass, lat, &req.opctx)
+		t.record(req.op, lat, &req.opctx)
 		if sess.srv.slow.Exceeds(lat) {
 			sess.srv.slow.Record(obs.SlowOp{
 				Side:    "server",
 				Trace:   obs.TraceString(req.trace),
 				Tenant:  t.name,
-				Op:      opName(req.op),
+				Op:      req.op.String(),
 				TotalNS: lat,
 				Stages:  obs.StageMap(req.opctx.Breakdown()),
 			})
 		}
 		if fr := sess.srv.flight; fr != nil {
-			var n int
-			switch req.op {
-			case opRead:
-				n = req.n
-			case opWrite:
-				n = len(req.data)
-			}
-			result := uint8(255)
-			if len(req.out.b) >= 9 {
-				result = req.out.b[8]
-			}
 			rec := flight.Record{
 				Trace:  req.trace,
 				Ino:    req.ino,
-				Off:    req.off,
 				Start:  req.start.UnixNano(),
-				Len:    uint32(n),
-				Op:     flightOp(req.op),
-				Result: result,
+				Op:     req.op,
+				Result: 255,
 				Tenant: t.name,
 				Stages: req.opctx.Breakdown(),
+			}
+			if len(req.out.b) >= 9 {
+				rec.Result = req.out.b[8]
+			}
+			// The request is pooled, so every argument field may hold an
+			// earlier request's value: take only what this op decoded.
+			switch req.op {
+			case vfs.OpRead, vfs.OpWrite:
+				rec.Off, rec.Len = req.off, uint32(req.moved)
+			case vfs.OpTruncate:
+				rec.Off = req.size
+			case vfs.OpSize:
+				rec.Op = vfs.OpStat // persisted op codes stop at OpSync
 			}
 			fr.Record(&rec)
 		}
 	}
 	putReq(req)
 	<-sess.slots
-}
-
-// flightOp maps a wire opcode to the flight recorder's canonical op
-// vocabulary.
-func flightOp(op byte) uint8 {
-	switch op {
-	case opOpen:
-		return flight.OpOpen
-	case opCreate:
-		return flight.OpCreate
-	case opClose:
-		return flight.OpClose
-	case opRead:
-		return flight.OpRead
-	case opWrite:
-		return flight.OpWrite
-	case opFsync:
-		return flight.OpFsync
-	case opTruncate:
-		return flight.OpTruncate
-	case opMkdir:
-		return flight.OpMkdir
-	case opRmdir:
-		return flight.OpRmdir
-	case opUnlink:
-		return flight.OpUnlink
-	case opRename:
-		return flight.OpRename
-	case opStat, opSize:
-		return flight.OpStat
-	case opReadDir:
-		return flight.OpReadDir
-	case opSync:
-		return flight.OpSync
-	}
-	return flight.OpUnknown
 }
 
 // finish implements task: the scheduler hands the request to the writer
@@ -715,32 +676,6 @@ func encodeErr(out *enc, err error) {
 	}
 }
 
-// obsClass maps an opcode to the obs op class used for trace spans and
-// the slow-op log.
-func obsClass(op byte) obs.OpClass {
-	switch op {
-	case opRead:
-		return obs.OpRead
-	case opWrite:
-		return obs.OpWrite
-	case opFsync, opSync:
-		return obs.OpFsync
-	case opCreate:
-		return obs.OpCreate
-	case opUnlink:
-		return obs.OpUnlink
-	}
-	return obs.OpMeta
-}
-
-type opClass int
-
-const (
-	classMeta opClass = iota
-	classRead
-	classWrite
-)
-
 // fail encodes an error response, preserving the trace echo.
 func (req *request) fail(err error) {
 	req.out.b = req.out.b[:8]
@@ -758,8 +693,21 @@ func (req *request) exec() {
 	out := &req.out
 	out.b = out.b[:0]
 	out.u64(req.trace)
+	// Every op on an open file resolves its handle here, once: an unknown
+	// ID fails them all the same way, and the inode number the flight
+	// record carries is taken in one place. Close also retires the ID.
+	var h handle
 	switch req.op {
-	case opOpen:
+	case vfs.OpClose, vfs.OpRead, vfs.OpWrite, vfs.OpFsync, vfs.OpTruncate, vfs.OpSize:
+		var ok bool
+		if h, ok = sess.lookup(req.id, req.op == vfs.OpClose); !ok {
+			req.fail(ErrBadHandle)
+			return
+		}
+		req.ino = h.ino
+	}
+	switch req.op {
+	case vfs.OpOpen:
 		f, err := view.Open(req.path, req.flags)
 		if err != nil {
 			req.fail(err)
@@ -769,7 +717,7 @@ func (req *request) exec() {
 		req.ino = ino
 		out.u8(stOK)
 		out.u32(id)
-	case opCreate:
+	case vfs.OpCreate:
 		f, err := view.Create(req.path)
 		if err != nil {
 			req.fail(err)
@@ -779,25 +727,13 @@ func (req *request) exec() {
 		req.ino = ino
 		out.u8(stOK)
 		out.u32(id)
-	case opClose:
-		h, ok := sess.take(req.id)
-		if !ok {
-			req.fail(ErrBadHandle)
-			return
-		}
-		req.ino = h.ino
+	case vfs.OpClose:
 		if err := h.f.Close(); err != nil {
 			req.fail(err)
 			return
 		}
 		out.u8(stOK)
-	case opRead:
-		h, ok := sess.get(req.id)
-		if !ok {
-			req.fail(ErrBadHandle)
-			return
-		}
-		req.ino = h.ino
+	case vfs.OpRead:
 		// Read directly into the response buffer: status and length are
 		// placeholders until the read lands, so the hot path stages no
 		// scratch copy and allocates nothing at steady state.
@@ -817,14 +753,9 @@ func (req *request) exec() {
 		}
 		binary.BigEndian.PutUint32(out.b[9:13], uint32(got))
 		out.b = out.b[:13+got]
+		req.moved = got
 		t.bytesR.Add(int64(got))
-	case opWrite:
-		h, ok := sess.get(req.id)
-		if !ok {
-			req.fail(ErrBadHandle)
-			return
-		}
-		req.ino = h.ino
+	case vfs.OpWrite:
 		// Quota: admit the estimated growth before writing, settle to
 		// the actual size delta after.
 		oldSize := h.f.Size()
@@ -844,6 +775,7 @@ func (req *request) exec() {
 			return
 		}
 		n, err := h.f.WriteAt(req.data, req.off)
+		req.moved = n
 		t.settle(h.f.Size() - oldSize - growth)
 		if err != nil {
 			req.fail(err)
@@ -852,25 +784,13 @@ func (req *request) exec() {
 		out.u8(stOK)
 		out.u32(uint32(n))
 		t.bytesW.Add(int64(n))
-	case opFsync:
-		h, ok := sess.get(req.id)
-		if !ok {
-			req.fail(ErrBadHandle)
-			return
-		}
-		req.ino = h.ino
+	case vfs.OpFsync:
 		if err := h.f.Fsync(); err != nil {
 			req.fail(err)
 			return
 		}
 		out.u8(stOK)
-	case opTruncate:
-		h, ok := sess.get(req.id)
-		if !ok {
-			req.fail(ErrBadHandle)
-			return
-		}
-		req.ino = h.ino
+	case vfs.OpTruncate:
 		oldSize := h.f.Size()
 		qt := time.Now()
 		cerr := t.chargeGrow(req.size - oldSize)
@@ -890,23 +810,17 @@ func (req *request) exec() {
 			return
 		}
 		out.u8(stOK)
-	case opSize:
-		h, ok := sess.get(req.id)
-		if !ok {
-			req.fail(ErrBadHandle)
-			return
-		}
-		req.ino = h.ino
+	case vfs.OpSize:
 		out.u8(stOK)
 		out.u64(uint64(h.f.Size()))
-	case opMkdir, opRmdir, opUnlink:
+	case vfs.OpMkdir, vfs.OpRmdir, vfs.OpUnlink:
 		var err error
 		switch req.op {
-		case opMkdir:
+		case vfs.OpMkdir:
 			err = view.Mkdir(req.path)
-		case opRmdir:
+		case vfs.OpRmdir:
 			err = view.Rmdir(req.path)
-		case opUnlink:
+		case vfs.OpUnlink:
 			var fi vfs.FileInfo
 			fi, err = view.Stat(req.path)
 			if err == nil {
@@ -920,13 +834,13 @@ func (req *request) exec() {
 			return
 		}
 		out.u8(stOK)
-	case opRename:
+	case vfs.OpRename:
 		if err := view.Rename(req.path, req.path2); err != nil {
 			req.fail(err)
 			return
 		}
 		out.u8(stOK)
-	case opStat:
+	case vfs.OpStat:
 		fi, err := view.Stat(req.path)
 		if err != nil {
 			req.fail(err)
@@ -941,7 +855,7 @@ func (req *request) exec() {
 			out.u8(0)
 		}
 		out.u64(uint64(fi.Blocks))
-	case opReadDir:
+	case vfs.OpReadDir:
 		ents, err := view.ReadDir(req.path)
 		if err != nil {
 			req.fail(err)
@@ -965,7 +879,7 @@ func (req *request) exec() {
 				out.u8(0)
 			}
 		}
-	case opSync:
+	case vfs.OpSync:
 		if err := view.Sync(); err != nil {
 			req.fail(err)
 			return
@@ -977,10 +891,7 @@ func (req *request) exec() {
 // put registers a handle and returns its session-local ID. IDs are never
 // reused within a session, so a stale client ID cannot alias a newer file.
 func (sess *session) put(f vfs.File, flags int) (uint32, uint64) {
-	var ino uint64
-	if n, ok := vfs.FileAs[vfs.InodeNumberer](f); ok {
-		ino = n.InodeNumber()
-	}
+	ino := vfs.InodeOf(f)
 	sess.hmu.Lock()
 	defer sess.hmu.Unlock()
 	id := sess.nextID
@@ -989,20 +900,13 @@ func (sess *session) put(f vfs.File, flags int) (uint32, uint64) {
 	return id, ino
 }
 
-// get looks up a handle.
-func (sess *session) get(id uint32) (handle, bool) {
+// lookup returns a handle, removing it from the table when retire is set
+// (close).
+func (sess *session) lookup(id uint32, retire bool) (handle, bool) {
 	sess.hmu.Lock()
 	defer sess.hmu.Unlock()
 	h, ok := sess.handles[id]
-	return h, ok
-}
-
-// take removes and returns a handle (opClose).
-func (sess *session) take(id uint32) (handle, bool) {
-	sess.hmu.Lock()
-	defer sess.hmu.Unlock()
-	h, ok := sess.handles[id]
-	if ok {
+	if ok && retire {
 		delete(sess.handles, id)
 	}
 	return h, ok

@@ -34,33 +34,44 @@ type tenant struct {
 	ops     atomic.Int64
 	bytesR  atomic.Int64
 	bytesW  atomic.Int64
-	// Service-time histograms (ns), measured from scheduler admission to
-	// completion, so they include queueing — the latency a fair scheduler
-	// actually controls.
-	readLat  obs.Hist
-	writeLat obs.Hist
-	metaLat  obs.Hist
+	// Service-time histograms (ns) per latency class, measured from
+	// scheduler admission to completion, so they include queueing — the
+	// latency a fair scheduler actually controls.
+	lat [numClasses]obs.Hist
 	// win is the same admission-to-completion latency per class, but in
 	// rotating windows, so p99/p999 can be read over recent time instead
-	// of only end-of-run. Indexed by opClass.
-	win [3]*obs.Windows
+	// of only end-of-run.
+	win [numClasses]*obs.Windows
 	// stageNS accumulates each op's per-stage breakdown: where the
 	// tenant's measured latency actually went.
 	stageNS [obs.NumStages]atomic.Int64
 }
 
+// Latency classes: the index of a tenant's histograms and the "class"
+// label of /metrics.
+const (
+	classMeta = iota
+	classRead
+	classWrite
+	numClasses
+)
+
+func latClass(op vfs.Op) int {
+	switch op {
+	case vfs.OpRead:
+		return classRead
+	case vfs.OpWrite:
+		return classWrite
+	}
+	return classMeta
+}
+
 // record folds one completed op's measurements into the tenant:
 // class histogram, window, per-stage sums.
-func (t *tenant) record(class opClass, latNS int64, ctx *obs.OpCtx) {
+func (t *tenant) record(op vfs.Op, latNS int64, ctx *obs.OpCtx) {
 	t.ops.Add(1)
-	switch class {
-	case classRead:
-		t.readLat.Observe(latNS)
-	case classWrite:
-		t.writeLat.Observe(latNS)
-	default:
-		t.metaLat.Observe(latNS)
-	}
+	class := latClass(op)
+	t.lat[class].Observe(latNS)
 	t.win[class].Observe(latNS)
 	for _, st := range obs.Stages() {
 		if ns := ctx.StageNS(st); ns > 0 {
@@ -151,9 +162,9 @@ func (t *tenant) stats() TenantStats {
 		UsedBytes:    t.used.Load(),
 		QuotaBytes:   t.cfg.QuotaBytes,
 		QuotaRejects: t.rejects.Load(),
-		ReadLat:      t.readLat.Snapshot(),
-		WriteLat:     t.writeLat.Snapshot(),
-		MetaLat:      t.metaLat.Snapshot(),
+		ReadLat:      t.lat[classRead].Snapshot(),
+		WriteLat:     t.lat[classWrite].Snapshot(),
+		MetaLat:      t.lat[classMeta].Snapshot(),
 		StageNS:      stages,
 		WindowLat: map[string]obs.HistSnapshot{
 			"read":  t.win[classRead].Merged(0),

@@ -174,6 +174,15 @@ type InodeNumberer interface {
 	InodeNumber() uint64
 }
 
+// InodeOf returns f's inode number, looking through decorations, or 0
+// when the backend has none.
+func InodeOf(f File) uint64 {
+	if n, ok := FileAs[InodeNumberer](f); ok {
+		return n.InodeNumber()
+	}
+	return 0
+}
+
 // FileUnwrapper is implemented by decorating file handles (latency
 // instrumentation, modelled syscall overhead) so optional capabilities of
 // the underlying handle stay discoverable through the decoration.
