@@ -79,6 +79,7 @@ func (c *Config) fill() {
 
 // blockState is the per-block model state.
 type blockState struct {
+	idx   int64
 	eager bool
 	// ncw counts cacheline writes since the block's last synchronization.
 	ncw int
@@ -103,14 +104,27 @@ type ghostKey struct {
 	idx int64
 }
 
-// fileState aggregates a file's recent synchronization behaviour so that
-// blocks with no history of their own (fresh appends) inherit the file's
-// tendency: a mail server's append-fsync pattern marks the whole file's
-// new blocks Eager-Persistent, matching the paper's Varmail and Facebook
-// observations (§5.2.1, §5.3).
+// fileState is everything the model holds about one file.
 type fileState struct {
+	blocks map[int64]*blockState
+	// touched lists the blocks whose ncw went 0 → >0 since the file's last
+	// OnSync, in first-write order — exactly the blocks Inequality (1) must
+	// be evaluated for at the next synchronization (§3.3.2), so OnSync costs
+	// O(written since last sync), not O(blocks ever seen).
+	//
+	// Invariant: a block of this file has ncw > 0, or a ghost entry with
+	// dirty != 0, only if it is in touched. A ghost entry's dirty bits are
+	// set only by RecordWrite, which raises ncw in the same critical
+	// section, and both are cleared only by the OnSync that drains touched;
+	// so the full walk's "ncw == 0 && ncf == 0 → skip" already meant "not
+	// in touched". The backing array is reused across syncs.
+	touched []*blockState
+	// newBlockEager aggregates the file's recent synchronization behaviour
+	// so that blocks with no history of their own (fresh appends) inherit
+	// the file's tendency: a mail server's append-fsync pattern marks the
+	// whole file's new blocks Eager-Persistent, matching the paper's Varmail
+	// and Facebook observations (§5.2.1, §5.3).
 	newBlockEager bool
-	decidedAt     time.Time
 }
 
 // Model is the eager-persistent write checker's decision engine. It is
@@ -119,13 +133,12 @@ type Model struct {
 	cfg Config
 	clk clock.Clock
 
-	mu        sync.Mutex
-	files     map[uint64]map[int64]*blockState
-	fileStats map[uint64]*fileState
-	ghost     map[ghostKey]*ghostEntry
-	gHead     *ghostEntry // MRU
-	gTail     *ghostEntry // LRU
-	gCount    int
+	mu     sync.Mutex
+	files  map[uint64]*fileState
+	ghost  map[ghostKey]*ghostEntry
+	gHead  *ghostEntry // MRU
+	gTail  *ghostEntry // LRU
+	gCount int
 
 	accurate  int64
 	decisions int64
@@ -135,30 +148,30 @@ type Model struct {
 func NewModel(clk clock.Clock, cfg Config) *Model {
 	cfg.fill()
 	return &Model{
-		cfg:       cfg,
-		clk:       clk,
-		files:     make(map[uint64]map[int64]*blockState),
-		fileStats: make(map[uint64]*fileState),
-		ghost:     make(map[ghostKey]*ghostEntry),
+		cfg:   cfg,
+		clk:   clk,
+		files: make(map[uint64]*fileState),
+		ghost: make(map[ghostKey]*ghostEntry),
 	}
 }
 
 // Config returns the model configuration after defaulting.
 func (m *Model) Config() Config { return m.cfg }
 
-func (m *Model) state(ino uint64, idx int64) *blockState {
+// state returns the file and block records for (ino, idx), creating them.
+func (m *Model) state(ino uint64, idx int64) (*fileState, *blockState) {
 	f := m.files[ino]
 	if f == nil {
-		f = make(map[int64]*blockState)
+		f = &fileState{blocks: make(map[int64]*blockState)}
 		m.files[ino] = f
 	}
-	s := f[idx]
+	s := f.blocks[idx]
 	if s == nil {
 		// New blocks start Lazy-Persistent (§3.3.2).
-		s = &blockState{}
-		f[idx] = s
+		s = &blockState{idx: idx}
+		f.blocks[idx] = s
 	}
-	return s
+	return f, s
 }
 
 // --- ghost buffer LRU ---
@@ -217,8 +230,13 @@ func (m *Model) ghostTouch(ino uint64, idx int64, mask cacheline.Bitmap) {
 // or direct, before or after issuing it.
 func (m *Model) RecordWrite(ino uint64, idx int64, mask cacheline.Bitmap) {
 	m.mu.Lock()
-	s := m.state(ino, idx)
-	s.ncw += mask.Count()
+	f, s := m.state(ino, idx)
+	if n := mask.Count(); n > 0 {
+		if s.ncw == 0 {
+			f.touched = append(f.touched, s)
+		}
+		s.ncw += n
+	}
 	m.ghostTouch(ino, idx, mask)
 	m.mu.Unlock()
 }
@@ -231,42 +249,46 @@ func (m *Model) RecordWrite(ino uint64, idx int64, mask cacheline.Bitmap) {
 func (m *Model) IsEager(ino uint64, idx int64, lastSync time.Time) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	f := m.files[ino]
+	var s *blockState
+	if f != nil {
+		s = f.blocks[idx]
+	}
 	if m.clk.Now().Sub(lastSync) > m.cfg.EagerDecay {
 		// The file has been quiet: everything decays to Lazy-Persistent.
-		if s := m.files[ino][idx]; s != nil {
+		if s != nil {
 			s.eager = false
 		}
 		return false
 	}
-	s := m.files[ino][idx]
 	if s == nil || !s.hasPrev {
 		// No per-block history: inherit the file's recent tendency.
-		fst := m.fileStats[ino]
-		return fst != nil && fst.newBlockEager
+		return f != nil && f.newBlockEager
 	}
 	return s.eager
 }
 
 // OnSync re-evaluates Inequality (1) for every block of ino written since
 // its previous synchronization and returns the number of blocks set
-// Eager-Persistent. The ghost buffer supplies N_cf.
+// Eager-Persistent. The ghost buffer supplies N_cf. It visits only the
+// file's touched list (see fileState), so a sync of a file with nothing
+// written since the last one costs one map lookup under the model lock.
 func (m *Model) OnSync(ino uint64) (eager, lazy int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	now := m.clk.Now()
 	f := m.files[ino]
-	for idx, s := range f {
+	if f == nil || len(f.touched) == 0 {
+		return 0, 0
+	}
+	now := m.clk.Now()
+	ld := int64(m.cfg.DRAMWriteLatency)
+	ln := int64(m.cfg.NVMMWriteLatency)
+	for _, s := range f.touched {
 		var ncf int
-		k := ghostKey{ino, idx}
-		if e := m.ghost[k]; e != nil {
+		if e := m.ghost[ghostKey{ino, s.idx}]; e != nil {
 			ncf = e.dirty.Count()
 			e.dirty = 0 // the sync flushes them
 		}
-		if s.ncw == 0 && ncf == 0 {
-			continue // not involved in this synchronization
-		}
-		ld := int64(m.cfg.DRAMWriteLatency)
-		ln := int64(m.cfg.NVMMWriteLatency)
 		satisfied := int64(s.ncw)*ld+int64(ncf)*ln < int64(s.ncw)*ln
 		if s.hasPrev {
 			m.decisions++
@@ -285,15 +307,8 @@ func (m *Model) OnSync(ino uint64) (eager, lazy int) {
 			lazy++
 		}
 	}
-	if eager+lazy > 0 {
-		fst := m.fileStats[ino]
-		if fst == nil {
-			fst = &fileState{}
-			m.fileStats[ino] = fst
-		}
-		fst.newBlockEager = eager > lazy
-		fst.decidedAt = now
-	}
+	f.touched = f.touched[:0]
+	f.newBlockEager = eager > lazy
 	m.cfg.Obs.Add(obs.CtrBenefitEager, int64(eager))
 	m.cfg.Obs.Add(obs.CtrBenefitLazy, int64(lazy))
 	return eager, lazy
@@ -305,7 +320,7 @@ func (m *Model) MarkEager(ino uint64, indices []int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, idx := range indices {
-		s := m.state(ino, idx)
+		_, s := m.state(ino, idx)
 		s.eager = true
 		s.hasPrev = true // authoritative: not a prediction
 		s.decidedAt = m.clk.Now()
@@ -316,7 +331,11 @@ func (m *Model) MarkEager(ino uint64, indices []int64) {
 func (m *Model) DropFile(ino uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for idx := range m.files[ino] {
+	f := m.files[ino]
+	if f == nil {
+		return
+	}
+	for idx := range f.blocks {
 		k := ghostKey{ino, idx}
 		if e := m.ghost[k]; e != nil {
 			m.ghostUnlink(e)
@@ -325,7 +344,6 @@ func (m *Model) DropFile(ino uint64) {
 		}
 	}
 	delete(m.files, ino)
-	delete(m.fileStats, ino)
 }
 
 // Accuracy returns the Figure-6 metric: of all per-block synchronization

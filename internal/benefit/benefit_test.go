@@ -1,6 +1,7 @@
 package benefit
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -178,5 +179,208 @@ func TestDefaults(t *testing.T) {
 	}
 	if c.EagerDecay != 5*time.Second || c.GhostBlocks != 4096 {
 		t.Fatalf("policy defaults: %+v", c)
+	}
+}
+
+// refModel is the model as it was before OnSync learned which blocks were
+// written: separate block and file maps, and an OnSync that walks every
+// block the file has ever had, asking the ghost buffer about each. It is
+// the reference the touched-list model must be indistinguishable from.
+type refModel struct {
+	cfg       Config
+	clk       clock.Clock
+	files     map[uint64]map[int64]*blockState
+	fileStats map[uint64]bool // newBlockEager
+	ghost     []*ghostEntry   // MRU first
+
+	accurate, decisions int64
+}
+
+func newRefModel(clk clock.Clock, cfg Config) *refModel {
+	cfg.fill()
+	return &refModel{cfg: cfg, clk: clk,
+		files: make(map[uint64]map[int64]*blockState), fileStats: make(map[uint64]bool)}
+}
+
+func (m *refModel) state(ino uint64, idx int64) *blockState {
+	if m.files[ino] == nil {
+		m.files[ino] = make(map[int64]*blockState)
+	}
+	if m.files[ino][idx] == nil {
+		m.files[ino][idx] = &blockState{}
+	}
+	return m.files[ino][idx]
+}
+
+func (m *refModel) ghostFind(ino uint64, idx int64) int {
+	for i, e := range m.ghost {
+		if e.ino == ino && e.idx == idx {
+			return i
+		}
+	}
+	return -1
+}
+
+func (m *refModel) RecordWrite(ino uint64, idx int64, mask cacheline.Bitmap) {
+	m.state(ino, idx).ncw += mask.Count()
+	var e *ghostEntry
+	if i := m.ghostFind(ino, idx); i >= 0 {
+		e = m.ghost[i]
+		m.ghost = append(m.ghost[:i], m.ghost[i+1:]...)
+	} else {
+		if len(m.ghost) >= m.cfg.GhostBlocks {
+			m.ghost = m.ghost[:len(m.ghost)-1]
+		}
+		e = &ghostEntry{ino: ino, idx: idx}
+	}
+	e.dirty |= mask
+	m.ghost = append([]*ghostEntry{e}, m.ghost...)
+}
+
+func (m *refModel) IsEager(ino uint64, idx int64, lastSync time.Time) bool {
+	s := m.files[ino][idx]
+	if m.clk.Now().Sub(lastSync) > m.cfg.EagerDecay {
+		if s != nil {
+			s.eager = false
+		}
+		return false
+	}
+	if s == nil || !s.hasPrev {
+		return m.fileStats[ino]
+	}
+	return s.eager
+}
+
+func (m *refModel) OnSync(ino uint64) (eager, lazy int) {
+	for idx, s := range m.files[ino] {
+		ncf := 0
+		if i := m.ghostFind(ino, idx); i >= 0 {
+			ncf = m.ghost[i].dirty.Count()
+			m.ghost[i].dirty = 0
+		}
+		if s.ncw == 0 && ncf == 0 {
+			continue
+		}
+		ld, ln := int64(m.cfg.DRAMWriteLatency), int64(m.cfg.NVMMWriteLatency)
+		satisfied := int64(s.ncw)*ld+int64(ncf)*ln < int64(s.ncw)*ln
+		if s.hasPrev {
+			m.decisions++
+			if s.prevSatisfied == satisfied {
+				m.accurate++
+			}
+		}
+		s.prevSatisfied, s.hasPrev, s.eager, s.ncw = satisfied, true, !satisfied, 0
+		if s.eager {
+			eager++
+		} else {
+			lazy++
+		}
+	}
+	if eager+lazy > 0 {
+		m.fileStats[ino] = eager > lazy
+	}
+	return eager, lazy
+}
+
+func (m *refModel) MarkEager(ino uint64, indices []int64) {
+	for _, idx := range indices {
+		s := m.state(ino, idx)
+		s.eager, s.hasPrev = true, true
+	}
+}
+
+func (m *refModel) DropFile(ino uint64) {
+	for idx := range m.files[ino] {
+		if i := m.ghostFind(ino, idx); i >= 0 {
+			m.ghost = append(m.ghost[:i], m.ghost[i+1:]...)
+		}
+	}
+	delete(m.files, ino)
+	delete(m.fileStats, ino)
+}
+
+// TestOnSyncMatchesFullWalk is the equivalence proof by differential
+// testing: random RecordWrite / IsEager / OnSync / MarkEager / DropFile
+// sequences, with clock advances past EagerDecay and a ghost buffer small
+// enough to evict, against the full-walk reference. Every return value,
+// the accuracy counters, the ghost occupancy and the eager state of every
+// block must agree after every step.
+func TestOnSyncMatchesFullWalk(t *testing.T) {
+	const nFiles, nBlocks = 4, 24
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		fk := clock.NewFake(time.Unix(100, 0))
+		cfg := Config{GhostBlocks: 6 + int(seed)%20}
+		m, ref := NewModel(fk, cfg), newRefModel(fk, cfg)
+		lastSync := make([]time.Time, nFiles)
+		for step := 0; step < 3000; step++ {
+			ino := uint64(rng.Intn(nFiles))
+			idx := int64(rng.Intn(nBlocks))
+			switch r := rng.Intn(100); {
+			case r < 55:
+				var mask cacheline.Bitmap
+				if rng.Intn(20) > 0 { // an empty mask now and then
+					off := rng.Intn(cacheline.BlockSize)
+					mask = cacheline.RangeMask(off, 1+rng.Intn(cacheline.BlockSize-off))
+				}
+				m.RecordWrite(ino, idx, mask)
+				ref.RecordWrite(ino, idx, mask)
+			case r < 70:
+				if got, want := m.IsEager(ino, idx, lastSync[ino]), ref.IsEager(ino, idx, lastSync[ino]); got != want {
+					t.Fatalf("seed %d step %d: IsEager(%d,%d) = %v, reference %v", seed, step, ino, idx, got, want)
+				}
+			case r < 88:
+				e, l := m.OnSync(ino)
+				re, rl := ref.OnSync(ino)
+				if e != re || l != rl {
+					t.Fatalf("seed %d step %d: OnSync(%d) = %d eager %d lazy, reference %d / %d", seed, step, ino, e, l, re, rl)
+				}
+				lastSync[ino] = fk.Now()
+			case r < 92:
+				ids := []int64{idx, int64(rng.Intn(nBlocks))}
+				m.MarkEager(ino, ids)
+				ref.MarkEager(ino, ids)
+			case r < 96:
+				m.DropFile(ino)
+				ref.DropFile(ino)
+				lastSync[ino] = time.Time{}
+			default:
+				fk.Advance(time.Duration(rng.Intn(4)) * 2 * time.Second) // 0–6 s; decay is 5 s
+			}
+			if a, d := m.Accuracy(); a != ref.accurate || d != ref.decisions {
+				t.Fatalf("seed %d step %d: accuracy %d/%d, reference %d/%d", seed, step, a, d, ref.accurate, ref.decisions)
+			}
+			if m.GhostLen() != len(ref.ghost) {
+				t.Fatalf("seed %d step %d: ghost holds %d, reference %d", seed, step, m.GhostLen(), len(ref.ghost))
+			}
+			// IsEager has a side effect (decay clears the bit), so probing
+			// every block on both sides keeps them in step.
+			for f := uint64(0); f < nFiles; f++ {
+				for b := int64(0); b < nBlocks; b++ {
+					if got, want := m.IsEager(f, b, lastSync[f]), ref.IsEager(f, b, lastSync[f]); got != want {
+						t.Fatalf("seed %d step %d: block (%d,%d) eager = %v, reference %v", seed, step, f, b, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRecordWriteOnSyncSteadyStateAllocatesNothing: once a file's blocks
+// are known to the model, a write + sync cycle reuses the touched list's
+// backing array and the blocks' ghost entries.
+func TestRecordWriteOnSyncSteadyStateAllocatesNothing(t *testing.T) {
+	m, _ := model(t)
+	cycle := func() {
+		for idx := int64(0); idx < 4; idx++ {
+			m.RecordWrite(1, idx, cacheline.RangeMask(0, 512))
+		}
+		if e, l := m.OnSync(1); e+l != 4 {
+			t.Fatalf("OnSync decided %d blocks, want 4", e+l)
+		}
+	}
+	cycle()
+	if n := testing.AllocsPerRun(200, cycle); n != 0 {
+		t.Fatalf("RecordWrite + OnSync allocates %v times in steady state", n)
 	}
 }

@@ -96,6 +96,9 @@ func TestWritebackPermanentFaultKeepsDirtyData(t *testing.T) {
 	if p.DirtyBlocks() != 1 {
 		t.Fatalf("dirty blocks = %d, want 1 (data retained)", p.DirtyBlocks())
 	}
+	if !fb.dirty.has(0) {
+		t.Fatal("failed Flush dropped its block from the dirty set; a retry would skip it")
+	}
 	// FlushAll fails the same way but must not panic or discard the block.
 	if _, err := p.FlushAll(); !errors.Is(err, errInjected) {
 		t.Fatalf("FlushAll error = %v, want injected fault", err)
@@ -104,6 +107,9 @@ func TestWritebackPermanentFaultKeepsDirtyData(t *testing.T) {
 	fail.Store(0)
 	if _, err := fb.Flush(); err != nil {
 		t.Fatalf("Flush after fault cleared: %v", err)
+	}
+	if n := fb.dirty.len(); n != 0 {
+		t.Fatalf("%d dirty-set members after a successful Flush", n)
 	}
 	got := make([]byte, len(data))
 	dev.Read(got, addr)

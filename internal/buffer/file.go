@@ -2,7 +2,7 @@ package buffer
 
 import (
 	"runtime"
-	"sort"
+	"slices"
 
 	"hinfs/internal/cacheline"
 	"hinfs/internal/journal"
@@ -18,7 +18,9 @@ import (
 // that shard's mutex. Same-file write/read exclusion is provided by the
 // owning file system's inode lock; FileBuf coordinates with the pool's
 // writeback threads via the shard mutexes, per-block pins and the
-// per-block flush mutex.
+// per-block flush mutex. Beside the index it keeps the ordered set of
+// blocks that may be dirty (see dirtySet), so fsync costs what is dirty,
+// not what is buffered.
 type FileBuf struct {
 	pool *Pool
 	id   uint64
@@ -26,6 +28,8 @@ type FileBuf struct {
 	// immutable after NewFile, each element is created lazily and accessed
 	// only under shard i's mutex.
 	blocks []map[int64]*block
+	// dirty is the ordered set of block indices Flush visits.
+	dirty dirtySet
 }
 
 // NewFile returns an empty per-file buffer view.
@@ -109,9 +113,9 @@ func (fb *FileBuf) Write(idx int64, blkOff int, data []byte, addr int64, blockEx
 		fetchMask = ^valid
 	}
 	if fetchMask.Any() {
-		runs := fetchMask.Runs(nil, 0, cacheline.PerBlock-1)
+		var rb [cacheline.PerBlock]cacheline.Run
 		fetched := 0
-		for _, r := range runs {
+		for _, r := range fetchMask.Runs(rb[:0], 0, cacheline.PerBlock-1) {
 			if !r.Set {
 				continue
 			}
@@ -132,7 +136,7 @@ func (fb *FileBuf) Write(idx int64, blkOff int, data []byte, addr int64, blockEx
 	copy(b.data[blkOff:], data)
 	p.cfg.Obs.Copy(obs.CopyUserIn, len(data))
 	b.valid.Store(uint64(valid | mask))
-	b.dirty.Store(uint64(b.dirtyMap() | mask))
+	fb.storeDirtyLocked(b, b.dirtyMap()|mask)
 	b.lastWrite.Store(p.clk.Now().UnixNano())
 	if len(txs) > 0 {
 		b.txs = append(b.txs, txs...)
@@ -140,6 +144,21 @@ func (fb *FileBuf) Write(idx int64, blkOff int, data []byte, addr int64, blockEx
 	b.fmu.Unlock()
 	b.pins.Add(-1)
 	return mask.Count()
+}
+
+// storeDirtyLocked sets b's dirty map and keeps the file's dirty set in
+// step: the index joins the set before the map leaves zero and leaves it
+// after the map returns to zero, so the set never lags the map. Caller
+// holds b.fmu and a pin on b, which is installed in fb.
+func (fb *FileBuf) storeDirtyLocked(b *block, d cacheline.Bitmap) {
+	was := b.dirtyMap().Any()
+	if !was && d.Any() {
+		fb.dirty.add(b.idx)
+	}
+	b.dirty.Store(uint64(d))
+	if was && !d.Any() {
+		fb.dirty.remove(b.idx)
+	}
 }
 
 func zero(s []byte) {
@@ -165,8 +184,8 @@ func (fb *FileBuf) ReadMerge(idx int64, blkOff int, dst []byte, addr int64) bool
 	defer b.pins.Add(-1)
 	fb.pool.cfg.Obs.Copy(obs.CopyReadOut, len(dst))
 	first, last := cacheline.LinesCovering(blkOff, len(dst))
-	runs := b.validMap().Runs(nil, first, last)
-	for _, r := range runs {
+	var rb [cacheline.PerBlock]cacheline.Run
+	for _, r := range b.validMap().Runs(rb[:0], first, last) {
 		lo, hi := r.Off, r.Off+r.Len
 		if lo < blkOff {
 			lo = blkOff
@@ -208,6 +227,9 @@ func (fb *FileBuf) DropBlock(idx int64) {
 			continue
 		}
 		sh.detachLocked(b)
+		// No block is installed for idx now, so the set may forget it
+		// whatever b's dirty map says.
+		fb.dirty.remove(idx)
 		sh.mu.Unlock()
 		b.fmu.Lock()
 		if b.dirtyMap().Any() {
@@ -245,32 +267,34 @@ func (fb *FileBuf) DirtyLines(idx int64) int {
 // Flush writes back every dirty block of the file (the fsync path) and
 // returns the number of cachelines flushed — the Buffer Benefit Model's
 // N_cf as performed by the synchronization process itself. Blocks stay
-// cached clean. Shards are visited in index order, one at a time. If a
-// block's writeback episode exhausts its retries the remaining blocks are
-// still flushed and the first error is returned; failed blocks keep their
-// dirty lines (fsync must not report durability it does not have).
+// cached clean. It visits the file's dirty set in ascending file-block
+// order, whatever shard each block lives in, so the device-write schedule
+// (and with it the persist-event stream crash exploration replays) is a
+// function of the op sequence alone; a file with nothing dirty costs one
+// look at the set — no shard lock, no allocation. A member that a writeback
+// thread cleaned or evicted since the snapshot is a no-op. If a block's
+// writeback episode exhausts its retries the remaining blocks are still
+// flushed and the first error is returned; failed blocks keep their dirty
+// lines and their place in the set (fsync must not report durability it
+// does not have, and its retry must find them).
 func (fb *FileBuf) Flush() (int, error) {
 	p := fb.pool
 	flushed := 0
 	var firstErr error
-	var victims []*block
-	for _, sh := range p.shards {
-		victims = victims[:0]
-		sh.mu.Lock()
-		for _, b := range fb.blocks[sh.id] {
-			if b.dirtyMap().Any() {
-				b.pins.Add(1)
-				victims = append(victims, b)
-			}
+	var batch [32]int64
+	for next := int64(0); ; {
+		n := fb.dirty.from(next, batch[:])
+		if n == 0 {
+			return flushed, firstErr
 		}
-		sh.mu.Unlock()
-		// Flush in file-block order, not map order: the device-write
-		// schedule (and with it the persist-event stream crash exploration
-		// replays) must be identical across runs.
-		sort.Slice(victims, func(i, j int) bool { return victims[i].idx < victims[j].idx })
-		for _, b := range victims {
+		next = batch[n-1] + 1
+		for _, idx := range batch[:n] {
+			b := fb.lookupPin(idx, false)
+			if b == nil {
+				continue
+			}
 			b.fmu.Lock()
-			n := b.dirtyMap().Count()
+			lines := b.dirtyMap().Count()
 			err := p.flushBlockRetryLocked(b, obs.CopySyncFlush)
 			b.fmu.Unlock()
 			b.pins.Add(-1)
@@ -280,10 +304,9 @@ func (fb *FileBuf) Flush() (int, error) {
 				}
 				continue
 			}
-			flushed += n
+			flushed += lines
 		}
 	}
-	return flushed, firstErr
 }
 
 // EvictBlock flushes block idx if dirty and removes it from the buffer
@@ -347,7 +370,7 @@ func (fb *FileBuf) Invalidate(idx int64, blkOff, n int) error {
 		}
 	}
 	b.valid.Store(uint64(b.validMap() &^ mask))
-	b.dirty.Store(uint64(b.dirtyMap() &^ mask))
+	fb.storeDirtyLocked(b, b.dirtyMap()&^mask)
 	b.fmu.Unlock()
 	b.pins.Add(-1)
 	if !b.validMap().Any() {
@@ -377,41 +400,21 @@ func (fb *FileBuf) dropIfEmpty(idx int64) {
 // Drop discards every buffered block of the file without writing it back:
 // the file was deleted, so its dirty data never needs to reach NVMM (§1's
 // "writes to files that are later deleted do not need to be performed").
-// Ordered-mode transactions gated on dropped blocks are released.
+// Ordered-mode transactions gated on dropped blocks are released, shard by
+// shard and lowest block index first within a shard — one sorted pass per
+// shard, so the release order is deterministic (see Flush).
 func (fb *FileBuf) Drop() {
-	p := fb.pool
-	for _, sh := range p.shards {
-		for {
-			var victim *block
-			sh.mu.Lock()
-			// Lowest block index first, for a deterministic release order of
-			// any gated transactions (see Flush).
-			for _, b := range fb.blocks[sh.id] {
-				if b.pins.Load() == 0 && (victim == nil || b.idx < victim.idx) {
-					victim = b
-				}
-			}
-			if victim != nil {
-				sh.detachLocked(victim)
-			}
-			done := len(fb.blocks[sh.id]) == 0
-			sh.mu.Unlock()
-			if victim != nil {
-				victim.fmu.Lock()
-				if victim.dirtyMap().Any() {
-					p.drops.Add(1)
-				}
-				victim.dirty.Store(0)
-				notifyTxsLocked(victim)
-				victim.fmu.Unlock()
-				p.releaseBlock(victim)
-			}
-			if done {
-				break
-			}
-			if victim == nil {
-				runtime.Gosched()
-			}
+	var idxs []int64
+	for _, sh := range fb.pool.shards {
+		idxs = idxs[:0]
+		sh.mu.Lock()
+		for idx := range fb.blocks[sh.id] {
+			idxs = append(idxs, idx)
+		}
+		sh.mu.Unlock()
+		slices.Sort(idxs)
+		for _, idx := range idxs {
+			fb.DropBlock(idx)
 		}
 	}
 }
@@ -428,6 +431,6 @@ func (fb *FileBuf) BlockIndices() []int64 {
 		}
 		sh.mu.Unlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

@@ -712,8 +712,8 @@ func (p *Pool) flushBlockLocked(b *block, kind obs.CopyKind) error {
 		return nil
 	}
 	if p.cfg.CLFW {
-		runs := dirty.Runs(nil, 0, cacheline.PerBlock-1)
-		for _, r := range runs {
+		var rb [cacheline.PerBlock]cacheline.Run
+		for _, r := range dirty.Runs(rb[:0], 0, cacheline.PerBlock-1) {
 			if !r.Set {
 				continue
 			}
@@ -731,6 +731,10 @@ func (p *Pool) flushBlockLocked(b *block, kind obs.CopyKind) error {
 	}
 	p.dev.Fence()
 	b.dirty.Store(0)
+	if fb := b.fb; fb != nil {
+		// Stable while the caller's pin holds (detach needs pins == 0).
+		fb.dirty.remove(b.idx)
+	}
 	p.cfg.Obs.Copy(kind, dirtyBytes)
 	notifyTxsLocked(b)
 	return nil

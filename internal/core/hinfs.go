@@ -40,6 +40,9 @@ import (
 // BlockSize is the file system block size.
 const BlockSize = pmfs.BlockSize
 
+// zeroBlock is a shared, read-only block of zeros.
+var zeroBlock [BlockSize]byte
+
 // Options configures a HiNFS mount.
 type Options struct {
 	// BufferBlocks is the DRAM write buffer capacity in 4 KB blocks.
@@ -573,9 +576,8 @@ func (f *File) Truncate(size int64) error {
 			// Zero the buffered tail of the boundary block so a later
 			// re-extension reads zeros from DRAM too.
 			tail := int(BlockSize - size%BlockSize)
-			zeros := make([]byte, tail)
 			addr := f.pf.BlockAddrLocked(boundary)
-			f.fb.Write(boundary, int(size%BlockSize), zeros, addr, addr != 0)
+			f.fb.Write(boundary, int(size%BlockSize), zeroBlock[:tail], addr, addr != 0)
 		}
 	}
 	return f.pf.TruncateLocked(size)

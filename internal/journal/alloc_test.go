@@ -2,6 +2,7 @@ package journal
 
 import (
 	"testing"
+	"unsafe"
 
 	"hinfs/internal/nvmm"
 )
@@ -37,5 +38,15 @@ func TestTxAllocBudget(t *testing.T) {
 	})
 	if n > 1 {
 		t.Fatalf("journal tx cycle allocates %.1f objects/op, want <= 1 (the Tx)", n)
+	}
+}
+
+// TestTxSizeClass keeps the Tx at 128 bytes. The Tx is all an eager write
+// allocates, and on a mount whose device image sits on the Go heap the
+// collector rarely runs, so its size is resident memory per write
+// (sync-small's mem_peak_mib).
+func TestTxSizeClass(t *testing.T) {
+	if sz := unsafe.Sizeof(Tx{}); sz > 128 {
+		t.Fatalf("journal.Tx is %d bytes, want <= 128", sz)
 	}
 }

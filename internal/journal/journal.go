@@ -151,28 +151,34 @@ type Journal struct {
 type Tx struct {
 	j          *Journal
 	ln         *lane
-	id         uint32
-	commitSlot int64   // device address reserved at Begin
-	touched    [2]bool // lane halves containing this tx's entries
-	hasEntries bool
-	slots      []int64 // addresses of this tx's undo entries (for invalidation)
-	// slotsArr backs slots inline: a typical metadata transaction logs a
-	// handful of entries, so the common case never heap-allocates the
-	// slot list. (The Tx itself is the one remaining allocation on the
-	// journal hot path — it is not pooled, deliberately: deferred commits
-	// and After-chains hold *Tx pointers for unbounded time, so reuse
-	// would alias a live chain.)
-	slotsArr [8]int64
+	commitSlot int64 // device address reserved at Begin
+	// Small fields are grouped (and slotsArr sized) so the struct is 128
+	// bytes: an eager write's Tx is all the write path allocates, and with
+	// the device image on the Go heap the collector rarely runs, so bytes
+	// allocated per op are resident memory.
+	id      uint32
+	touched [2]bool // lane halves containing this tx's entries
+	// ready and recorded are commit-chaining state, guarded by j.depMu.
+	ready    bool // commit requested while predecessors were outstanding
+	recorded bool // commit record written and entries invalidated
 
 	pending   atomic.Int32 // blocks that must persist before commit
 	sealed    atomic.Bool  // no more pending blocks will be added
 	committed atomic.Bool  // commit requested (record may trail behind deps)
+	// waiting counts predecessors whose records are not yet written
+	// (guarded by j.depMu).
+	waiting int32
 
-	// Commit-chaining state, guarded by j.depMu.
-	waiting  int   // predecessors whose records are not yet written
-	ready    bool  // commit requested while predecessors were outstanding
-	recorded bool  // commit record written and entries invalidated
-	waiters  []*Tx // transactions chained behind this one
+	slots []int64 // addresses of this tx's undo entries (for invalidation)
+	// slotsArr backs slots inline: a data write logs one entry (its
+	// inode) and a typical metadata transaction a handful, so the common
+	// case never heap-allocates the slot list. (The Tx itself is the one
+	// remaining allocation on the journal hot path — it is not pooled,
+	// deliberately: deferred commits and After-chains hold *Tx pointers
+	// for unbounded time, so reuse would alias a live chain.)
+	slotsArr [4]int64
+
+	waiters []*Tx // transactions chained behind this one (under j.depMu)
 }
 
 // New creates a journal over [base, base+size) of dev with DefaultLanes
@@ -343,7 +349,6 @@ func (t *Tx) logEntry(e [EntrySize]byte) {
 	t.ln.mu.Unlock()
 	t.j.writeEntry(slot, e)
 	t.slots = append(t.slots, slot)
-	t.hasEntries = true
 }
 
 // LogRange records the current contents of [addr, addr+n) on the device as

@@ -18,6 +18,9 @@ type File struct {
 	ino    Ino
 	flags  int
 	closed atomic.Bool
+	// extents backs WritePlan.Extents across writes through this handle;
+	// used only under the inode write lock.
+	extents []Extent
 }
 
 // Extent locates one file block on the device.
@@ -31,7 +34,9 @@ type Extent struct {
 }
 
 // WritePlan is the metadata side of a write: the resolved extents and the
-// journal transaction that made them visible.
+// journal transaction that made them visible. Extents aliases storage the
+// handle reuses for its next write: it is valid until the caller releases
+// the inode write lock.
 type WritePlan struct {
 	Extents []Extent
 	Tx      *journal.Tx
@@ -175,7 +180,10 @@ func (f *File) PrepareWriteLocked(off int64, n int, deferred bool) (WritePlan, e
 		count = (off+int64(n)-1)/BlockSize - first + 1
 	}
 	plan := WritePlan{Tx: tx}
-	extents, err := f.fs.treeEnsureRange(tx, &rec, first, count, make([]Extent, 0, count))
+	extents, err := f.fs.treeEnsureRange(tx, &rec, first, count, f.extents[:0])
+	if cap(extents) <= 64 { // do not pin a huge write's plan to the handle
+		f.extents = extents
+	}
 	if err != nil {
 		// Roll forward what we logged; the allocation state is
 		// consistent, the write just fails.

@@ -224,7 +224,13 @@ func (fs *FS) treeEnsureRange(tx *journal.Tx, rec *inodeRec, first, count int64,
 		endSlot := batchEnd - leafBase // exclusive
 		// Read existing pointers and find the missing ones.
 		var miss []int64
-		ptrs := make([]int64, endSlot-startSlot)
+		var pbuf [16]int64 // a write of up to 64 KiB stays off the heap
+		ptrs := pbuf[:]
+		if n := endSlot - startSlot; n <= int64(len(pbuf)) {
+			ptrs = ptrs[:n]
+		} else {
+			ptrs = make([]int64, n)
+		}
 		for s := startSlot; s < endSlot; s++ {
 			ptrs[s-startSlot] = fs.readPtr(leafBn, s)
 			if ptrs[s-startSlot] == 0 {
