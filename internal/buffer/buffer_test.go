@@ -2,6 +2,7 @@ package buffer
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"time"
 
@@ -156,20 +157,117 @@ func TestEvictionWritesBackAndFrees(t *testing.T) {
 	}
 }
 
+// TestDropDiscardsDirtyData: dropping a dirty block never writes its data
+// back. A block buffered over an existing NVMM block is dropped for free; a
+// fresh one (its NVMM block was allocated by the buffered write, so pmfs
+// left the covered bytes un-zeroed) costs one pass of zeroes over exactly
+// its dirty lines — what pmfs's whole-block zeroing used to cost before the
+// write — and nothing else.
 func TestDropDiscardsDirtyData(t *testing.T) {
 	p, dev := testPool(t, 8, true)
+	const addr = 1 << 20
+	stale := bytes.Repeat([]byte{0xEE}, BlockSize)
+	nvmmBlock := func() []byte {
+		got := make([]byte, BlockSize)
+		dev.Read(got, addr)
+		return got
+	}
+	cases := []struct {
+		name        string
+		blockExists bool
+		off, n      int
+		wantFlushed int64 // bytes
+	}{
+		{"overwrite of an existing block", true, 0, BlockSize, 0},
+		{"fresh block, fully covered", false, 0, BlockSize, BlockSize},
+		{"fresh block, lines 3-5 partly covered", false, 3*cacheline.Size + 7, 2 * cacheline.Size, 3 * cacheline.Size},
+	}
+	for _, c := range cases {
+		dev.Write(stale, addr)
+		fb := p.NewFile()
+		drops := p.Stats().Drops
+		dev.ResetStats() // measured from before the write
+		fb.Write(0, c.off, bytes.Repeat([]byte{0x2D}, c.n), addr, c.blockExists)
+		fb.Drop()
+		if got := dev.Stats().BytesFlushed; got != c.wantFlushed {
+			t.Errorf("%s: write + drop flushed %d bytes, want %d", c.name, got, c.wantFlushed)
+		}
+		if got := p.Stats().Drops - drops; got != 1 {
+			t.Errorf("%s: drops = %d, want 1", c.name, got)
+		}
+		if p.FreeBlocks() != 8 {
+			t.Errorf("%s: free = %d, want 8", c.name, p.FreeBlocks())
+		}
+		// The dirty lines of a fresh block read zero on NVMM, every other
+		// byte is untouched (pmfs, not the buffer, owns the uncovered ones);
+		// the data itself never arrives.
+		want := append([]byte(nil), stale...)
+		if !c.blockExists {
+			first, last := cacheline.LinesCovering(c.off, c.n)
+			zero(want[first*cacheline.Size : (last+1)*cacheline.Size])
+		}
+		if !bytes.Equal(nvmmBlock(), want) {
+			t.Errorf("%s: NVMM block after drop is not stale bytes with zeroed dirty lines", c.name)
+		}
+	}
+}
+
+// TestFreshBitClearsOnSuccessfulFlushOnly: the zero-on-drop obligation ends
+// when the block's data has reached NVMM, and not before — a failed
+// writeback leaves it in force.
+func TestFreshBitClearsOnSuccessfulFlushOnly(t *testing.T) {
+	dev, err := nvmm.New(nvmm.Config{Size: 16 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	failing := true
+	p := NewPool(dev, clock.Real{}, Config{Blocks: 8, CLFW: true, WritebackThreads: -1,
+		FaultRetries: 1, FaultBackoff: time.Microsecond,
+		WriteFault: func(int64, int) error {
+			if failing {
+				return errors.New("injected")
+			}
+			return nil
+		}})
+	t.Cleanup(p.Close)
+	const addr = 1 << 20
+	dev.Write(bytes.Repeat([]byte{0xEE}, BlockSize), addr)
+	payload := bytes.Repeat([]byte{0x2D}, BlockSize)
+
+	// Flush fails: the block is still fresh, so the drop zeroes it.
 	fb := p.NewFile()
-	fb.Write(0, 0, bytes.Repeat([]byte{0xAD}, BlockSize), 1<<20, false)
+	fb.Write(0, 0, payload, addr, false)
+	if _, err := fb.Flush(); err == nil {
+		t.Fatal("flush succeeded under an injected write fault")
+	}
+	dev.ResetStats()
+	fb.Drop()
+	if got := dev.Stats().BytesFlushed; got != BlockSize {
+		t.Fatalf("drop after a failed flush flushed %d bytes, want one block of zeroes", got)
+	}
+	got := make([]byte, BlockSize)
+	dev.Read(got, addr)
+	if !bytes.Equal(got, make([]byte, BlockSize)) {
+		t.Fatal("NVMM block not zeroed by the drop")
+	}
+
+	// Flush succeeds: the data is on NVMM and owned by the file; a later
+	// overwrite that dies in the buffer costs nothing and disturbs nothing.
+	failing = false
+	fb = p.NewFile()
+	fb.Write(0, 0, payload, addr, false)
+	if _, err := fb.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	fb.Write(0, 0, bytes.Repeat([]byte{0x3C}, BlockSize), addr, true)
 	dev.ResetStats()
 	fb.Drop()
 	if got := dev.Stats().BytesFlushed; got != 0 {
-		t.Fatalf("drop flushed %d bytes", got)
+		t.Fatalf("drop of a written-back block flushed %d bytes", got)
 	}
-	if p.Stats().Drops != 1 {
-		t.Fatalf("drops = %d", p.Stats().Drops)
-	}
-	if p.FreeBlocks() != 8 {
-		t.Fatalf("free = %d, want 8", p.FreeBlocks())
+	dev.Read(got, addr)
+	if !bytes.Equal(got, payload) {
+		t.Fatal("drop disturbed data that had been written back")
 	}
 }
 

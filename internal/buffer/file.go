@@ -95,6 +95,9 @@ func (fb *FileBuf) Write(idx int64, blkOff int, data []byte, addr int64, blockEx
 		p.writeHits.Add(1)
 	}
 	b.fmu.Lock()
+	if !blockExists {
+		b.fresh = true
+	}
 	valid := b.validMap()
 	mask := cacheline.RangeMask(blkOff, len(data))
 	// CLFW fetch: bring in only the cachelines this write partially covers
@@ -161,6 +164,9 @@ func (fb *FileBuf) storeDirtyLocked(b *block, d cacheline.Bitmap) {
 	}
 }
 
+// zeroBlock is the all-zero source for zeroLinesLocked; it is only read.
+var zeroBlock [BlockSize]byte
+
 func zero(s []byte) {
 	for i := range s {
 		s[i] = 0
@@ -210,7 +216,11 @@ func (fb *FileBuf) ReadMerge(idx int64, blkOff int, dst []byte, addr int64) bool
 
 // DropBlock discards block idx without writeback (truncate: the NVMM
 // block is about to be freed, so its buffered data must never be flushed).
-// Gated transactions are released.
+// Gated transactions are released, which lets the transaction that allocated
+// a fresh block commit before the one that frees it does; in that window a
+// crash image shows the block in the file, so a fresh block's dirty lines —
+// the only ones pmfs did not zero — are zeroed on NVMM first: the window
+// shows zeroes, never the block's previous owner.
 func (fb *FileBuf) DropBlock(idx int64) {
 	p := fb.pool
 	sh := p.shardFor(fb, idx)
@@ -232,8 +242,11 @@ func (fb *FileBuf) DropBlock(idx int64) {
 		fb.dirty.remove(idx)
 		sh.mu.Unlock()
 		b.fmu.Lock()
-		if b.dirtyMap().Any() {
+		if dirty := b.dirtyMap(); dirty.Any() {
 			p.drops.Add(1)
+			if b.fresh {
+				p.zeroLinesLocked(b, dirty)
+			}
 		}
 		b.dirty.Store(0)
 		notifyTxsLocked(b)
@@ -241,6 +254,20 @@ func (fb *FileBuf) DropBlock(idx int64) {
 		p.releaseBlock(b)
 		return
 	}
+}
+
+// zeroLinesLocked writes and flushes zeroes over the given lines of b's NVMM
+// block, fenced so they are durable before anything the caller does next.
+// Caller holds b.fmu.
+func (p *Pool) zeroLinesLocked(b *block, lines cacheline.Bitmap) {
+	var rb [cacheline.PerBlock]cacheline.Run
+	for _, r := range lines.Runs(rb[:0], 0, cacheline.PerBlock-1) {
+		if r.Set {
+			p.dev.Write(zeroBlock[:r.Len], b.addr+int64(r.Off))
+			p.dev.Flush(b.addr+int64(r.Off), r.Len)
+		}
+	}
+	p.dev.Fence()
 }
 
 // Buffered reports whether file block idx is in the DRAM buffer.

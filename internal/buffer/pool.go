@@ -268,6 +268,13 @@ type block struct {
 
 	fmu sync.Mutex    // serializes content mutation: write, flush, invalidate
 	txs []*journal.Tx // ordered-mode commits gated on this block (under fmu)
+	// fresh (under fmu) marks a block whose NVMM backing was allocated by a
+	// write buffered here and has not been written back since: pmfs left
+	// the bytes that write covers un-zeroed, so until a flush succeeds the
+	// dirty lines of the NVMM block still hold its previous owner's bytes.
+	// Set by Write(blockExists == false), cleared by a successful flush;
+	// DropBlock zeroes those lines on NVMM before it lets txs commit.
+	fresh bool
 
 	pins atomic.Int32 // >0: block must not be detached or reclaimed
 
@@ -626,6 +633,7 @@ func (p *Pool) releaseBlock(b *block) {
 	b.writes.Store(0)
 	b.retryAt.Store(0)
 	b.idx, b.addr = 0, 0
+	b.fresh = false
 	sh := b.sh
 	sh.mu.Lock()
 	sh.free = append(sh.free, b)
@@ -731,6 +739,7 @@ func (p *Pool) flushBlockLocked(b *block, kind obs.CopyKind) error {
 	}
 	p.dev.Fence()
 	b.dirty.Store(0)
+	b.fresh = false
 	if fb := b.fb; fb != nil {
 		// Stable while the caller's pin holds (detach needs pins == 0).
 		fb.dirty.remove(b.idx)

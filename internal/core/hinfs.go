@@ -579,6 +579,15 @@ func (f *File) Truncate(size int64) error {
 			addr := f.pf.BlockAddrLocked(boundary)
 			f.fb.Write(boundary, int(size%BlockSize), zeroBlock[:tail], addr, addr != 0)
 		}
+		// Write back what stays buffered, so every transaction still gated
+		// on this file commits now and the truncate's own — chained behind
+		// them — commits before it returns. The allocator hands freed
+		// blocks out again at once; were the truncate's commit record still
+		// waiting on a buffered block, a crash could roll the truncate back
+		// after another file had durably taken one of them.
+		if _, err := f.fb.Flush(); err != nil {
+			return err
+		}
 	}
 	return f.pf.TruncateLocked(size)
 }

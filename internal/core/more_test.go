@@ -134,14 +134,35 @@ func TestHiNFSRemountCycle(t *testing.T) {
 func TestWBVariantDropsOnDeleteToo(t *testing.T) {
 	// Even HiNFS-WB (buffer everything) keeps the delete-absorption win.
 	fs, dev := testFS(t, Options{DisableEagerChecker: true})
+	const blocks = 8
+	before := dev.Stats().BytesFlushed
 	f, _ := fs.Create("/doomed")
-	f.WriteAt(make([]byte, 8*BlockSize), 0)
+	f.WriteAt(make([]byte, blocks*BlockSize), 0)
 	f.Close()
-	flushedBefore := dev.Stats().BytesFlushed
 	fs.Unlink("/doomed")
 	fs.Sync()
-	if delta := dev.Stats().BytesFlushed - flushedBefore; delta >= 8*BlockSize {
-		t.Fatalf("WB variant flushed deleted data: %d bytes", delta)
+	if delta := dev.Stats().BytesFlushed - before; delta > (blocks+4)*BlockSize {
+		t.Fatalf("WB variant flushed deleted data: %d bytes for %d fresh blocks", delta, blocks)
+	}
+	if got := fs.Pool().Stats().Drops; got != blocks {
+		t.Fatalf("drops = %d, want %d", got, blocks)
+	}
+
+	// An overwrite of blocks that are already on NVMM owes them nothing
+	// when it dies in the buffer: the unlink flushes metadata only.
+	f, _ = fs.Create("/rewritten")
+	f.WriteAt(make([]byte, blocks*BlockSize), 0)
+	fs.Sync()
+	before = dev.Stats().BytesFlushed
+	f.WriteAt(bytes.Repeat([]byte{1}, blocks*BlockSize), 0)
+	f.Close()
+	fs.Unlink("/rewritten")
+	fs.Sync()
+	if delta := dev.Stats().BytesFlushed - before; delta >= 2*BlockSize {
+		t.Fatalf("dropping an overwrite of existing blocks flushed %d bytes", delta)
+	}
+	if got := fs.Pool().Stats().Drops; got != 2*blocks {
+		t.Fatalf("drops = %d, want %d", got, 2*blocks)
 	}
 }
 

@@ -18,9 +18,11 @@ import (
 type Config struct {
 	// Workload names the personality: "varmail" (default — the paper's
 	// fsync- and namespace-heavy mail server), "append" (append-heavy
-	// logs with sparse fsyncs, the widest lazy-write windows) or
+	// logs with sparse fsyncs, the widest lazy-write windows),
 	// "batchfence" (grouped ops under fence scopes — the coalesced
-	// persist schedule of the pipelined server's dispatch batches).
+	// persist schedule of the pipelined server's dispatch batches) or
+	// "reuse" (writes into blocks freed by poison-filled files; adds the
+	// stale-bytes invariant over every recovered file).
 	Workload string
 	// Ops is the per-run operation count (default 120).
 	Ops int
@@ -117,8 +119,10 @@ func (cfg *Config) newWorkload() (workload.Workload, error) {
 		return &AppendSync{}, nil
 	case "batchfence":
 		return &BatchFence{}, nil
+	case "reuse":
+		return &Reuse{}, nil
 	}
-	return nil, fmt.Errorf("crashtest: unknown workload %q (have varmail, append, batchfence)", cfg.Workload)
+	return nil, fmt.Errorf("crashtest: unknown workload %q (have varmail, append, batchfence, reuse)", cfg.Workload)
 }
 
 // Violation is one detected crash-consistency failure, with everything
@@ -130,9 +134,10 @@ type Violation struct {
 	// Seed selected the kept subset of pending cachelines (0 = none).
 	Seed uint64
 	// Invariant names the failed check: "recovery" (remount failed),
-	// "fsck" (metadata checker), or an oracle invariant such as
+	// "fsck" (metadata checker), an oracle invariant such as
 	// "content", "torn-size", "synced-data-lost", "missing",
-	// "resurrected", "dir-missing".
+	// "resurrected", "dir-missing", or the reuse workload's
+	// "stale-bytes".
 	Invariant string
 	// Path is the affected file (oracle violations only).
 	Path string
@@ -373,7 +378,11 @@ func (cfg *Config) verifyCase(rep *Report, base *runResult, state *nvmm.CrashSta
 		rep.add(Violation{Event: pt, Seed: seed, Invariant: "fsck", Detail: cerr.Error()}, cfg.Log)
 	}
 	m := buildModel(base.recs, pt, base.setupEv)
-	for _, ov := range m.verify(fs) {
+	ovs := m.verify(fs)
+	if cfg.Workload == "reuse" {
+		ovs = append(ovs, staleBytes(fs)...)
+	}
+	for _, ov := range ovs {
 		rep.add(Violation{Event: pt, Seed: seed, Invariant: ov.invariant,
 			Path: ov.path, Detail: ov.detail}, cfg.Log)
 	}

@@ -224,6 +224,23 @@ func NewLanes(dev *nvmm.Device, base, size int64, lanes int) (*Journal, error) {
 // Lanes returns the number of independent journal lanes.
 func (j *Journal) Lanes() int { return len(j.lanes) }
 
+// TxCapacity returns the number of entries one transaction may log without
+// deadlocking on itself: the capacity of the smallest lane half. A
+// transaction that fills the half it started in rotates into the other one,
+// which it can always drain into (it waits only for other transactions);
+// one that outgrows that half too would wait for the first to drain while
+// itself live in it — forever. Callers with unbounded work (freeing a large
+// file's tree) split it into transactions sized from this.
+func (j *Journal) TxCapacity() int {
+	c := j.lanes[0].halves[0].count
+	for _, ln := range j.lanes[1:] {
+		if n := ln.halves[0].count; n < c {
+			c = n
+		}
+	}
+	return c
+}
+
 // SetPressure registers a callback invoked when the log is under space
 // pressure. The callback must not call back into the journal's Begin or
 // LogRange (committing via BlockPersisted is fine and is the point).

@@ -213,48 +213,57 @@ func (a *allocator) rebuild(want []uint64) (wordsFixed int) {
 // shard (shard boundaries are word-aligned, so every touched word is
 // exclusively owned by it).
 func (a *allocator) applyWords(tx *journal.Tx, blocks []int64) {
-	// Collect the per-word XOR masks in first-touch order.
-	masks := make(map[int64]uint64, 4)
-	var order []int64
+	// Collect the per-word XOR masks in first-touch order. A write touches
+	// a word or two, so the list lives on the stack and is searched
+	// linearly; only a large free spills it to the heap.
+	type wordMask struct {
+		w    int64
+		mask uint64
+	}
+	var wbuf [8]wordMask
+	words := wbuf[:0]
 	for _, bn := range blocks {
 		w := bn / 64
-		if _, ok := masks[w]; !ok {
-			order = append(order, w)
+		i := 0
+		for i < len(words) && words[i].w != w {
+			i++
 		}
-		masks[w] ^= 1 << uint(bn%64)
+		if i == len(words) {
+			words = append(words, wordMask{w: w})
+		}
+		words[i].mask ^= 1 << uint(bn%64)
 	}
-	for _, w := range order {
-		addr := a.bitmapStart + w*8
-		tx.LogBitmap(addr, masks[w])
-	}
-	for _, bn := range blocks {
-		a.words[bn/64] ^= 1 << uint(bn%64)
+	for _, wm := range words {
+		tx.LogBitmap(a.bitmapStart+wm.w*8, wm.mask)
 	}
 	var buf [8]byte
-	for _, w := range order {
-		addr := a.bitmapStart + w*8
-		binary.LittleEndian.PutUint64(buf[:], a.words[w])
+	for _, wm := range words {
+		a.words[wm.w] ^= wm.mask
+		addr := a.bitmapStart + wm.w*8
+		binary.LittleEndian.PutUint64(buf[:], a.words[wm.w])
 		a.dev.Write(buf[:], addr)
 		a.dev.Flush(addr, 8)
 	}
 	a.dev.Fence()
 }
 
-// allocFromShard takes up to want free blocks from s, journaling and
-// persisting the bitmap change under s's lock. The scan walks whole mirror
-// words from the shard's hint (wrapping within the shard), skipping full
-// words in one test — words examined are counted as the hint-quality
-// metric.
-func (a *allocator) allocFromShard(tx *journal.Tx, s *allocShard, want int) []int64 {
+// allocFromShard takes up to want free blocks from s and appends them to
+// dst, journaling and persisting the bitmap change under s's lock. The scan
+// walks whole mirror words from the shard's hint (wrapping within the
+// shard), skipping full words in one test — words examined are counted as
+// the hint-quality metric.
+func (a *allocator) allocFromShard(tx *journal.Tx, s *allocShard, want int, dst []int64) []int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.free == 0 || s.lo >= s.hi {
-		return nil
+		return dst
 	}
 	if int64(want) > s.free {
 		want = int(s.free)
 	}
-	out := make([]int64, 0, want)
+	have := len(dst)
+	want += have
+	out := dst
 	loW, hiW := s.lo/64, (s.hi+63)/64
 	nW := hiW - loW
 	hint := s.hint
@@ -293,17 +302,18 @@ func (a *allocator) allocFromShard(tx *journal.Tx, s *allocShard, want int) []in
 		// free said the blocks were here; the scan is exhaustive under mu.
 		panic("pmfs: shard free count inconsistent with bitmap")
 	}
-	if len(out) > 0 {
-		s.free -= int64(len(out))
-		s.hint = out[len(out)-1] + 1
-		a.applyWords(tx, out)
+	if got := out[have:]; len(got) > 0 {
+		s.free -= int64(len(got))
+		s.hint = got[len(got)-1] + 1
+		a.applyWords(tx, got)
 	}
 	return out
 }
 
-// alloc allocates n blocks, returning their block numbers (contiguous
-// where possible). The blocks are not zeroed. It returns vfs.ErrNoSpace if
-// fewer than n are free.
+// alloc allocates n blocks and appends their block numbers (contiguous where
+// possible) to dst, which lets a caller keep a small request's result on its
+// stack. The blocks are not zeroed. It returns vfs.ErrNoSpace if fewer than
+// n are free.
 //
 // Space is reserved globally first (CAS on freeTotal), so the result is
 // all-or-nothing; the shard walk then gathers the reserved blocks starting
@@ -312,29 +322,30 @@ func (a *allocator) allocFromShard(tx *journal.Tx, s *allocShard, want int) []in
 // already published to a swept shard's mirror but not yet to freeTotal
 // races with this reservation), so the sweep loops, yielding between empty
 // passes.
-func (a *allocator) alloc(tx *journal.Tx, n int) ([]int64, error) {
+func (a *allocator) alloc(tx *journal.Tx, n int, dst []int64) ([]int64, error) {
 	if n <= 0 {
-		return nil, nil
+		return dst, nil
 	}
 	for {
 		f := a.freeTotal.Load()
 		if f < int64(n) {
-			return nil, vfs.ErrNoSpace
+			return dst, vfs.ErrNoSpace
 		}
 		if a.freeTotal.CompareAndSwap(f, f-int64(n)) {
 			break
 		}
 	}
-	out := make([]int64, 0, n)
+	out := dst
+	n += len(dst)
 	home := int(a.nextShard.Add(1) % uint64(len(a.shards)))
 	idle := 0
 	for len(out) < n {
 		progress := false
 		for off := 0; off < len(a.shards) && len(out) < n; off++ {
 			s := a.shards[(home+off)%len(a.shards)]
-			got := a.allocFromShard(tx, s, n-len(out))
-			if len(got) > 0 {
-				out = append(out, got...)
+			before := len(out)
+			out = a.allocFromShard(tx, s, n-len(out), out)
+			if len(out) > before {
 				progress = true
 				if off != 0 {
 					a.steals.Add(1)
@@ -355,26 +366,29 @@ func (a *allocator) alloc(tx *journal.Tx, n int) ([]int64, error) {
 	return out, nil
 }
 
+// allocOne allocates a single block.
+func (a *allocator) allocOne(tx *journal.Tx) (int64, error) {
+	var b [1]int64
+	out, err := a.alloc(tx, 1, b[:0])
+	if err != nil {
+		return 0, err
+	}
+	return out[0], nil
+}
+
 // release frees the given blocks, rewinding each shard's hint toward the
 // lowest freed block so the next scan finds the hole instead of walking
 // the rest of the shard.
 func (a *allocator) release(tx *journal.Tx, blocks []int64) {
-	if len(blocks) == 0 {
-		return
-	}
-	// Group by owning shard, preserving first-touch order.
-	groups := make(map[int][]int64, 2)
-	var order []int
-	for _, bn := range blocks {
-		i := a.shardOf(bn)
-		if _, ok := groups[i]; !ok {
-			order = append(order, i)
+	// Run by run of blocks owned by one shard: a tree's blocks were
+	// allocated shard by shard, so its free list is a few long runs.
+	for lo := 0; lo < len(blocks); {
+		i := a.shardOf(blocks[lo])
+		hi := lo + 1
+		for hi < len(blocks) && a.shardOf(blocks[hi]) == i {
+			hi++
 		}
-		groups[i] = append(groups[i], bn)
-	}
-	for _, i := range order {
-		s := a.shards[i]
-		g := groups[i]
+		s, g := a.shards[i], blocks[lo:hi]
 		s.mu.Lock()
 		for _, bn := range g {
 			if a.words[bn/64]&(1<<uint(bn%64)) == 0 {
@@ -390,6 +404,7 @@ func (a *allocator) release(tx *journal.Tx, blocks []int64) {
 			}
 		}
 		s.mu.Unlock()
+		lo = hi
 	}
 	// Publish after the mirror bits are cleared: see freeTotal's invariant.
 	a.freeTotal.Add(int64(len(blocks)))

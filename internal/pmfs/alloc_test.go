@@ -18,18 +18,18 @@ func TestAllocHintRewind(t *testing.T) {
 	}
 
 	tx := fs.jnl.Begin()
-	blocks, err := fs.alloc.alloc(tx, 256)
+	blocks, err := fs.alloc.alloc(tx, 256, nil)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatal(err, nil)
 	}
 	// Free the first word's worth of blocks, then reallocate as many.
 	freed := append([]int64(nil), blocks[:64]...)
 	fs.alloc.release(tx, freed)
 
 	before := fs.alloc.stats().WordsScanned
-	got, err := fs.alloc.alloc(tx, 64)
+	got, err := fs.alloc.alloc(tx, 64, nil)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatal(err, nil)
 	}
 	scanned := fs.alloc.stats().WordsScanned - before
 	tx.Commit()
@@ -67,9 +67,9 @@ func TestAllocShardSteal(t *testing.T) {
 	tx := fs.jnl.Begin()
 	// More than any single shard holds, less than the device: must steal.
 	n := int(free/2 + free/4)
-	blocks, err := fs.alloc.alloc(tx, n)
+	blocks, err := fs.alloc.alloc(tx, n, nil)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatal(err, nil)
 	}
 	if len(blocks) != n {
 		t.Fatalf("alloc returned %d blocks, want %d", len(blocks), n)
@@ -104,13 +104,13 @@ func TestAllocExhaustionAllOrNothing(t *testing.T) {
 	}
 	free := fs.FreeBlocks()
 	tx := fs.jnl.Begin()
-	if _, err := fs.alloc.alloc(tx, int(free)+1); err == nil {
+	if _, err := fs.alloc.alloc(tx, int(free)+1, nil); err == nil {
 		t.Fatal("over-allocation succeeded")
 	}
 	if got := fs.FreeBlocks(); got != free {
 		t.Fatalf("failed allocation leaked reservation: free %d, want %d", got, free)
 	}
-	blocks, err := fs.alloc.alloc(tx, int(free))
+	blocks, err := fs.alloc.alloc(tx, int(free), nil)
 	if err != nil {
 		t.Fatalf("exact-capacity allocation failed: %v", err)
 	}

@@ -1,0 +1,78 @@
+package pmfs
+
+import (
+	"fmt"
+	"testing"
+
+	"hinfs/internal/vfs"
+)
+
+// TestLookupAllocatesNothing: dirLookup runs for every component of every
+// path over every entry in front of the match; it used to build a string
+// per entry scanned.
+func TestLookupAllocatesNothing(t *testing.T) {
+	fs, _ := testFS(t)
+	if err := fs.Mkdir("/d"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		f, err := fs.Create(fmt.Sprintf("/d/file-%02d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+	}
+	ino, err := fs.Resolve("/d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := fs.loadInode(ino)
+	if n := testing.AllocsPerRun(200, func() {
+		if _, d, ok := fs.dirLookup(rec, "file-63"); !ok || d.name != "file-63" {
+			t.Fatal("lookup of the last of 64 entries failed")
+		}
+		if _, _, ok := fs.dirLookup(rec, "file-64"); ok {
+			t.Fatal("lookup of a missing name succeeded")
+		}
+	}); n != 0 {
+		t.Errorf("dirLookup in a 64-entry directory: %.0f allocs, want 0", n)
+	}
+	// Stat pays for splitting its path and for nothing else.
+	const path = "/d/file-63"
+	split := testing.AllocsPerRun(200, func() {
+		if _, err := vfs.SplitPath(path); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n := testing.AllocsPerRun(200, func() {
+		if fi, err := fs.Stat(path); err != nil || fi.Name != "file-63" {
+			t.Fatal("stat failed")
+		}
+	}); n != split {
+		t.Errorf("Stat in a 64-entry directory: %.0f allocs, want the %.0f of splitting its path", n, split)
+	}
+}
+
+// TestFreshWriteAllocatesOnlyItsTx: a 4-block write that allocates its
+// blocks costs the heap its journal.Tx and nothing else.
+func TestFreshWriteAllocatesOnlyItsTx(t *testing.T) {
+	fs, _ := testFS(t)
+	v, err := fs.Create("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := v.(*File)
+	defer f.Close()
+	buf := make([]byte, 4*BlockSize)
+	off := int64(0)
+	write := func() {
+		if _, err := f.WriteAt(buf, off); err != nil {
+			t.Fatal(err)
+		}
+		off += int64(len(buf))
+	}
+	write() // the first write also allocates the file's index block
+	if n := testing.AllocsPerRun(100, write); n != 1 {
+		t.Errorf("4-block write to fresh blocks: %.0f allocs, want 1 (its journal.Tx)", n)
+	}
+}

@@ -88,8 +88,8 @@ func TestCheckDetectsLeakedBlock(t *testing.T) {
 	fs, _ := testFS(t)
 	// Allocate a block outside any file: leak it deliberately.
 	tx := fs.jnl.Begin()
-	if _, err := fs.alloc.alloc(tx, 1); err != nil {
-		t.Fatal(err)
+	if _, err := fs.alloc.alloc(tx, 1, nil); err != nil {
+		t.Fatal(err, nil)
 	}
 	tx.Commit()
 	errs := fs.Check()

@@ -63,16 +63,32 @@ func (fs *FS) dirScan(rec inodeRec, fn func(addr int64, d dentry) bool) {
 	}
 }
 
-// dirLookup finds name in the directory, returning its dentry address.
+// dirLookup finds name in the directory, returning its dentry address. It
+// runs for every component of every path, over every entry in front of the
+// match, so it compares the name bytes in place and builds a dentry only for
+// the match (around name itself — nothing is allocated).
 func (fs *FS) dirLookup(rec inodeRec, name string) (addr int64, d dentry, ok bool) {
-	fs.dirScan(rec, func(a int64, e dentry) bool {
-		if e.name == name {
-			addr, d, ok = a, e, true
-			return true
+	if len(name) > MaxNameLen {
+		return 0, dentry{}, false
+	}
+	blocks := (rec.Size + BlockSize - 1) / BlockSize
+	var buf [DentrySize]byte
+	for bi := int64(0); bi < blocks; bi++ {
+		bn := fs.treeLookup(rec, bi)
+		if bn == 0 {
+			continue
 		}
-		return false
-	})
-	return
+		for s := int64(0); s < dentriesPerBlock; s++ {
+			a := blockAddr(bn) + s*DentrySize
+			fs.dev.Read(buf[:], a)
+			ino := Ino(le64(buf[deIno:]))
+			if ino == 0 || int(buf[deNameLen]) != len(name) || string(buf[deName:deName+len(name)]) != name {
+				continue
+			}
+			return a, dentry{ino: ino, typ: buf[deType], name: name}, true
+		}
+	}
+	return 0, dentry{}, false
 }
 
 // dirAddEntry inserts a dentry, reusing a free slot or extending the

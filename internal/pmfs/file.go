@@ -163,6 +163,11 @@ func (f *File) readAtLocked(p []byte, off int64) (int, error) {
 // bytes at off: it ensures every touched block exists, extends the size,
 // and stamps mtime. The caller holds the inode write lock.
 //
+// A freshly allocated block (Extent.Created) comes back zeroed only outside
+// [off, off+n) (see zeroEdges): the caller must make its data durable over
+// the covered bytes — or zeroes, if it gives the data up — before the
+// transaction's commit record is written.
+//
 // If deferred is false the caller must write the data (WriteNT) and then
 // Commit the returned transaction — the PMFS eager path. If deferred is
 // true the transaction is sealed with one pending reference per extent;
@@ -186,11 +191,19 @@ func (f *File) PrepareWriteLocked(off int64, n int, deferred bool) (WritePlan, e
 	}
 	if err != nil {
 		// Roll forward what we logged; the allocation state is
-		// consistent, the write just fails.
+		// consistent, the write just fails. The blocks it did allocate
+		// stay in the file and nothing will be written to them, so they
+		// are zeroed whole.
+		for _, e := range extents {
+			if e.Created {
+				f.fs.zeroRange(e.Addr, BlockSize)
+			}
+		}
 		f.fs.storeInode(tx, f.ino, rec)
 		tx.Commit()
 		return WritePlan{}, err
 	}
+	f.fs.zeroEdges(extents, off, n)
 	plan.Extents = extents
 	if off+int64(n) > rec.Size {
 		rec.Size = off + int64(n)
@@ -202,6 +215,28 @@ func (f *File) PrepareWriteLocked(off int64, n int, deferred bool) (WritePlan, e
 		tx.Seal()
 	}
 	return plan, nil
+}
+
+// zeroEdges zeroes, in the freshly allocated blocks among extents (the plan
+// of a write of n bytes at off), the bytes the write does not cover: the head
+// of the first block below off and the tail of the last block from off+n.
+// Covered bytes are not zeroed — every caller persists its data over them
+// before the allocating transaction's commit record (WriteNT then fence on
+// the eager route; the DRAM buffer gates the transaction on the block on the
+// lazy route, and zeroes what it drops unwritten) — so a fresh block is
+// written to NVMM once, not twice. The flushes are ordered before the commit
+// record by the fence storeInode issues next.
+func (fs *FS) zeroEdges(extents []Extent, off int64, n int) {
+	if len(extents) == 0 {
+		return
+	}
+	if head := off % BlockSize; head != 0 && extents[0].Created {
+		fs.zeroRange(extents[0].Addr, int(head))
+	}
+	last := extents[len(extents)-1]
+	if tail := (off + int64(n)) % BlockSize; tail != 0 && last.Created {
+		fs.zeroRange(last.Addr+tail, int(BlockSize-tail))
+	}
 }
 
 // WriteAt implements vfs.File: the PMFS direct write path. Data is copied
@@ -287,14 +322,25 @@ func (f *File) truncateLocked(size int64) error {
 	tx := f.fs.jnl.Begin()
 	if size < rec.Size {
 		from := (size + BlockSize - 1) / BlockSize
-		f.fs.treeFreeFrom(tx, &rec, from)
+		for {
+			cut, more := f.fs.treeFreeFrom(tx, &rec, from)
+			if !more {
+				break
+			}
+			// The file minus the tail freed so far is a complete, longer
+			// truncation: commit it and go on in a new transaction.
+			if end := cut * BlockSize; end < rec.Size {
+				rec.Size = end
+			}
+			f.fs.storeInode(tx, f.ino, rec)
+			tx.Commit()
+			tx = f.fs.jnl.Begin()
+		}
 		// Zero the tail of the boundary block so later extension reads
 		// zeros, matching POSIX semantics.
 		if size%BlockSize != 0 {
 			if bn := f.fs.treeLookup(rec, size/BlockSize); bn != 0 {
-				tail := int(BlockSize - size%BlockSize)
-				f.fs.dev.Write(f.fs.zero[:tail], blockAddr(bn)+size%BlockSize)
-				f.fs.dev.Flush(blockAddr(bn)+size%BlockSize, tail)
+				f.fs.zeroRange(blockAddr(bn)+size%BlockSize, int(BlockSize-size%BlockSize))
 			}
 		}
 	}
@@ -346,11 +392,7 @@ func (f *File) close(pre func()) error {
 		// finish before the blocks it is copying from are reused.
 		st.mu.Lock()
 		defer st.mu.Unlock()
-		tx := f.fs.jnl.Begin()
-		rec := f.fs.loadInode(f.ino)
-		f.fs.treeFreeFrom(tx, &rec, 0)
-		f.fs.freeInode(tx, f.ino)
-		tx.Commit()
+		f.fs.reclaimInode(f.fs.jnl.Begin(), f.ino)
 	}
 	return nil
 }
@@ -369,6 +411,13 @@ func (f *File) MmapBlock(index int64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	e := plan.Extents[0]
+	if e.Created {
+		// The plan covers the whole block, so nothing was zeroed — but the
+		// caller writes nothing before the commit.
+		f.fs.zeroRange(e.Addr, BlockSize)
+		f.fs.dev.Fence()
+	}
 	plan.Tx.Commit()
-	return f.fs.dev.Slice(plan.Extents[0].Addr, BlockSize), nil
+	return f.fs.dev.Slice(e.Addr, BlockSize), nil
 }

@@ -305,6 +305,10 @@ func (fs *FS) Resolve(path string) (Ino, error) {
 	if err != nil {
 		return 0, err
 	}
+	return fs.resolveParts(parts)
+}
+
+func (fs *FS) resolveParts(parts []string) (Ino, error) {
 	defer fs.nsSerial(false)()
 	if len(parts) == 0 {
 		return RootIno, nil
@@ -478,10 +482,7 @@ func (fs *FS) Rmdir(path string) error {
 	}
 	tx := fs.jnl.Begin()
 	fs.dirRemoveEntry(tx, addr)
-	rec2 := rec
-	fs.treeFreeFrom(tx, &rec2, 0)
-	fs.freeInode(tx, d.ino)
-	tx.Commit()
+	fs.reclaimInode(tx, d.ino)
 	return nil
 }
 
@@ -550,12 +551,28 @@ func (fs *FS) deferredReclaim(ino Ino) func() {
 	return func() {
 		st.mu.Lock()
 		defer st.mu.Unlock()
-		rtx := fs.jnl.Begin()
-		rec := fs.loadInode(ino)
-		fs.treeFreeFrom(rtx, &rec, 0)
-		fs.freeInode(rtx, ino)
-		rtx.Commit()
+		fs.reclaimInode(fs.jnl.Begin(), ino)
 	}
+}
+
+// reclaimInode frees ino's index tree and then its record, and commits tx
+// (which may already carry the namespace change that orphaned ino). A large
+// tree goes chunk by chunk from the tail, one transaction each; a crash
+// between two leaves an unreachable inode with a shorter tree, which
+// recoverRebuild frees like any other orphan. The caller excludes every
+// other user of ino.
+func (fs *FS) reclaimInode(tx *journal.Tx, ino Ino) {
+	rec := fs.loadInode(ino)
+	for {
+		if _, more := fs.treeFreeFrom(tx, &rec, 0); !more {
+			break
+		}
+		fs.storeInode(tx, ino, rec)
+		tx.Commit()
+		tx = fs.jnl.Begin()
+	}
+	fs.freeInode(tx, ino)
+	tx.Commit()
 }
 
 // Rename implements vfs.FileSystem. A regular file at newpath is replaced.
@@ -739,11 +756,14 @@ func (fs *FS) Stat(path string) (vfs.FileInfo, error) {
 	if err := fs.checkMounted(); err != nil {
 		return vfs.FileInfo{}, err
 	}
-	ino, err := fs.Resolve(path)
+	parts, err := vfs.SplitPath(path)
 	if err != nil {
 		return vfs.FileInfo{}, err
 	}
-	parts, _ := vfs.SplitPath(path)
+	ino, err := fs.resolveParts(parts)
+	if err != nil {
+		return vfs.FileInfo{}, err
+	}
 	name := "/"
 	if len(parts) > 0 {
 		name = parts[len(parts)-1]

@@ -46,18 +46,24 @@ func (fs *FS) writePtr(tx *journal.Tx, bn int64, slot int64, val int64) {
 	fs.dev.Flush(addr, 8)
 }
 
-// zeroBlock clears a freshly allocated block and flushes the zeroes. The
-// flush is required for crash consistency, not just hygiene: the allocator
-// reuses freed blocks (its per-shard hints rewind toward freed ranges), so a
-// fresh block may carry stale bytes from its previous life. Index blocks,
-// directory blocks and the unwritten tail of data blocks are all assumed to
-// read as zero once the allocating transaction commits — if the zeroes were
-// left as plain stores, a crash after the commit record could resurrect the
-// stale content (e.g. garbage tree pointers).
-func (fs *FS) zeroBlock(bn int64) {
-	fs.dev.Write(fs.zero[:], blockAddr(bn))
-	fs.dev.Flush(blockAddr(bn), BlockSize)
+// zeroRange clears [addr, addr+n), n <= BlockSize, and flushes the zeroes.
+// The flush is required for crash consistency, not just hygiene: the
+// allocator reuses freed blocks (its per-shard hints rewind toward freed
+// ranges), so a fresh block carries stale bytes from its previous life, and
+// every byte of it that the allocating transaction does not overwrite must
+// read as zero once that transaction commits — zeroes left as plain stores
+// could be lost by a crash after the commit record and resurrect the stale
+// content. Callers order the flush before the commit record with a fence.
+func (fs *FS) zeroRange(addr int64, n int) {
+	fs.dev.Write(fs.zero[:n], addr)
+	fs.dev.Flush(addr, n)
 }
+
+// zeroBlock clears a whole fresh block. Index and directory blocks (garbage
+// tree pointers or dentries otherwise), mmap'ed blocks and blocks a failed
+// write leaves behind take it; a data block a write is about to fill is
+// zeroed only at its edges (see zeroEdges).
+func (fs *FS) zeroBlock(bn int64) { fs.zeroRange(blockAddr(bn), BlockSize) }
 
 // treeLookup returns the block number holding file block idx, or 0 if the
 // block is a hole.
@@ -88,29 +94,27 @@ func (fs *FS) treeEnsure(tx *journal.Tx, rec *inodeRec, idx int64) (bn int64, cr
 			rec.Height = heightFor(idx)
 			break
 		}
-		newRoot, err := fs.alloc.alloc(tx, 1)
+		newRoot, err := fs.alloc.allocOne(tx)
 		if err != nil {
 			return 0, false, err
 		}
-		fs.zeroBlock(newRoot[0])
-		fs.writePtr(tx, newRoot[0], 0, rec.Root)
-		rec.Root = newRoot[0]
+		fs.zeroBlock(newRoot)
+		fs.writePtr(tx, newRoot, 0, rec.Root)
+		rec.Root = newRoot
 		rec.Height++
 	}
 	if rec.Root == 0 {
 		// Empty file: allocate the root path directly.
-		blocks, err := fs.alloc.alloc(tx, 1)
+		bn, err := fs.alloc.allocOne(tx)
 		if err != nil {
 			return 0, false, err
 		}
+		fs.zeroBlock(bn)
+		rec.Root = bn
 		if rec.Height == 0 {
-			fs.zeroBlock(blocks[0])
-			rec.Root = blocks[0]
 			rec.Blocks++
-			return blocks[0], true, nil
+			return bn, true, nil
 		}
-		fs.zeroBlock(blocks[0])
-		rec.Root = blocks[0]
 	}
 	// Walk down, filling missing interior blocks.
 	cur := rec.Root
@@ -120,11 +124,10 @@ func (fs *FS) treeEnsure(tx *journal.Tx, rec *inodeRec, idx int64) (bn int64, cr
 		idx %= sub
 		child := fs.readPtr(cur, slot)
 		if child == 0 {
-			blocks, err := fs.alloc.alloc(tx, 1)
+			child, err = fs.alloc.allocOne(tx)
 			if err != nil {
 				return 0, false, err
 			}
-			child = blocks[0]
 			fs.zeroBlock(child)
 			fs.writePtr(tx, cur, slot, child)
 			if h == 1 {
@@ -148,11 +151,10 @@ func (fs *FS) walkToLeaf(tx *journal.Tx, rec *inodeRec, idx int64) (leafBn, leaf
 		slot := (idx - base) / sub
 		child := fs.readPtr(cur, slot)
 		if child == 0 {
-			blocks, err := fs.alloc.alloc(tx, 1)
+			child, err = fs.alloc.allocOne(tx)
 			if err != nil {
 				return 0, 0, err
 			}
-			child = blocks[0]
 			fs.zeroBlock(child)
 			fs.writePtr(tx, cur, slot, child)
 		}
@@ -167,7 +169,9 @@ func (fs *FS) walkToLeaf(tx *journal.Tx, rec *inodeRec, idx int64) (leafBn, leaf
 // per word and a leaf's pointer slots are journaled as one range, so the
 // per-write journal traffic is proportional to extents, not blocks (as in
 // PMFS's extent-style allocation). It appends the resolved extents to dst
-// and updates rec in place.
+// and updates rec in place. Index blocks it allocates are zeroed here; data
+// blocks come back Created and NOT zeroed — the caller knows which of their
+// bytes the write covers and zeroes the rest before tx can commit.
 func (fs *FS) treeEnsureRange(tx *journal.Tx, rec *inodeRec, first, count int64, dst []Extent) ([]Extent, error) {
 	if count <= 0 {
 		return dst, nil
@@ -179,36 +183,35 @@ func (fs *FS) treeEnsureRange(tx *journal.Tx, rec *inodeRec, first, count int64,
 			rec.Height = heightFor(last)
 			break
 		}
-		newRoot, err := fs.alloc.alloc(tx, 1)
+		newRoot, err := fs.alloc.allocOne(tx)
 		if err != nil {
 			return dst, err
 		}
-		fs.zeroBlock(newRoot[0])
-		fs.writePtr(tx, newRoot[0], 0, rec.Root)
-		rec.Root = newRoot[0]
+		fs.zeroBlock(newRoot)
+		fs.writePtr(tx, newRoot, 0, rec.Root)
+		rec.Root = newRoot
 		rec.Height++
 	}
 	// Height 0: single-block file, root is the data block.
 	if rec.Height == 0 {
 		if rec.Root == 0 {
-			blocks, err := fs.alloc.alloc(tx, 1)
+			bn, err := fs.alloc.allocOne(tx)
 			if err != nil {
 				return dst, err
 			}
-			fs.zeroBlock(blocks[0])
-			rec.Root = blocks[0]
+			rec.Root = bn
 			rec.Blocks++
-			return append(dst, Extent{Index: 0, Addr: blockAddr(blocks[0]), Created: true}), nil
+			return append(dst, Extent{Index: 0, Addr: blockAddr(bn), Created: true}), nil
 		}
 		return append(dst, Extent{Index: 0, Addr: blockAddr(rec.Root)}), nil
 	}
 	if rec.Root == 0 {
-		blocks, err := fs.alloc.alloc(tx, 1)
+		bn, err := fs.alloc.allocOne(tx)
 		if err != nil {
 			return dst, err
 		}
-		fs.zeroBlock(blocks[0])
-		rec.Root = blocks[0]
+		fs.zeroBlock(bn)
+		rec.Root = bn
 	}
 	idx := first
 	for idx <= last {
@@ -223,9 +226,8 @@ func (fs *FS) treeEnsureRange(tx *journal.Tx, rec *inodeRec, first, count int64,
 		startSlot := idx - leafBase
 		endSlot := batchEnd - leafBase // exclusive
 		// Read existing pointers and find the missing ones.
-		var miss []int64
-		var pbuf [16]int64 // a write of up to 64 KiB stays off the heap
-		ptrs := pbuf[:]
+		var pbuf, mbuf, bbuf [16]int64 // a write of up to 64 KiB stays off the heap
+		ptrs, miss := pbuf[:], mbuf[:0]
 		if n := endSlot - startSlot; n <= int64(len(pbuf)) {
 			ptrs = ptrs[:n]
 		} else {
@@ -238,7 +240,7 @@ func (fs *FS) treeEnsureRange(tx *journal.Tx, rec *inodeRec, first, count int64,
 			}
 		}
 		if len(miss) > 0 {
-			blocks, err := fs.alloc.alloc(tx, len(miss))
+			blocks, err := fs.alloc.alloc(tx, len(miss), bbuf[:0])
 			if err != nil {
 				return dst, err
 			}
@@ -248,7 +250,6 @@ func (fs *FS) treeEnsureRange(tx *journal.Tx, rec *inodeRec, first, count int64,
 			tx.LogRange(spanAddr, spanLen)
 			var b [8]byte
 			for i, s := range miss {
-				fs.zeroBlock(blocks[i])
 				ptrs[s-startSlot] = blocks[i]
 				binary.LittleEndian.PutUint64(b[:], uint64(blocks[i]))
 				fs.dev.Write(b[:], blockAddr(leafBn)+s*8)
@@ -274,54 +275,91 @@ func (fs *FS) treeEnsureRange(tx *journal.Tx, rec *inodeRec, first, count int64,
 	return dst, nil
 }
 
-// treeFreeFrom frees all data blocks with index >= from, plus any index
-// blocks left with no children, updating rec in place. from = 0 tears down
-// the whole tree.
-func (fs *FS) treeFreeFrom(tx *journal.Tx, rec *inodeRec, from int64) {
+// treeFreeFrom frees data blocks with index >= from, highest index first,
+// plus any index blocks left with no children, updating rec in place. from
+// = 0 tears down the whole tree. One call frees at most fs.freeChunk() data
+// blocks, which bounds the entries tx logs; it returns
+// the lowest file block index it freed and whether blocks >= from remain.
+// While more is true the caller commits tx with rec stored — the tree minus
+// a tail is a consistent, shorter tree — and calls again with a new
+// transaction.
+func (fs *FS) treeFreeFrom(tx *journal.Tx, rec *inodeRec, from int64) (cut int64, more bool) {
 	if rec.Root == 0 {
-		return
+		return from, false
 	}
-	var freed []int64
-	empty := fs.freeWalk(tx, &freed, rec.Root, rec.Height, 0, from, rec)
-	if empty {
+	w := freeWalk{fs: fs, tx: tx, rec: rec, from: from, budget: fs.freeChunk()}
+	if w.walk(rec.Root, rec.Height, 0) {
 		rec.Root = 0
 		rec.Height = 0
 	}
-	fs.alloc.release(tx, freed)
+	fs.alloc.release(tx, w.freed)
+	return w.cut, w.more
 }
 
-// freeWalk recursively frees blocks under bn (covering file blocks starting
-// at base, at the given height) whose index >= from. It reports whether bn
+// freeChunk sizes treeFreeFrom's chunk from the journal's geometry. Freeing
+// a data block logs up to two entries (its pointer slot, its bitmap word),
+// and a transaction that logs more than journal.TxCapacity waits on itself
+// forever; a sixteenth of that per chunk leaves the rest of the lane to the
+// transactions running beside it.
+func (fs *FS) freeChunk() int64 {
+	if n := int64(fs.jnl.TxCapacity() / 16); n > 1 {
+		return n
+	}
+	return 1
+}
+
+// freeWalk is the state of one treeFreeFrom pass.
+type freeWalk struct {
+	fs     *FS
+	tx     *journal.Tx
+	rec    *inodeRec
+	from   int64   // free data blocks with file index >= from
+	budget int64   // data blocks this pass may still free
+	freed  []int64 // block numbers to release
+	cut    int64   // lowest file block index freed
+	more   bool    // the budget ran out with blocks >= from left
+}
+
+// walk frees blocks under bn (covering file blocks starting at base, at the
+// given height), descending from the highest slot. It reports whether bn
 // itself was freed.
-func (fs *FS) freeWalk(tx *journal.Tx, freed *[]int64, bn int64, height byte, base, from int64, rec *inodeRec) bool {
+func (w *freeWalk) walk(bn int64, height byte, base int64) bool {
 	if height == 0 {
-		if base >= from {
-			*freed = append(*freed, bn)
-			rec.Blocks--
-			return true
+		if base < w.from {
+			return false
 		}
-		return false
+		if w.budget == 0 {
+			w.more = true
+			return false
+		}
+		w.budget--
+		w.cut = base
+		w.freed = append(w.freed, bn)
+		w.rec.Blocks--
+		return true
 	}
 	sub := capBlocks(height - 1)
 	anyLeft := false
-	for slot := int64(0); slot < ptrsPerBlock; slot++ {
-		child := fs.readPtr(bn, slot)
+	for slot := int64(ptrsPerBlock - 1); slot >= 0; slot-- {
+		child := w.fs.readPtr(bn, slot)
 		if child == 0 {
 			continue
 		}
 		childBase := base + slot*sub
-		if childBase+sub <= from {
+		if w.more || childBase+sub <= w.from {
+			// This child stays (out of budget, or entirely below the
+			// cut), and so does everything in the slots below it.
 			anyLeft = true
-			continue // entirely below the cut
+			break
 		}
-		if fs.freeWalk(tx, freed, child, height-1, childBase, from, rec) {
-			fs.writePtr(tx, bn, slot, 0)
+		if w.walk(child, height-1, childBase) {
+			w.fs.writePtr(w.tx, bn, slot, 0)
 		} else {
 			anyLeft = true
 		}
 	}
 	if !anyLeft {
-		*freed = append(*freed, bn)
+		w.freed = append(w.freed, bn)
 		return true
 	}
 	return false

@@ -123,8 +123,11 @@ func (fs *FS) allocInode(tx *journal.Tx, typ byte) (Ino, error) {
 // list.
 func (fs *FS) freeInode(tx *journal.Tx, ino Ino) {
 	fs.storeInode(tx, ino, inodeRec{})
+	// Forget the DRAM state before the number can be handed out again: a
+	// create that reused ino while the old state was still registered would
+	// lock it, and unlock the fresh one this delete makes way for.
+	fs.states.Delete(ino)
 	fs.inoMu.Lock()
 	fs.freeInos = append(fs.freeInos, ino)
 	fs.inoMu.Unlock()
-	fs.states.Delete(ino)
 }

@@ -1,0 +1,445 @@
+package pmfs
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"math/rand"
+	"testing"
+	"time"
+
+	"hinfs/internal/nvmm"
+	"hinfs/internal/vfs"
+)
+
+// poisonedFS formats a device whose every data byte reads 0xEE, so every
+// block the allocator hands out — fresh or reused — carries "a previous
+// owner's" bytes. No test payload has the high bit set: a poison byte read
+// back from a file is a byte the file never owned.
+func poisonedFS(t testing.TB, size int64, opts Options) (*FS, *nvmm.Device) {
+	t.Helper()
+	dev := testDev(t, size)
+	blk := bytes.Repeat([]byte{0xEE}, BlockSize)
+	for off := int64(0); off < size; off += BlockSize {
+		dev.Write(blk, off)
+	}
+	fs, err := Mkfs(dev, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fs, dev
+}
+
+func readAll(t testing.TB, fs *FS, path string) []byte {
+	t.Helper()
+	f, err := fs.Open(path, vfs.ORdonly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	got := make([]byte, f.Size())
+	if n, err := f.ReadAt(got, 0); n != len(got) || (err != nil && err != io.EOF) {
+		t.Fatalf("read %s: %d of %d bytes, %v", path, n, len(got), err)
+	}
+	return got
+}
+
+func payload(rng *rand.Rand, n int) []byte {
+	data := make([]byte, n)
+	for i := range data {
+		data[i] = byte(rng.Intn(0x7f)) + 1
+	}
+	return data
+}
+
+// TestPoisonedDeviceMatchesModel drives random (off, n) writes into fresh and
+// reused blocks through pmfs.File, interleaved with unlink, truncate down and
+// truncate up, and compares each file with a zero-filled in-memory model,
+// live and again after Unmount + Mount. A byte zeroEdges failed to zero — or
+// zeroed although the write covered it — shows as a mismatch.
+func TestPoisonedDeviceMatchesModel(t *testing.T) {
+	fs, dev := poisonedFS(t, 32<<20, Options{MaxInodes: 256})
+	rng := rand.New(rand.NewSource(20160418))
+	const files = 6
+	model := make([][]byte, files)
+	open := make([]vfs.File, files)
+	path := func(i int) string { return fmt.Sprintf("/p%d", i) }
+	check := func(fs *FS, when string) {
+		t.Helper()
+		for i := range model {
+			if model[i] == nil {
+				continue
+			}
+			if got := readAll(t, fs, path(i)); !bytes.Equal(got, model[i]) {
+				at := 0
+				for at < len(got) && at < len(model[i]) && got[at] == model[i][at] {
+					at++
+				}
+				t.Fatalf("%s: %s: size %d (model %d), first difference at byte %d", when, path(i), len(got), len(model[i]), at)
+			}
+		}
+	}
+	for op := 0; op < 800; op++ {
+		i := rng.Intn(files)
+		if open[i] == nil {
+			f, err := fs.Create(path(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			open[i], model[i] = f, []byte{}
+		}
+		f := open[i]
+		switch k := rng.Intn(20); {
+		case k < 13: // write: anywhere up to two blocks past EOF, up to three blocks long
+			off := rng.Intn(len(model[i]) + 2*BlockSize)
+			n := 1 + rng.Intn(3*BlockSize)
+			if rng.Intn(3) == 0 {
+				n = 1 + rng.Intn(63)
+			}
+			data := payload(rng, n)
+			if _, err := f.WriteAt(data, int64(off)); err != nil {
+				t.Fatal(err)
+			}
+			if end := off + n; end > len(model[i]) {
+				model[i] = append(model[i], make([]byte, end-len(model[i]))...)
+			}
+			copy(model[i][off:], data)
+		case k < 17: // truncate down or up
+			size := rng.Intn(len(model[i]) + 2*BlockSize)
+			if err := f.Truncate(int64(size)); err != nil {
+				t.Fatal(err)
+			}
+			if size <= len(model[i]) {
+				model[i] = model[i][:size]
+			} else {
+				model[i] = append(model[i], make([]byte, size-len(model[i]))...)
+			}
+		case k < 19: // unlink: the blocks go back to the allocator full of payload
+			f.Close()
+			if err := fs.Unlink(path(i)); err != nil {
+				t.Fatal(err)
+			}
+			open[i], model[i] = nil, nil
+		default:
+			check(fs, fmt.Sprintf("live, op %d", op))
+		}
+	}
+	check(fs, "live, end")
+	for _, f := range open {
+		if f != nil {
+			f.Close()
+		}
+	}
+	if err := fs.Unmount(); err != nil {
+		t.Fatal(err)
+	}
+	fs2, err := Mount(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if errs := fs2.Check(); len(errs) != 0 {
+		t.Fatalf("check after remount: %v", errs)
+	}
+	check(fs2, "after remount")
+}
+
+// TestFreshBlockZeroedOnlyAtItsEdges pins what zeroEdges costs: a write
+// that covers a fresh block zeroes none of it, one that covers part of it
+// zeroes exactly the rest, and neither writes any byte twice.
+func TestFreshBlockZeroedOnlyAtItsEdges(t *testing.T) {
+	fs, dev := poisonedFS(t, 16<<20, Options{MaxInodes: 64})
+	f, err := fs.Create("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	// The first write pays for the file's index block; measure after it.
+	if _, err := f.WriteAt(make([]byte, 4*BlockSize), 0); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		off, n int64
+		zeroed int64 // bytes of whole cachelines zeroEdges must flush
+	}{
+		{4 * BlockSize, 4 * BlockSize, 0},                   // four covered blocks
+		{8*BlockSize + 100, 2*BlockSize - 100, 128},         // head of the first: [0,100) is two lines
+		{10 * BlockSize, BlockSize + 64*3, BlockSize - 192}, // tail of the last
+		{12*BlockSize + 640, 64, BlockSize - 64},            // one line in the middle of one block
+	}
+	for _, c := range cases {
+		before := dev.Stats()
+		if _, err := f.WriteAt(payload(rand.New(rand.NewSource(c.off)), int(c.n)), c.off); err != nil {
+			t.Fatal(err)
+		}
+		after := dev.Stats()
+		// NT stores carry the data, cached stores the zeroes and metadata.
+		dataLines := (c.off+c.n+63)/64 - c.off/64
+		metadata := after.BytesFlushed - before.BytesFlushed - dataLines*64 - c.zeroed
+		if metadata < 0 || metadata > 16*64 {
+			t.Errorf("write [%d,+%d): flushed %d bytes = %d data + %d zeroes + %d metadata; want at most 16 metadata lines",
+				c.off, c.n, after.BytesFlushed-before.BytesFlushed, dataLines*64, c.zeroed, metadata)
+		}
+	}
+	got := readAll(t, fs, "/f")
+	for i, b := range got {
+		if b&0x80 != 0 {
+			t.Fatalf("byte %d of %d reads %#x: poison", i, len(got), b)
+		}
+	}
+}
+
+// TestMmapBlockOfReusedBlockIsZero: an mmap'ed block is written by nobody
+// before its transaction commits, so it keeps the whole-block zeroing.
+func TestMmapBlockOfReusedBlockIsZero(t *testing.T) {
+	fs, _ := poisonedFS(t, 16<<20, Options{MaxInodes: 64})
+	// Give the allocator reused blocks too, full of payload.
+	g, _ := fs.Create("/old")
+	g.WriteAt(bytes.Repeat([]byte{0x55}, 8*BlockSize), 0)
+	g.Close()
+	if err := fs.Unlink("/old"); err != nil {
+		t.Fatal(err)
+	}
+	v, err := fs.Create("/m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := v.(*File)
+	defer f.Close()
+	for _, idx := range []int64{0, 3, 1} {
+		m, err := f.MmapBlock(idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(m, make([]byte, BlockSize)) {
+			t.Fatalf("mmap of fresh block %d is not all zeroes", idx)
+		}
+	}
+}
+
+// TestENOSPCMidRangeLeavesNoPoison: a write that runs out of space after
+// allocating part of its range fails, but the blocks it did allocate stay in
+// the file beyond EOF. Nothing was written to them, so they must have been
+// zeroed whole: extending the file later exposes them.
+func TestENOSPCMidRangeLeavesNoPoison(t *testing.T) {
+	fs, _ := poisonedFS(t, 8<<20, Options{MaxInodes: 64, JournalBlocks: 64})
+	f, err := fs.Create("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	// One write spanning two leaves, with room for the first leaf's 512
+	// blocks but not the second's: treeEnsureRange allocates leaf by leaf
+	// and fails in the second. Leave 512 + 8 free blocks (root, two leaves
+	// and a few to spare, but nowhere near 512 + 400).
+	hog, _ := fs.Create("/hog")
+	for fs.FreeBlocks() > 520+64 {
+		if _, err := hog.WriteAt(make([]byte, 64*BlockSize), hog.Size()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for fs.FreeBlocks() > 520 {
+		if _, err := hog.WriteAt(make([]byte, BlockSize), hog.Size()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hog.Close()
+	if _, err := f.WriteAt(payload(rand.New(rand.NewSource(1)), 912*BlockSize), 0); err != vfs.ErrNoSpace {
+		t.Fatalf("oversized write: %v, want ErrNoSpace", err)
+	}
+	if f.Size() != 0 {
+		t.Fatalf("failed write left size %d", f.Size())
+	}
+	fi, _ := fs.Stat("/f")
+	if fi.Blocks == 0 {
+		t.Fatal("the failed write allocated nothing: the test does not reach the roll-forward path")
+	}
+	// Extend over whatever it left behind.
+	if err := f.Truncate(912 * BlockSize); err != nil {
+		t.Fatal(err)
+	}
+	got := readAll(t, fs, "/f")
+	if !bytes.Equal(got, make([]byte, len(got))) {
+		for i, b := range got {
+			if b != 0 {
+				t.Fatalf("byte %d (block %d) of the extended file reads %#x, want 0", i, i/BlockSize, b)
+			}
+		}
+	}
+	if errs := fs.Check(); len(errs) != 0 {
+		t.Fatalf("check: %v", errs)
+	}
+}
+
+// TestFreeOfLargeFileIsChunked: freeing a tree logs an entry or two per
+// block, and a transaction that outgrows its journal lane waits on itself
+// forever — unlinking or truncating a 32 MiB file at the default geometry
+// used to. The free now goes in bounded chunks.
+func TestFreeOfLargeFileIsChunked(t *testing.T) {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		dev := testDev(t, 128<<20)
+		fs, err := Mkfs(dev, Options{MaxInodes: 64})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		const size = 32 << 20
+		chunk := make([]byte, 1<<20)
+		for _, name := range []string{"/unlinked", "/truncated"} {
+			f, err := fs.Create(name)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for off := int64(0); off < size; off += int64(len(chunk)) {
+				if _, err := f.WriteAt(chunk, off); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			if err := f.Fsync(); err != nil {
+				t.Error(err)
+			}
+			f.Close()
+		}
+		free := fs.FreeBlocks()
+		commits := fs.Journal().Stats().Commits
+		if err := fs.Unlink("/unlinked"); err != nil {
+			t.Error(err)
+		}
+		f, _ := fs.Open("/truncated", vfs.ORdwr)
+		if err := f.Truncate(BlockSize); err != nil {
+			t.Error(err)
+		}
+		f.Close()
+		if got := fs.Journal().Stats().Commits - commits; got < 2*size/BlockSize/fs.freeChunk() {
+			t.Errorf("two 8192-block frees took %d transactions at %d blocks a chunk", got, fs.freeChunk())
+		}
+		// The unlink frees 8192 data blocks, 16 leaves and the root; the
+		// truncate keeps block 0, its leaf and the root.
+		if got := fs.FreeBlocks() - free; got != (8192+16+1)+(8191+15) {
+			t.Errorf("freed %d blocks", got)
+		}
+		if fi, _ := fs.Stat("/truncated"); fi.Size != BlockSize || fi.Blocks != 1 {
+			t.Errorf("truncated file: size %d blocks %d", fi.Size, fi.Blocks)
+		}
+		if errs := fs.Check(); len(errs) != 0 {
+			t.Errorf("check: %v", errs)
+		}
+		if err := fs.Unmount(); err != nil {
+			t.Error(err)
+		}
+		fs2, err := Mount(dev)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if errs := fs2.Check(); len(errs) != 0 {
+			t.Errorf("check after remount: %v", errs)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("freeing a 32 MiB file did not finish: the free transaction outgrew its journal lane")
+	}
+}
+
+// TestChunkedFreeCrashImages crashes at every persist event of a truncate
+// and of an unlink that each take ten chunk transactions. Every image must
+// recover to a consistent file system; the truncated file must be a longer
+// truncation of itself (its old content up to a size between the old and the
+// new one — except that the last transaction zeroes the tail of the block the
+// new EOF sits in before it commits, as an unchunked truncate always has),
+// the unlinked file must be gone whole, its blocks not leaked.
+func TestChunkedFreeCrashImages(t *testing.T) {
+	const blocks = 24
+	want := payload(rand.New(rand.NewSource(7)), blocks*BlockSize)
+	const newSize = BlockSize + 10
+	// run replays the scenario with a crash plan armed at event target and
+	// returns the persist-event window of the operation under test.
+	run := func(unlink bool, target int64) (from, to int64, state *nvmm.CrashState) {
+		dev, err := nvmm.New(nvmm.Config{Size: 8 << 20, TrackPersistence: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The smallest journal — one lane of two one-block halves — frees
+		// four blocks a chunk.
+		fs, err := Mkfs(dev, Options{MaxInodes: 64, JournalBlocks: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fs.freeChunk() != 4 {
+			t.Fatalf("freeChunk = %d at the smallest journal, want 4", fs.freeChunk())
+		}
+		f, _ := fs.Create("/f")
+		if _, err := f.WriteAt(want, 0); err != nil {
+			t.Fatal(err)
+		}
+		if unlink {
+			f.Close()
+		}
+		from = dev.PersistEvents()
+		dev.SetCrashPlan(func(ev int64, _ nvmm.EventKind) bool { return ev == target })
+		if unlink {
+			err = fs.Unlink("/f")
+		} else {
+			err = f.Truncate(newSize)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if errs := fs.Check(); len(errs) != 0 {
+			t.Fatalf("check after the live operation: %v", errs)
+		}
+		return from, dev.PersistEvents(), dev.TakeCrashState()
+	}
+	for _, unlink := range []bool{false, true} {
+		from, to, _ := run(unlink, 0)
+		sizes := map[int64]bool{}
+		for ev := from + 1; ev <= to; ev++ {
+			_, _, state := run(unlink, ev)
+			for _, seed := range []uint64{0, 0x9E3779B97F4A7C15} {
+				dev, err := state.Materialize(nvmm.Config{}, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fs, _, err := MountRecover(dev)
+				if err != nil {
+					t.Fatalf("unlink=%v event %d seed %#x: recovery: %v", unlink, ev, seed, err)
+				}
+				if errs := fs.Check(); len(errs) != 0 {
+					t.Fatalf("unlink=%v event %d seed %#x: check: %v", unlink, ev, seed, errs)
+				}
+				if _, err := fs.Stat("/f"); err != nil {
+					if !unlink {
+						t.Fatalf("event %d seed %#x: truncated file is gone", ev, seed)
+					}
+					continue
+				}
+				got := readAll(t, fs, "/f")
+				size := int64(len(got))
+				sizes[size] = true
+				switch {
+				case unlink && (size != blocks*BlockSize || !bytes.Equal(got, want)):
+					t.Fatalf("event %d seed %#x: unlinked file recovered at %d bytes: neither whole nor gone", ev, seed, size)
+				case size < newSize || size > blocks*BlockSize || (size != newSize && size%BlockSize != 0):
+					t.Fatalf("event %d seed %#x: recovered size %d is no chunk boundary of a truncate from %d to %d", ev, seed, size, blocks*BlockSize, newSize)
+				}
+				if !unlink && !bytes.Equal(got, want[:size]) {
+					// Only [newSize, end of its block) may differ, and only by
+					// reading zero (possibly line by line, on a torn image).
+					for i := range got {
+						if got[i] != want[i] && (got[i] != 0 || i < newSize || i >= 2*BlockSize) {
+							t.Fatalf("event %d seed %#x: byte %d of the recovered %d differs from the file's", ev, seed, i, size)
+						}
+					}
+				}
+			}
+		}
+		if !unlink && len(sizes) < blocks/4 {
+			t.Fatalf("truncate crash images showed only sizes %v: the chunk transactions were not explored", sizes)
+		}
+	}
+}
