@@ -33,7 +33,7 @@ func main() { os.Exit(run()) }
 
 func run() int {
 	var (
-		wl        = flag.String("workload", "varmail", "personality: varmail, append, batchfence, reuse (freed-block reuse; adds the stale-bytes invariant) or traffic (chaos under multi-tenant server load)")
+		wl        = flag.String("workload", "varmail", "personality: varmail, append, batchfence, reuse (freed-block reuse; adds the stale-bytes invariant), overwrite (journal-free overwrites beside an appender; adds the overwrite-size and overwrite-bytes invariants) or traffic (chaos under multi-tenant server load)")
 		ops       = flag.Int("ops", 120, "workload operations per run (deterministic workloads)")
 		points    = flag.Int("points", 48, "crash points to explore")
 		perms     = flag.Int("perms", 3, "torn-cacheline permutations per point (first is always drop-all)")

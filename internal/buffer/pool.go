@@ -795,6 +795,13 @@ func (p *Pool) FlushAll() (int, error) {
 // the LRW position when free space is low, and periodically writes back
 // aged dirty blocks. Thread i starts its shard sweep at offset i so
 // concurrent threads drain different shards.
+//
+// Both sweeps yield the processor after every block. The device wait spins
+// (nvmm.Wait), so a sweep of a hundred-odd blocks would otherwise hold its P
+// for milliseconds while a client goroutine that is runnable waits behind
+// it; yielding bounds that wait to one block's device time. Only these two
+// background loops yield — nothing a foreground caller waits in (fsync,
+// sync, inline eviction) gives up its turn.
 func (p *Pool) writebackLoop(i int) {
 	defer p.wg.Done()
 	for {
@@ -856,6 +863,7 @@ func (p *Pool) reclaimShard(sh *shard) {
 		if p.evictPinned(sh, victim, obs.CopyWriteback) {
 			batch++
 		}
+		runtime.Gosched() // see writebackLoop: one block's device time per turn
 	}
 	if batch > 0 {
 		p.wbBatches.Add(1)
@@ -930,6 +938,7 @@ func (p *Pool) flushAgedFrom(off int) {
 			// sweep retries it.
 			_ = p.flushBlock(b, obs.CopyWriteback)
 			b.pins.Add(-1)
+			runtime.Gosched() // see writebackLoop
 		}
 		if len(victims) > 0 {
 			p.wbBatches.Add(1)

@@ -31,6 +31,7 @@ import (
 	"hinfs/internal/buffer"
 	"hinfs/internal/cacheline"
 	"hinfs/internal/clock"
+	"hinfs/internal/journal"
 	"hinfs/internal/nvmm"
 	"hinfs/internal/obs"
 	"hinfs/internal/pmfs"
@@ -402,11 +403,16 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 	if f.flags&vfs.OAppend != 0 {
 		off = f.pf.SizeLocked()
 	}
-	plan, err := f.pf.PrepareWriteLocked(off, len(p), false)
+	plan, err := f.pf.PrepareWriteLocked(off, len(p))
 	if err != nil {
 		return 0, err
 	}
-	tx := plan.Tx
+	// What a buffered block's persistence releases: the write's transaction,
+	// or — for an overwrite, which has none — nothing.
+	var gate []*journal.Tx
+	if plan.Tx != nil {
+		gate = []*journal.Tx{plan.Tx}
+	}
 	dev := f.fs.Device()
 	ino := uint64(f.pf.Ino())
 	case1 := f.fs.opts.SyncMount || f.flags&vfs.OSync != 0 || f.mapped
@@ -457,7 +463,7 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 				if wbErr == nil {
 					wbErr = err
 				}
-				f.fb.Write(e.Index, blkOff, data, e.Addr, !e.Created, tx)
+				f.fb.Write(e.Index, blkOff, data, e.Addr, !e.Created, gate...)
 				pendingBlocks++
 				lazyBlocks++
 				break
@@ -467,7 +473,7 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 			anyDirect = true
 			eagerBlocks++
 		default:
-			f.fb.Write(e.Index, blkOff, data, e.Addr, !e.Created, tx)
+			f.fb.Write(e.Index, blkOff, data, e.Addr, !e.Created, gate...)
 			pendingBlocks++
 			lazyBlocks++
 		}
@@ -480,10 +486,12 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 	// its last buffered block persists; with no buffered blocks it commits
 	// now (data already durable via WriteNT). The unsafe knob skips the
 	// wait (seeded ordering bug for the crash explorer's self-test).
-	if !f.fs.opts.UnsafeSkipOrderedCommit {
-		tx.AddPending(pendingBlocks)
+	if tx := plan.Tx; tx != nil {
+		if !f.fs.opts.UnsafeSkipOrderedCommit {
+			tx.AddPending(pendingBlocks)
+		}
+		tx.Seal()
 	}
-	tx.Seal()
 	if wbErr != nil {
 		// The bytes are buffered (nothing lost), but an eager block's
 		// durability contract was not met this call.

@@ -20,9 +20,12 @@ type Config struct {
 	// fsync- and namespace-heavy mail server), "append" (append-heavy
 	// logs with sparse fsyncs, the widest lazy-write windows),
 	// "batchfence" (grouped ops under fence scopes — the coalesced
-	// persist schedule of the pipelined server's dispatch batches) or
+	// persist schedule of the pipelined server's dispatch batches),
 	// "reuse" (writes into blocks freed by poison-filled files; adds the
-	// stale-bytes invariant over every recovered file).
+	// stale-bytes invariant over every recovered file) or "overwrite"
+	// (journal-free overwrites inside the size, lazy and O_SYNC, beside an
+	// appender on the same inode; adds the overwrite-size and
+	// overwrite-bytes invariants).
 	Workload string
 	// Ops is the per-run operation count (default 120).
 	Ops int
@@ -121,8 +124,10 @@ func (cfg *Config) newWorkload() (workload.Workload, error) {
 		return &BatchFence{}, nil
 	case "reuse":
 		return &Reuse{}, nil
+	case "overwrite":
+		return &Overwrite{}, nil
 	}
-	return nil, fmt.Errorf("crashtest: unknown workload %q (have varmail, append, batchfence, reuse)", cfg.Workload)
+	return nil, fmt.Errorf("crashtest: unknown workload %q (have varmail, append, batchfence, reuse, overwrite)", cfg.Workload)
 }
 
 // Violation is one detected crash-consistency failure, with everything
@@ -136,8 +141,8 @@ type Violation struct {
 	// Invariant names the failed check: "recovery" (remount failed),
 	// "fsck" (metadata checker), an oracle invariant such as
 	// "content", "torn-size", "synced-data-lost", "missing",
-	// "resurrected", "dir-missing", or the reuse workload's
-	// "stale-bytes".
+	// "resurrected", "dir-missing", the reuse workload's "stale-bytes",
+	// or the overwrite workload's "overwrite-size" and "overwrite-bytes".
 	Invariant string
 	// Path is the affected file (oracle violations only).
 	Path string
@@ -379,8 +384,11 @@ func (cfg *Config) verifyCase(rep *Report, base *runResult, state *nvmm.CrashSta
 	}
 	m := buildModel(base.recs, pt, base.setupEv)
 	ovs := m.verify(fs)
-	if cfg.Workload == "reuse" {
+	switch cfg.Workload {
+	case "reuse":
 		ovs = append(ovs, staleBytes(fs)...)
+	case "overwrite":
+		ovs = append(ovs, overwriteInvariants(fs, base.recs, pt, base.setupEv)...)
 	}
 	for _, ov := range ovs {
 		rep.add(Violation{Event: pt, Seed: seed, Invariant: ov.invariant,

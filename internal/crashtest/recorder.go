@@ -64,6 +64,9 @@ type opRecord struct {
 	data    []byte
 	startEv int64
 	ev      int64
+	// osync, for opWrite records, marks a write through an O_SYNC handle:
+	// durable when it returned, with no fsync.
+	osync bool
 	// Flight-recorder stamps (zero when the run records no flight ring):
 	// the sequence number the op's flight record was appended under, the
 	// canonical op code it carried, and the persist-event ordinal of the
@@ -163,7 +166,7 @@ func (r *recorder) Open(path string, flags int) (vfs.File, error) {
 		r.add(opRecord{kind: opUntrack, path: path, startEv: start, ev: r.events(),
 			flightSeq: seq, flightOp: vfs.OpTruncate, flightEv: fev})
 	}
-	return &recFile{r: r, f: f, path: path, ino: ino, app: flags&vfs.OAppend != 0}, nil
+	return &recFile{r: r, f: f, path: path, ino: ino, app: flags&vfs.OAppend != 0, osync: flags&vfs.OSync != 0}, nil
 }
 
 // Mkdir implements vfs.FileSystem.
@@ -238,6 +241,8 @@ type recFile struct {
 	path string
 	ino  uint64
 	app  bool
+	// osync marks an O_SYNC handle.
+	osync bool
 }
 
 // ReadAt implements vfs.File.
@@ -258,7 +263,7 @@ func (f *recFile) WriteAt(p []byte, off int64) (int, error) {
 		if f.r.keep {
 			data := make([]byte, n)
 			copy(data, p[:n])
-			f.r.add(opRecord{kind: opWrite, path: f.path, off: at, data: data, startEv: start, ev: f.r.events(),
+			f.r.add(opRecord{kind: opWrite, path: f.path, off: at, data: data, startEv: start, ev: f.r.events(), osync: f.osync,
 				flightSeq: seq, flightOp: vfs.OpWrite, flightEv: fev})
 		}
 	}

@@ -81,7 +81,12 @@ func TestFigure1Shape(t *testing.T) {
 }
 
 func TestFigure2Shape(t *testing.T) {
-	fig, err := Figure2(fastCfg(), Opts{Ops: 150})
+	// TPC-C's two threads share one op budget and each checkpoints every 64
+	// of its own transactions, so up to 2 × 63 transactions' table pages
+	// (32 KB of each one's 34) are unsynced when the run ends, however the
+	// scheduler splits the budget: 640 transactions keep that worst case
+	// above the 80 % asserted below; at 300 only an even split did.
+	fig, err := Figure2(fastCfg(), Opts{Ops: 320})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -133,6 +133,10 @@ type Journal struct {
 	// pressure, if set, is invoked (without any lane lock) when the log is
 	// under space pressure, to accelerate deferred-commit draining.
 	pressure atomic.Value // func()
+	// nudging is set while an early nudge (a half passing 3/4 full) runs the
+	// callback: lanes fill round-robin and cross that mark together, and one
+	// drain serves them all.
+	nudging atomic.Bool
 
 	// col, if set, receives lane-contention counter increments.
 	col atomic.Pointer[obs.Collector]
@@ -142,6 +146,7 @@ type Journal struct {
 	checkpoints   atomic.Int64
 	stalls        atomic.Int64
 	laneContended atomic.Int64
+	pressureCalls atomic.Int64
 }
 
 // Tx is an open transaction. A Tx is created by Begin, fills undo entries
@@ -254,6 +259,7 @@ func (j *Journal) SetObs(c *obs.Collector) { j.col.Store(c) }
 
 func (j *Journal) callPressure() {
 	if fn, ok := j.pressure.Load().(func()); ok && fn != nil {
+		j.pressureCalls.Add(1)
 		fn()
 	}
 }
@@ -304,9 +310,13 @@ func (j *Journal) allocSlotLocked(ln *lane, t *Tx) int64 {
 				t.touched[ln.cur] = true
 				h.live++
 			}
-			// Nudge the drainers early when a half passes 3/4 full.
-			if h.next == h.count*3/4 {
-				go j.callPressure()
+			// Nudge the drainers early when a half passes 3/4 full, unless
+			// a nudge is already running.
+			if h.next == h.count*3/4 && j.nudging.CompareAndSwap(false, true) {
+				go func() {
+					defer j.nudging.Store(false)
+					j.callPressure()
+				}()
 			}
 			return h.base + int64(s)*EntrySize
 		}
@@ -616,6 +626,9 @@ type Stats struct {
 	Lanes int
 	// LaneContended counts lane-lock acquisitions that found the lock held.
 	LaneContended int64
+	// PressureCalls counts invocations of the pressure callback: early
+	// nudges (single-flight) plus one per stalled wait.
+	PressureCalls int64
 }
 
 // Stats returns a snapshot of journal counters.
@@ -627,6 +640,7 @@ func (j *Journal) Stats() Stats {
 		Stalls:        j.stalls.Load(),
 		Lanes:         len(j.lanes),
 		LaneContended: j.laneContended.Load(),
+		PressureCalls: j.pressureCalls.Load(),
 	}
 }
 

@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"runtime"
 	"testing"
 
 	"hinfs/internal/cacheline"
@@ -162,5 +163,45 @@ func TestCrossLaneRollbackOrder(t *testing.T) {
 	dev.Read(got, addr)
 	if string(got) != "AAAAAAAA" {
 		t.Fatalf("cross-lane rollback applied out of order: %q, want AAAAAAAA", got)
+	}
+}
+
+// TestEarlyNudgeIsSingleFlight: lanes fill round-robin, so all eight pass 3/4
+// within eight Begins of each other. While one nudge is running the callback
+// the other seven crossings must not start their own — HiNFS wires the
+// callback to a whole-pool flush — and once it has returned the next crossing
+// nudges again. Stats.PressureCalls counts the invocations.
+func TestEarlyNudgeIsSingleFlight(t *testing.T) {
+	j := newJournal(t, testDev(t))
+	entered := make(chan struct{}, 2*DefaultLanes) // never blocks the callback
+	release := make(chan struct{})
+	j.SetPressure(func() {
+		entered <- struct{}{}
+		<-release
+	})
+	if j.Lanes() != DefaultLanes {
+		t.Fatalf("%d lanes, want %d", j.Lanes(), DefaultLanes)
+	}
+	half := j.TxCapacity()
+	for i := 0; i < j.Lanes()*half*3/4; i++ {
+		j.Begin().Commit() // one slot each: the reserved commit record
+	}
+	<-entered
+	close(release)
+	for j.nudging.Load() {
+		runtime.Gosched()
+	}
+	for i := 0; i < 1000; i++ { // let any nudge that should not exist run too
+		runtime.Gosched()
+	}
+	if n := j.Stats().PressureCalls; n != 1 {
+		t.Fatalf("%d pressure calls for one round of crossings, want 1", n)
+	}
+	for i := 0; i < j.Lanes()*half; i++ { // fill this half, pass 3/4 of the other
+		j.Begin().Commit()
+	}
+	<-entered
+	if n := j.Stats().PressureCalls; n < 2 {
+		t.Fatalf("%d pressure calls after a second round of crossings, want at least 2", n)
 	}
 }

@@ -76,3 +76,18 @@ func TestFreshWriteAllocatesOnlyItsTx(t *testing.T) {
 		t.Errorf("4-block write to fresh blocks: %.0f allocs, want 1 (its journal.Tx)", n)
 	}
 }
+
+// TestOverwriteAllocatesNothing: a 4-block write over existing blocks inside
+// the size opens no transaction, so it has nothing left to allocate.
+func TestOverwriteAllocatesNothing(t *testing.T) {
+	fs, _ := testFS(t)
+	f := budgetFile(t, fs, "/f", 0)
+	buf := make([]byte, 4*BlockSize)
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := f.WriteAt(buf, BlockSize+100); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("4-block overwrite: %.0f allocs, want 0", n)
+	}
+}

@@ -14,8 +14,14 @@ import (
 // access, and exposes the locked low-level primitives (PrepareWriteLocked,
 // BlockAddrLocked, ...) that the HiNFS layer composes with its DRAM buffer.
 type File struct {
-	fs     *FS
-	ino    Ino
+	fs  *FS
+	ino Ino
+	// st is the inode's state as registered at open, for the lock methods:
+	// the handle's ref keeps it registered while the handle is open, and an
+	// operation that raced Close past the closed-check must unlock the
+	// object it locked — a lookup by number after the reclaim finds a new one.
+	// (The bookkeeping methods below still look the state up by number.)
+	st     *inodeState
 	flags  int
 	closed atomic.Bool
 	// extents backs WritePlan.Extents across writes through this handle;
@@ -34,9 +40,10 @@ type Extent struct {
 }
 
 // WritePlan is the metadata side of a write: the resolved extents and the
-// journal transaction that made them visible. Extents aliases storage the
-// handle reuses for its next write: it is valid until the caller releases
-// the inode write lock.
+// journal transaction that made them visible — nil for an overwrite of
+// existing blocks inside the size, which has nothing to commit. Extents
+// aliases storage the handle reuses for its next write: it is valid until
+// the caller releases the inode write lock.
 type WritePlan struct {
 	Extents []Extent
 	Tx      *journal.Tx
@@ -55,16 +62,16 @@ func (f *File) Flags() int { return f.flags }
 func (f *File) FS() *FS { return f.fs }
 
 // Lock acquires the inode's write lock.
-func (f *File) Lock() { f.fs.state(f.ino).mu.Lock() }
+func (f *File) Lock() { f.st.mu.Lock() }
 
 // Unlock releases the inode's write lock.
-func (f *File) Unlock() { f.fs.state(f.ino).mu.Unlock() }
+func (f *File) Unlock() { f.st.mu.Unlock() }
 
 // RLock acquires the inode's read lock.
-func (f *File) RLock() { f.fs.state(f.ino).mu.RLock() }
+func (f *File) RLock() { f.st.mu.RLock() }
 
 // RUnlock releases the inode's read lock.
-func (f *File) RUnlock() { f.fs.state(f.ino).mu.RUnlock() }
+func (f *File) RUnlock() { f.st.mu.RUnlock() }
 
 // Size implements vfs.File.
 func (f *File) Size() int64 {
@@ -159,36 +166,47 @@ func (f *File) readAtLocked(p []byte, off int64) (int, error) {
 	return n, eof
 }
 
-// PrepareWriteLocked allocates and journals the metadata for a write of n
-// bytes at off: it ensures every touched block exists, extends the size,
-// and stamps mtime. The caller holds the inode write lock.
+// PrepareWriteLocked does the metadata side of a write of n bytes at off and
+// returns where the data goes. The caller holds the inode write lock.
 //
-// A freshly allocated block (Extent.Created) comes back zeroed only outside
-// [off, off+n) (see zeroEdges): the caller must make its data durable over
-// the covered bytes — or zeroes, if it gives the data up — before the
-// transaction's commit record is written.
+// A write that stays inside the file's size and lands only on blocks that
+// exist changes nothing a crash could tear: no size, no pointer, no bitmap
+// bit. It opens no transaction — Mtime is stamped in place (see stampMtime)
+// and the plan's Tx is nil: the caller writes its data and has nothing to
+// commit.
 //
-// If deferred is false the caller must write the data (WriteNT) and then
-// Commit the returned transaction — the PMFS eager path. If deferred is
-// true the transaction is sealed with one pending reference per extent;
-// the commit record is written when the last extent's data is persisted
-// (HiNFS ordered mode, §4.1).
-func (f *File) PrepareWriteLocked(off int64, n int, deferred bool) (WritePlan, error) {
+// Any other write — past EOF, into a hole, the first of a file — allocates
+// and journals: every touched block is made to exist, the size extended and
+// Mtime stored under plan.Tx. A freshly allocated block (Extent.Created)
+// comes back zeroed only outside [off, off+n) (see zeroEdges): the caller
+// must make its data durable over the covered bytes — or zeroes, if it gives
+// the data up — before the transaction's commit record is written, either by
+// writing it (WriteNT, fence) and then calling Commit, or by gating the
+// transaction on its buffered blocks (AddPending, Seal: HiNFS ordered mode,
+// §4.1).
+func (f *File) PrepareWriteLocked(off int64, n int) (WritePlan, error) {
 	if off < 0 || n < 0 {
 		return WritePlan{}, vfs.ErrInvalid
 	}
 	rec := f.fs.loadInode(f.ino)
-	tx := f.fs.jnl.Begin()
 	first := off / BlockSize
 	count := int64(0)
 	if n > 0 {
 		count = (off+int64(n)-1)/BlockSize - first + 1
 	}
-	plan := WritePlan{Tx: tx}
-	extents, err := f.fs.treeEnsureRange(tx, &rec, first, count, f.extents[:0])
-	if cap(extents) <= 64 { // do not pin a huge write's plan to the handle
-		f.extents = extents
+	// The size test comes first so an append or a fresh file never pays the
+	// probe; a probe that meets a hole falls through to the transaction.
+	if count > 0 && off+int64(n) <= rec.Size {
+		extents, ok := f.fs.treeLookupRange(rec, first, count, f.extents[:0])
+		f.retainExtents(extents)
+		if ok {
+			f.fs.stampMtime(f.ino)
+			return WritePlan{Extents: extents}, nil
+		}
 	}
+	tx := f.fs.jnl.Begin()
+	extents, err := f.fs.treeEnsureRange(tx, &rec, first, count, f.extents[:0])
+	f.retainExtents(extents)
 	if err != nil {
 		// Roll forward what we logged; the allocation state is
 		// consistent, the write just fails. The blocks it did allocate
@@ -204,17 +222,20 @@ func (f *File) PrepareWriteLocked(off int64, n int, deferred bool) (WritePlan, e
 		return WritePlan{}, err
 	}
 	f.fs.zeroEdges(extents, off, n)
-	plan.Extents = extents
 	if off+int64(n) > rec.Size {
 		rec.Size = off + int64(n)
 	}
 	rec.Mtime = f.fs.now().UnixNano()
 	f.fs.storeInode(tx, f.ino, rec)
-	if deferred {
-		tx.AddPending(len(plan.Extents))
-		tx.Seal()
+	return WritePlan{Extents: extents, Tx: tx}, nil
+}
+
+// retainExtents keeps a plan's storage for the handle's next write, unless a
+// huge write grew it.
+func (f *File) retainExtents(extents []Extent) {
+	if cap(extents) <= 64 {
+		f.extents = extents
 	}
-	return plan, nil
 }
 
 // zeroEdges zeroes, in the freshly allocated blocks among extents (the plan
@@ -246,6 +267,9 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 	if err := f.checkOpen(); err != nil {
 		return 0, err
 	}
+	if len(p) == 0 {
+		return 0, nil
+	}
 	f.Lock()
 	defer f.Unlock()
 	if f.flags&vfs.OAppend != 0 {
@@ -255,7 +279,7 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 }
 
 func (f *File) writeAtLocked(p []byte, off int64) (int, error) {
-	plan, err := f.PrepareWriteLocked(off, len(p), false)
+	plan, err := f.PrepareWriteLocked(off, len(p))
 	if err != nil {
 		return 0, err
 	}
@@ -274,7 +298,9 @@ func (f *File) writeAtLocked(p []byte, off int64) (int, error) {
 		written += chunk
 	}
 	f.fs.dev.Fence()
-	plan.Tx.Commit()
+	if plan.Tx != nil {
+		plan.Tx.Commit()
+	}
 	return written, nil
 }
 
@@ -407,7 +433,7 @@ func (f *File) MmapBlock(index int64) ([]byte, error) {
 	}
 	f.Lock()
 	defer f.Unlock()
-	plan, err := f.PrepareWriteLocked(index*BlockSize, BlockSize, false)
+	plan, err := f.PrepareWriteLocked(index*BlockSize, BlockSize)
 	if err != nil {
 		return nil, err
 	}
@@ -418,6 +444,8 @@ func (f *File) MmapBlock(index int64) ([]byte, error) {
 		f.fs.zeroRange(e.Addr, BlockSize)
 		f.fs.dev.Fence()
 	}
-	plan.Tx.Commit()
+	if plan.Tx != nil {
+		plan.Tx.Commit()
+	}
 	return f.fs.dev.Slice(e.Addr, BlockSize), nil
 }

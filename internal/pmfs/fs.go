@@ -409,7 +409,7 @@ func (fs *FS) fileHandle(ino Ino, flags int) *File {
 	st.meta.Lock()
 	st.refs++
 	st.meta.Unlock()
-	return &File{fs: fs, ino: ino, flags: flags}
+	return &File{fs: fs, ino: ino, st: st, flags: flags}
 }
 
 // Mkdir implements vfs.FileSystem.

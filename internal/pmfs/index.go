@@ -84,6 +84,39 @@ func (fs *FS) treeLookup(rec inodeRec, idx int64) int64 {
 	return bn
 }
 
+// treeLookupRange appends the extents of file blocks [first, first+count) to
+// dst and reports whether every one of them exists; it stops at the first
+// hole. It is treeEnsureRange's read-only half — one walk per leaf, nothing
+// allocated, nothing journaled — for the write that turns out to need neither.
+func (fs *FS) treeLookupRange(rec inodeRec, first, count int64, dst []Extent) ([]Extent, bool) {
+	last := first + count - 1
+	if rec.Root == 0 || last >= capBlocks(rec.Height) {
+		return dst, false
+	}
+	if rec.Height == 0 {
+		return append(dst, Extent{Index: 0, Addr: blockAddr(rec.Root)}), true
+	}
+	for idx := first; idx <= last; {
+		leaf, base := rec.Root, int64(0)
+		for h := rec.Height; h > 1; h-- {
+			sub := capBlocks(h - 1)
+			slot := (idx - base) / sub
+			if leaf = fs.readPtr(leaf, slot); leaf == 0 {
+				return dst, false
+			}
+			base += slot * sub
+		}
+		for end := min(base+ptrsPerBlock, last+1); idx < end; idx++ {
+			bn := fs.readPtr(leaf, idx-base)
+			if bn == 0 {
+				return dst, false
+			}
+			dst = append(dst, Extent{Index: idx, Addr: blockAddr(bn)})
+		}
+	}
+	return dst, true
+}
+
 // treeEnsure makes file block idx exist, growing the tree and allocating
 // index/data blocks as needed. It updates rec in place (caller persists the
 // inode record once per operation) and returns the data block number.

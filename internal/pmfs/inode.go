@@ -70,6 +70,23 @@ func (fs *FS) storeInode(tx *journal.Tx, ino Ino, rec inodeRec) {
 	fs.dev.Fence()
 }
 
+// stampMtime stores the current time into ino's Mtime in place: one aligned
+// 8-byte store and one flush of its line, no journal entry. Records are
+// 128-byte aligned and inoMtime is a multiple of 8, so the word never
+// straddles a line and a crash shows the old stamp or the new one, never a
+// mix (DESIGN.md "Crash model"); no other field shares the store, so there
+// is nothing for an undo image to protect. An older transaction on the same
+// inode that is still open and gets rolled back restores its own pre-image of
+// the line — an older stamp. The caller holds the inode write lock and orders
+// the flush with whatever fence its data needs.
+func (fs *FS) stampMtime(ino Ino) {
+	addr := fs.l.inodeAddr(ino) + inoMtime
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], uint64(fs.now().UnixNano()))
+	fs.dev.Write(b[:], addr)
+	fs.dev.Flush(addr, len(b))
+}
+
 // inodeState is the DRAM-resident lock and bookkeeping for one inode.
 // mu is the inode data lock (serializes file reads/writes); dir is the
 // per-directory namespace lock (crabbed during path walks, write-held for
