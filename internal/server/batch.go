@@ -293,7 +293,11 @@ func (b *Batch) reapOneLocked() error {
 				o.Err = io.EOF
 			}
 		case vfs.OpWrite:
-			o.N = int(d.u32())
+			if acked := int(d.u32()); acked <= len(o.buf) {
+				o.N = acked
+			} else {
+				o.Err = fmt.Errorf("server: write of %d bytes acknowledged as %d", len(o.buf), acked)
+			}
 		}
 		if d.err != nil {
 			o.Err = d.err

@@ -280,8 +280,9 @@ func TestClientEncodeZeroAllocs(t *testing.T) {
 // the queue links are intrusive and the envelope is caller-owned.
 func TestSchedDispatchZeroAllocs(t *testing.T) {
 	s := &sched{
-		queues: map[string]*schedQueue{"t": {weight: 1}},
-		order:  []string{"t"},
+		queues:  map[string]*schedQueue{"t": {weight: 1}},
+		order:   []string{"t"},
+		workers: 1,
 	}
 	s.cond = sync.NewCond(&s.mu)
 	r := schedTask(1000, func() {})
@@ -296,46 +297,73 @@ func TestSchedDispatchZeroAllocs(t *testing.T) {
 		}
 		buf[0].t.exec()
 		s.settle(buf[0].q, 50)
+		s.release()
+		// The inline path: claim, run, release.
+		if !s.tryInline("t", r) {
+			t.Fatal("idle scheduler refused an inline run")
+		}
+		s.runInline(r)
 	})
 	if n != 0 {
 		t.Fatalf("dispatch cycle allocates %.1f objects/op, want 0", n)
 	}
 }
 
-// TestServerReadWriteSteadyStateAllocs measures the whole stack end to
-// end — client encode, server session, scheduler, pmfs, reply — for
-// small reads and writes over an in-memory pipe, and bounds the
-// amortized allocation rate. The pooled request/reply path keeps it to
-// a handful of objects per op (pmfs internals and runtime channel ops),
-// an order of magnitude below the pre-pooling baseline; the tight zero
-// checks live in the targeted tests above.
+// TestServerReadWriteSteadyStateAllocs pins the synchronous round trip at
+// zero heap allocations per op, end to end over TCP loopback: client
+// encode and decode, the server's reader, the inline dispatch, pmfs and
+// the reply. AllocsPerRun counts the whole process, so both sides are
+// covered.
 func TestServerReadWriteSteadyStateAllocs(t *testing.T) {
 	srv := testServer(t, twoTenants())
-	c := pipeClient(t, srv, "alpha")
+	if n := syncRPCAllocs(t, srv); n != 0 {
+		t.Fatalf("synchronous ReadAt+WriteAt+Fsync allocates %.1f objects, want 0", n)
+	}
+	if st := srv.Stats()[0]; st.Sched.Inline == 0 {
+		t.Fatal("no request ran inline on an idle server")
+	}
+}
+
+// syncRPCAllocs measures the heap allocations of one synchronous ReadAt,
+// WriteAt and Fsync of a 4 KiB block on a TCP client of srv, after
+// warming the pools on both sides.
+func syncRPCAllocs(t *testing.T, srv *Server) float64 {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool items at random")
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	c, err := Dial(ln.Addr().String(), "alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Unmount() })
 	f, err := c.Create("/hot")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	buf := make([]byte, 1024)
+	t.Cleanup(func() { f.Close() })
+	buf := make([]byte, 4096)
 	if _, err := f.WriteAt(buf, 0); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 100; i++ { // warm pools on both sides
-		f.ReadAt(buf, 0)
-		f.WriteAt(buf, 0)
-	}
-	n := testing.AllocsPerRun(500, func() {
+	rpc := func() {
 		if _, err := f.ReadAt(buf, 0); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := f.WriteAt(buf, 0); err != nil {
 			t.Fatal(err)
 		}
-	})
-	// Two full RPCs; the budget is deliberately loose (goroutine wakeups
-	// and timer reads vary) but catches any per-op buffer regression.
-	if n > 30 {
-		t.Fatalf("read+write round trip allocates %.1f objects, want <= 30", n)
+		if err := f.Fsync(); err != nil {
+			t.Fatal(err)
+		}
 	}
+	for i := 0; i < 100; i++ {
+		rpc()
+	}
+	return testing.AllocsPerRun(500, rpc)
 }

@@ -30,6 +30,7 @@ type Client struct {
 	bw     *bufio.Writer
 	in     []byte
 	out    enc
+	d      dec // call's reply decoder, reused so parse callbacks allocate nothing
 	closed bool
 	// trace is the request-ID generator: seeded per client from the wall
 	// clock (scrambled so concurrent clients do not collide), incremented
@@ -117,9 +118,10 @@ func (c *Client) roundTripLocked() ([]byte, error) {
 	return resp, nil
 }
 
-// call performs one request for op: the op byte and a fresh trace ID are
-// written first, then build encodes the request body into c.out; parse
-// (optional) decodes a successful response body.
+// call performs one request for op: the op byte (flagged synchronous —
+// call reads the reply before anything else is sent) and a fresh trace ID
+// are written first, then build encodes the request body into c.out;
+// parse (optional) decodes a successful response body.
 func (c *Client) call(op vfs.Op, build func(*enc), parse func(*dec) error) error {
 	slow := c.slow.Load()
 	var start time.Time
@@ -129,7 +131,7 @@ func (c *Client) call(op vfs.Op, build func(*enc), parse func(*dec) error) error
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.out.b = c.out.b[:0]
-	c.out.u8(byte(op))
+	c.out.u8(byte(op) | opSyncFlag)
 	trace := c.nextTrace()
 	c.out.u64(trace)
 	if build != nil {
@@ -153,7 +155,8 @@ func (c *Client) call(op vfs.Op, build func(*enc), parse func(*dec) error) error
 	if err != nil {
 		return err
 	}
-	d := dec{b: resp}
+	d := &c.d
+	*d = dec{b: resp}
 	if rt := d.u64(); d.err != nil || rt != trace {
 		// The reply stream is desynchronized (a reply for a request this
 		// call never made); there is no way to resynchronize a framed
@@ -171,7 +174,7 @@ func (c *Client) call(op vfs.Op, build func(*enc), parse func(*dec) error) error
 		return errFor(st, detail)
 	}
 	if parse != nil {
-		if perr := parse(&d); perr != nil {
+		if perr := parse(d); perr != nil {
 			return perr
 		}
 		if d.err != nil {
@@ -256,8 +259,10 @@ func (c *Client) ReadDir(path string) ([]vfs.DirEntry, error) {
 	err := c.call(vfs.OpReadDir, func(e *enc) {
 		e.str(path)
 	}, func(d *dec) error {
+		// Every entry takes at least 3 bytes (name length, flag), so the
+		// frame bounds the count before it sizes an allocation.
 		n := int(d.u32())
-		if n < 0 || n > MaxIO {
+		if n > len(d.b)/3 {
 			return fmt.Errorf("server: implausible directory size %d", n)
 		}
 		ents = make([]vfs.DirEntry, 0, n)
@@ -370,7 +375,11 @@ func (f *remoteFile) WriteAt(p []byte, off int64) (int, error) {
 			e.u64(uint64(off + int64(total)))
 			e.bytes(p[total : total+chunk])
 		}, func(d *dec) error {
-			n = int(d.u32())
+			acked := int(d.u32())
+			if acked > chunk {
+				return fmt.Errorf("server: write of %d bytes acknowledged as %d", chunk, acked)
+			}
+			n = acked
 			return nil
 		})
 		total += n

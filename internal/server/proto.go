@@ -38,6 +38,14 @@ import (
 // not a file-system operation and takes a code outside the Op range.
 const opAttach vfs.Op = 0xff
 
+// opSyncFlag, set in a request's op byte (attach excepted), is the
+// client's promise that it will send nothing more on the connection until
+// it has read this request's reply. The server may then execute the
+// request and write its reply on the connection's reader goroutine: the
+// peer is reading, so that write cannot deadlock against the peer's own
+// writes. The synchronous client sets it on every call; Batch never does.
+const opSyncFlag = 0x40
+
 // MaxIO bounds the data bytes of one read or write request; larger client
 // I/O is chunked. Combined with the path limits in vfs, it gives MaxFrame.
 const (
@@ -136,14 +144,23 @@ func writeFrame(w *bufio.Writer, payload []byte) error {
 }
 
 // readFrame reads one frame into buf (grown as needed) and returns the
-// payload. Oversized frames are a protocol violation and kill the
-// session — the length prefix is attacker-controlled input.
-func readFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+// payload: io.EOF on a clean end before the frame, io.ErrUnexpectedEOF on
+// a torn one. The length prefix is read byte-wise, so like writeFrame no
+// header array escapes to the heap. Oversized frames are a protocol
+// violation and kill the session — the length prefix is
+// attacker-controlled input.
+func readFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
+	var n uint32
+	for i := 0; i < 4; i++ {
+		b, err := r.ReadByte()
+		if err != nil {
+			if err == io.EOF && i > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		n = n<<8 | uint32(b)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
 	if n > maxFrame {
 		return nil, fmt.Errorf("server: frame of %d bytes exceeds limit %d", n, maxFrame)
 	}

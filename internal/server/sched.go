@@ -39,6 +39,13 @@ import (
 // what makes fairness meaningful — contention is resolved by the virtual
 // clocks, not by goroutine-scheduler luck.
 //
+// A request may also run inline, on the goroutine that admitted it,
+// instead of waking a worker (tryInline): only when no tenant queue is
+// backlogged and a service slot is free — exactly when an idle worker
+// would have dispatched it at once. It is charged, clamped and settled as
+// that worker would have, and it holds one of the `workers` slots while
+// it runs, so inline runs and worker batches share one concurrency bound.
+//
 // With pipelined sessions a backlogged tenant queue usually holds many
 // requests; a worker drains up to `batch` of them in one dispatch and
 // brackets the run in a PersistScope (when configured), so the batch's
@@ -59,6 +66,10 @@ type sched struct {
 	vtime  int64
 	closed bool
 	wg     sync.WaitGroup
+	// workers is the number of service slots; busy counts the slots held
+	// by worker batches and inline runs. nextBatch waits while they are
+	// all held.
+	workers, busy int
 	// batch bounds how many requests one worker drains from a single
 	// tenant queue per dispatch.
 	batch int
@@ -127,6 +138,8 @@ type schedQueue struct {
 	// how wrong the pre-charge model is for this tenant's mix, exported
 	// so estimate drift is visible before it distorts short-run fairness.
 	estErrNS int64
+	// inline counts the tenant's requests run by tryInline.
+	inline int64
 }
 
 func (q *schedQueue) push(r *schedReq) {
@@ -191,6 +204,7 @@ func newSched(weights map[string]int64, order []string, workers, batch int, newS
 	if workers <= 0 {
 		workers = 1
 	}
+	s.workers = workers
 	for i := 0; i < workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
@@ -198,17 +212,11 @@ func newSched(weights map[string]int64, order []string, workers, batch int, newS
 	return s
 }
 
-// enqueue queues r for tenant and returns immediately. A tenant
-// re-entering from idle is clamped to at most lagWindow behind the
-// furthest-behind backlogged tenant (or the service frontier when the
-// server is otherwise idle).
-func (s *sched) enqueue(tenant string, r *schedReq) error {
-	s.mu.Lock()
-	q := s.queues[tenant]
-	if q == nil || s.closed {
-		s.mu.Unlock()
-		return ErrUnknownTenant
-	}
+// arriveLocked stamps r's arrival for q. A tenant re-entering from idle is
+// clamped to at most lagWindow behind the furthest-behind backlogged
+// tenant (or the service frontier when the server is otherwise idle).
+// The caller holds s.mu.
+func (s *sched) arriveLocked(q *schedQueue, r *schedReq) {
 	now := time.Now()
 	if q.head == nil && now.Sub(q.lastArrival) > idleGrace {
 		base := s.vtime
@@ -224,10 +232,89 @@ func (s *sched) enqueue(tenant string, r *schedReq) error {
 	q.lastArrival = now
 	r.enq = now
 	r.q = q
+}
+
+// chargeLocked pre-charges a request dispatched from q with its
+// estimated cost. The caller holds s.mu and advances the service frontier
+// once per dispatch.
+func (s *sched) chargeLocked(q *schedQueue, r *schedReq) {
+	q.vrt += r.cost / q.weight
+	q.servedNS += r.cost
+}
+
+// advanceLocked moves the service frontier up to q's clock after a
+// dispatch or settle. The caller holds s.mu.
+func (s *sched) advanceLocked(q *schedQueue) {
+	if q.vrt > s.vtime {
+		s.vtime = q.vrt
+	}
+}
+
+// enqueue queues r for tenant and returns immediately.
+func (s *sched) enqueue(tenant string, r *schedReq) error {
+	s.mu.Lock()
+	q := s.queues[tenant]
+	if q == nil || s.closed {
+		s.mu.Unlock()
+		return ErrUnknownTenant
+	}
+	s.arriveLocked(q, r)
 	q.push(r)
 	s.mu.Unlock()
 	s.cond.Signal()
 	return nil
+}
+
+// backloggedLocked reports whether any tenant has a request waiting. The
+// caller holds s.mu.
+func (s *sched) backloggedLocked() bool {
+	for _, name := range s.order {
+		if s.queues[name].head != nil {
+			return true
+		}
+	}
+	return false
+}
+
+// tryInline claims a service slot for r so the caller can run it on its
+// own goroutine (runInline) — the dispatch an idle worker would make.
+// It refuses, leaving r untouched, when any tenant queue is backlogged
+// (r must then queue behind the backlog in vrt order), when every slot
+// is held, or when the scheduler is closed. On success r is arrived,
+// clamped and pre-charged exactly as enqueue followed by a one-request
+// nextBatch would have done.
+func (s *sched) tryInline(tenant string, r *schedReq) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	q := s.queues[tenant]
+	if q == nil || s.closed || s.busy >= s.workers || s.backloggedLocked() {
+		return false
+	}
+	s.arriveLocked(q, r)
+	s.chargeLocked(q, r)
+	s.advanceLocked(q)
+	s.busy++
+	q.inline++
+	return true
+}
+
+// runInline executes a request tryInline admitted, then releases its
+// slot. The caller delivers the reply afterwards, outside the slot.
+func (s *sched) runInline(r *schedReq) {
+	s.run(r)
+	s.release()
+}
+
+// release returns a service slot and wakes a worker if requests wait for
+// one.
+func (s *sched) release() {
+	s.mu.Lock()
+	s.busy--
+	wake := s.backloggedLocked()
+	s.mu.Unlock()
+	if wake {
+		s.cond.Signal()
+	}
 }
 
 // funcTask adapts a plain closure to the task interface for the blocking
@@ -259,11 +346,12 @@ func (s *sched) Do(tenant string, cost int64, ctx *obs.OpCtx, fn func()) error {
 	return nil
 }
 
-// nextBatch blocks for work and drains up to max requests from the
-// backlogged queue with the smallest virtual runtime (ties: order
-// position), appending them to buf. Each dequeued request advances the
-// queue's clock by its estimated cost over weight. Returns buf unchanged
-// when the scheduler is closed.
+// nextBatch blocks for work and a free service slot, then drains up to
+// max requests from the backlogged queue with the smallest virtual
+// runtime (ties: order position), appending them to buf. Each dequeued
+// request advances the queue's clock by its estimated cost over weight.
+// A non-empty batch holds one slot until the caller releases it. Returns
+// buf unchanged when the scheduler is closed.
 func (s *sched) nextBatch(buf []*schedReq, max int) []*schedReq {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -272,13 +360,15 @@ func (s *sched) nextBatch(buf []*schedReq, max int) []*schedReq {
 			return buf
 		}
 		var best *schedQueue
-		for _, name := range s.order {
-			q := s.queues[name]
-			if q.head == nil {
-				continue
-			}
-			if best == nil || q.vrt < best.vrt {
-				best = q
+		if s.busy < s.workers {
+			for _, name := range s.order {
+				q := s.queues[name]
+				if q.head == nil {
+					continue
+				}
+				if best == nil || q.vrt < best.vrt {
+					best = q
+				}
 			}
 		}
 		if best == nil {
@@ -290,24 +380,24 @@ func (s *sched) nextBatch(buf []*schedReq, max int) []*schedReq {
 			if r == nil {
 				break
 			}
-			best.vrt += r.cost / best.weight
-			best.servedNS += r.cost
+			s.chargeLocked(best, r)
 			buf = append(buf, r)
 		}
-		if best.vrt > s.vtime {
-			s.vtime = best.vrt
-		}
+		s.advanceLocked(best)
+		s.busy++
 		return buf
 	}
 }
 
 // next is single-request dispatch: the policy nextBatch generalizes,
-// kept for determinism tests. nil when the scheduler is closed.
+// kept for determinism tests, which execute the request themselves — so
+// its slot is released at once. nil when the scheduler is closed.
 func (s *sched) next() *schedReq {
 	buf := s.nextBatch(make([]*schedReq, 0, 1), 1)
 	if len(buf) == 0 {
 		return nil
 	}
+	s.release()
 	return buf[0]
 }
 
@@ -325,10 +415,27 @@ func (s *sched) settle(q *schedQueue, delta int64) {
 	} else {
 		q.estErrNS += delta
 	}
-	if q.vrt > s.vtime {
-		s.vtime = q.vrt
-	}
+	s.advanceLocked(q)
 	s.mu.Unlock()
+}
+
+// run executes one dispatched request in the caller's service slot:
+// queue wait and service time are charged to its context, which is
+// attached to the goroutine for the body, and its queue is settled to
+// the measured time.
+func (s *sched) run(r *schedReq) {
+	if r.ctx != nil {
+		r.ctx.Charge(obs.StageQueue, time.Since(r.enq).Nanoseconds())
+		r.ctx.Attach()
+	}
+	start := time.Now()
+	r.t.exec()
+	dur := time.Since(start).Nanoseconds()
+	if r.ctx != nil {
+		r.ctx.Detach()
+		r.ctx.Charge(obs.StageService, dur)
+	}
+	s.settle(r.q, dur-r.cost)
 }
 
 func (s *sched) worker() {
@@ -352,22 +459,12 @@ func (s *sched) worker() {
 			if i > 0 && scope != nil {
 				scope.OpBoundary()
 			}
-			if r.ctx != nil {
-				r.ctx.Charge(obs.StageQueue, time.Since(r.enq).Nanoseconds())
-				r.ctx.Attach()
-			}
-			start := time.Now()
-			r.t.exec()
-			dur := time.Since(start).Nanoseconds()
-			if r.ctx != nil {
-				r.ctx.Detach()
-				r.ctx.Charge(obs.StageService, dur)
-			}
-			s.settle(r.q, dur-r.cost)
+			s.run(r)
 		}
 		if scope != nil {
 			scope.Close()
 		}
+		s.release()
 		for _, r := range buf {
 			r.t.finish(true)
 		}
@@ -387,6 +484,9 @@ type SchedStats struct {
 	// EstErrNS is cumulative |measured - estimated| over settled
 	// requests: the pre-charge model's accumulated error.
 	EstErrNS int64
+	// Inline counts requests run on their session's reader goroutine
+	// instead of a worker (sched.tryInline).
+	Inline int64
 }
 
 // stats snapshots per-tenant scheduler state.
@@ -404,6 +504,7 @@ func (s *sched) stats() map[string]SchedStats {
 			VruntimeLagNS: lag,
 			ServiceNS:     q.servedNS,
 			EstErrNS:      q.estErrNS,
+			Inline:        q.inline,
 		}
 	}
 	return out

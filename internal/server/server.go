@@ -24,7 +24,9 @@ type Config struct {
 	// Tenants declares the tenant set. Roots are created if missing.
 	Tenants map[string]TenantConfig
 	// Workers bounds concurrently executing requests (default 8). This is
-	// the fair scheduler's service capacity.
+	// the fair scheduler's service capacity; it counts the synchronous
+	// requests a session's reader runs inline as well as the worker pool's
+	// batches.
 	Workers int
 	// SlowOpThreshold triggers the structured slow-op log: any op whose
 	// admission-to-completion latency reaches it is written to SlowOpLog
@@ -312,6 +314,10 @@ func (s *Server) WriteProm(w io.Writer) {
 	for i := range stats {
 		p.Metric("hinfs_sched_estimate_error_ns_total", float64(stats[i].Sched.EstErrNS), "tenant", stats[i].Name)
 	}
+	p.Header("hinfs_sched_inline_total", "Requests run on their session's reader goroutine instead of a worker.", "counter")
+	for i := range stats {
+		p.Metric("hinfs_sched_inline_total", float64(stats[i].Sched.Inline), "tenant", stats[i].Name)
+	}
 	p.Header("hinfs_slow_ops_total", "Slow-op log records written by the server.", "counter")
 	p.Metric("hinfs_slow_ops_total", float64(s.slow.Logged()))
 	p.Header("hinfs_window_coverage_ns", "Age of the oldest retained metrics window — the span the recent-window quantiles actually cover.", "gauge")
@@ -351,14 +357,15 @@ type handle struct {
 // (serveConn) decodes frames and admits requests to the scheduler; any
 // worker may execute them; the writer goroutine serializes completions
 // back onto the wire in completion order, which — with out-of-order
-// completion across the fair scheduler — is not arrival order. The
+// completion across the fair scheduler — is not arrival order. A
+// synchronous frame (opSyncFlag) that finds the scheduler idle is instead
+// executed and answered by the reader itself, with no hand-off. The
 // window (slots) bounds in-flight requests per session, so one
 // pipelining client cannot queue unbounded work.
 type session struct {
 	srv  *Server
 	conn net.Conn
 	ten  *tenant
-	bw   *bufio.Writer
 
 	// hmu guards the handle table: with pipelining, several workers can
 	// execute this session's requests concurrently.
@@ -372,23 +379,31 @@ type session struct {
 	// every in-flight request holds exactly one slot.
 	completions chan *request
 	slots       chan struct{}
-	// dead is set by the writer on a wire error; completions are then
-	// drained for accounting without writing. Only the writer touches it.
+
+	// wmu serializes the two goroutines that write replies: the writer and
+	// the reader answering an inline request. It guards bw and dead; dead
+	// is set on a wire error, after which replies are dropped and only
+	// their accounting runs.
+	wmu  sync.Mutex
+	bw   *bufio.Writer
 	dead bool
 }
 
 // request is the pooled per-request envelope: decoded arguments, the
 // scheduler seat, the response buffer and the observability context. One
-// pool object cycles reader → scheduler → worker → writer → pool with
-// zero steady-state allocations.
+// pool object cycles reader → scheduler → worker → writer → pool (or
+// reader → pool, run inline) with zero steady-state allocations.
 type request struct {
 	sr   schedReq
 	sess *session
 
 	op    vfs.Op
 	trace uint64
-	start time.Time
-	ran   bool
+	// start is admission; done is when the reply was ready, stamped
+	// before it is handed to the writer or written inline. done − start
+	// is the server-side latency every record of the op reports.
+	start, done time.Time
+	ran         bool
 
 	// Decoded arguments (per-op subset).
 	id    uint32
@@ -475,14 +490,29 @@ func (s *Server) serveConn(conn net.Conn) {
 	sess.closeAll()
 }
 
+// header decodes a request's op byte and trace ID into req and reports
+// whether the client flagged the frame synchronous. Attach is matched on
+// its raw code before the flag is stripped.
+func (req *request) header(d *dec) (flagged bool) {
+	op := d.u8()
+	req.trace = d.u64()
+	req.op = vfs.Op(op)
+	if req.op != opAttach && op&opSyncFlag != 0 {
+		req.op = vfs.Op(op &^ opSyncFlag)
+		flagged = true
+	}
+	return flagged
+}
+
 // admit decodes one request frame and routes it: attach and malformed
-// frames answer inline; everything else is queued under the fair
-// scheduler as the session's tenant. The caller has acquired a window
-// slot; the request releases it when the writer completes it.
+// frames are answered through the writer at once; a synchronous frame
+// that finds the scheduler idle runs and is answered right here, on the
+// reader goroutine; everything else is queued under the fair scheduler
+// as the session's tenant. The caller has acquired a window slot; the
+// request releases it when it completes.
 func (sess *session) admit(req *request) {
 	d := dec{b: req.buf}
-	req.op = vfs.Op(d.u8())
-	req.trace = d.u64()
+	flagged := req.header(&d)
 	if d.err != nil {
 		// Header too short to even carry a trace; echo zero.
 		sess.respondErr(req, vfs.ErrInvalid)
@@ -517,7 +547,16 @@ func (sess *session) admit(req *request) {
 	}
 	req.opctx.Reset(req.trace)
 	req.start = time.Now()
-	if err := sess.srv.sched.enqueue(sess.ten.name, &req.sr); err != nil {
+	sched := sess.srv.sched
+	if flagged && sched.tryInline(sess.ten.name, &req.sr) {
+		sched.runInline(&req.sr)
+		req.done = time.Now()
+		// The client flagged the frame, so it is reading: this write
+		// cannot block on a peer that is itself blocked writing to us.
+		sess.send(req, true)
+		return
+	}
+	if err := sched.enqueue(sess.ten.name, &req.sr); err != nil {
 		sess.respondErr(req, err)
 	}
 }
@@ -573,35 +612,45 @@ func (req *request) parse(d *dec) bool {
 }
 
 // writeLoop is the session's writer goroutine: it serializes completed
-// requests onto the wire, flushing only when the completion queue goes
-// empty so a burst of pipelined replies shares one syscall.
+// requests onto the wire.
 func (sess *session) writeLoop() {
 	for req := range sess.completions {
-		if !sess.dead {
-			err := writeFrame(sess.bw, req.out.b)
-			if err == nil && len(sess.completions) == 0 {
-				err = sess.bw.Flush()
-			}
-			if err != nil {
-				// The client is gone; keep draining completions for
-				// accounting and slot release, but stop writing and
-				// unblock the reader.
-				sess.dead = true
-				sess.conn.Close()
-			}
-		}
-		sess.complete(req)
+		sess.send(req, false)
 	}
 }
 
+// send writes req's response and completes req. The writer goroutine
+// flushes only when its completion queue has gone empty, so a burst of
+// pipelined replies shares one syscall; the reader answering an inline
+// request (inline set) always flushes, since its client waits for this
+// very reply. After a write error the wire is dead: later responses are
+// dropped, their accounting still runs, and closing the connection
+// unblocks the reader.
+func (sess *session) send(req *request, inline bool) {
+	sess.wmu.Lock()
+	if !sess.dead {
+		err := writeFrame(sess.bw, req.out.b)
+		if err == nil && (inline || len(sess.completions) == 0) {
+			err = sess.bw.Flush()
+		}
+		if err != nil {
+			sess.dead = true
+			sess.conn.Close()
+		}
+	}
+	sess.wmu.Unlock()
+	sess.complete(req)
+}
+
 // complete records one executed request's accounting, returns it to the
-// pool and releases its window slot. It runs on the session's writer
-// goroutine, which never has an obs.OpCtx attached — so the flight
-// record's NT store cannot be charged to any request's StageFlush.
+// pool and releases its window slot. It runs on whichever goroutine wrote
+// the reply, after the write, with no obs.OpCtx attached (an inline run
+// detaches before it replies) — so the flight record's NT store cannot be
+// charged to any request's StageFlush.
 func (sess *session) complete(req *request) {
 	if req.ran {
 		t := sess.ten
-		lat := time.Since(req.start).Nanoseconds()
+		lat := req.done.Sub(req.start).Nanoseconds()
 		t.record(req.op, lat, &req.opctx)
 		if sess.srv.slow.Exceeds(lat) {
 			sess.srv.slow.Record(obs.SlowOp{
@@ -647,7 +696,9 @@ func (sess *session) complete(req *request) {
 // once its dispatch batch (and persist scope) is done. ran=false means
 // the scheduler shut down before exec; answer ErrUnmounted.
 func (req *request) finish(ran bool) {
-	if !ran {
+	if ran {
+		req.done = time.Now()
+	} else {
 		out := &req.out
 		out.b = out.b[:0]
 		out.u64(req.trace)
@@ -684,7 +735,8 @@ func (req *request) fail(err error) {
 
 // exec implements task: it runs the decoded operation against the
 // tenant's view and encodes the response into req.out. It runs in a
-// scheduler worker; concurrent with other requests of the same session.
+// service slot — a scheduler worker, or the session reader for an inline
+// run — concurrent with other requests of the same session.
 func (req *request) exec() {
 	req.ran = true
 	sess := req.sess

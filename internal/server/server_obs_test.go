@@ -161,8 +161,8 @@ func TestSlowOpTraceMatch(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Server-side slow-op records land on the writer goroutine after each
-	// reply; drain before parsing the log.
+	// Server-side slow-op records land just after each reply is written;
+	// drain before parsing the log.
 	c.Unmount()
 	srv.Close()
 
@@ -268,7 +268,7 @@ func TestWriteProm(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Per-op accounting lands on the session's writer goroutine after the
+	// Per-op accounting lands on the goroutine that wrote the reply, after the
 	// reply is on the wire; shut the server down (idempotent — the cleanup
 	// calls it again) so the scrape below sees all three ops.
 	c.Unmount()
@@ -286,6 +286,7 @@ func TestWriteProm(t *testing.T) {
 		"hinfs_sched_vruntime_lag_ns",
 		"hinfs_sched_service_ns_total",
 		"hinfs_sched_estimate_error_ns_total",
+		"hinfs_sched_inline_total",
 	} {
 		if !strings.Contains(out, "# TYPE "+family+" ") {
 			t.Errorf("missing TYPE header for %s", family)
@@ -331,7 +332,7 @@ func TestTraceNonzeroOnWire(t *testing.T) {
 	if err := c.Mkdir("/d"); err != nil {
 		t.Fatal(err)
 	}
-	// The slow-op record is emitted by the writer goroutine after the
+	// The slow-op record is emitted by the replying goroutine after the
 	// reply; drain it before reading the log buffer.
 	c.Unmount()
 	srv.Close()

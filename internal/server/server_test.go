@@ -73,7 +73,8 @@ func TestSchedulerWeights(t *testing.T) {
 			"big":   {weight: 3},
 			"small": {weight: 1},
 		},
-		order: []string{"big", "small"},
+		order:   []string{"big", "small"},
+		workers: 1,
 	}
 	s.cond = sync.NewCond(&s.mu)
 	// Every request costs 1/16 of a quantum, so one replenish cycle
@@ -112,7 +113,8 @@ func TestSchedulerBatchDrain(t *testing.T) {
 			"a": {weight: 1},
 			"b": {weight: 1},
 		},
-		order: []string{"a", "b"},
+		order:   []string{"a", "b"},
+		workers: 3,
 	}
 	s.cond = sync.NewCond(&s.mu)
 	for i := 0; i < 12; i++ {
@@ -168,7 +170,8 @@ func TestSchedulerSettle(t *testing.T) {
 			"heavy": {weight: 2},
 			"light": {weight: 1},
 		},
-		order: []string{"heavy", "light"},
+		order:   []string{"heavy", "light"},
+		workers: 1,
 	}
 	s.cond = sync.NewCond(&s.mu)
 	heavy, light := s.queues["heavy"], s.queues["light"]
@@ -191,8 +194,9 @@ func TestSchedulerSettle(t *testing.T) {
 // re-entering from idle keeps at most lagWindow of unused entitlement.
 func TestSchedulerLagClamp(t *testing.T) {
 	s := &sched{
-		queues: map[string]*schedQueue{"t": {weight: 1}},
-		order:  []string{"t"},
+		queues:  map[string]*schedQueue{"t": {weight: 1}},
+		order:   []string{"t"},
+		workers: 1,
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.vtime = 100 * schedQuantum // frontier advanced while t was idle
