@@ -97,7 +97,7 @@ func run() int {
 		selfserve = flag.Bool("selfserve", false, "run an in-process server instead of connecting")
 		system    = flag.String("system", "hinfs", "backing system for -selfserve")
 		device    = flag.Int64("device", 256, "emulated device size for -selfserve (MiB)")
-		workers   = flag.Int("workers", 2, "scheduler workers for -selfserve")
+		workers   = flag.Int("workers", 2, "scheduler service slots for -selfserve")
 		tenantStr = flag.String("tenants", "alpha:1:data,beta:1:data", "tenant specs name:weight:profile, comma-separated")
 		clients   = flag.Int("clients", 64, "concurrent clients per tenant")
 		duration  = flag.Duration("duration", 5*time.Second, "load window")

@@ -11,7 +11,7 @@ import (
 // BatchFence is a crash-test workload personality that drives the
 // fence-coalescing path the pipelined server uses: ops are issued in
 // groups bracketed by an nvmm.FenceScope with an OpBoundary between
-// ops, exactly how a scheduler worker executes a dispatch batch. Each
+// ops, exactly how a session reader runs a grouped dispatch. Each
 // group's trailing fences collapse into one ordering point at scope
 // close, so the explorer's crash points land on the *production*
 // persist-event schedule of batched execution — fewer, later fences —

@@ -20,7 +20,7 @@ type Config struct {
 	// fsync- and namespace-heavy mail server), "append" (append-heavy
 	// logs with sparse fsyncs, the widest lazy-write windows),
 	// "batchfence" (grouped ops under fence scopes — the coalesced
-	// persist schedule of the pipelined server's dispatch batches),
+	// persist schedule of the pipelined server's grouped dispatches),
 	// "reuse" (writes into blocks freed by poison-filled files; adds the
 	// stale-bytes invariant over every recovered file) or "overwrite"
 	// (journal-free overwrites inside the size, lazy and O_SYNC, beside an

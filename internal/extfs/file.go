@@ -285,7 +285,7 @@ func (fs *FS) resolveDir(parts []string) (int64, error) {
 
 // Resolve returns the inode number at path.
 func (fs *FS) Resolve(path string) (int64, error) {
-	parts, err := vfs.SplitPath(path)
+	parts, err := vfs.SplitPath(nil, path)
 	if err != nil {
 		return 0, err
 	}
@@ -533,7 +533,7 @@ func (fs *FS) Stat(path string) (vfs.FileInfo, error) {
 	if err != nil {
 		return vfs.FileInfo{}, err
 	}
-	parts, _ := vfs.SplitPath(path)
+	parts, _ := vfs.SplitPath(nil, path)
 	name := "/"
 	if len(parts) > 0 {
 		name = parts[len(parts)-1]

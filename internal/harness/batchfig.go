@@ -40,7 +40,7 @@ func batchSizes(quick bool) []int {
 // clients each pumping small 256 B reads and writes (fsync every 32
 // ops) through the pipelined Batch API at increasing window sizes. Batch 1 is the
 // synchronous RPC baseline; deeper windows overlap wire turnarounds and
-// let the scheduler's dispatch batches coalesce trailing persist fences.
+// let the server's grouped dispatches coalesce trailing persist fences.
 // Reported per point: ops/s, speedup over batch 1, client-observed
 // p50/p999, realized pipeline depth, and device fences per op — for HiNFS
 // mostly the fsyncs', at any batch size: the stream's lazy writes stay

@@ -18,9 +18,9 @@ import (
 // weight ratio and equal client counts, each client issuing 16 KiB reads
 // and writes with an fsync every fourth op against its own file for a
 // fixed wall-clock window. The fsyncs force foreground flushes to
-// emulated NVMM, so the scheduler's workers — not the network — are the
-// contended resource. Reported per tenant: completed ops, throughput and
-// its share, the share of measured worker time (svc-share — the quantity
+// emulated NVMM, so the scheduler's service slots — not the network — are
+// the contended resource. Reported per tenant: completed ops, throughput
+// and its share, the share of measured service time (svc-share — the quantity
 // the weights divide; under contention it should track the 4:1 ratio),
 // client-observed latency percentiles (p50/p99/p999), quota rejections,
 // and namespace escape attempts that succeeded (must be zero).
@@ -53,7 +53,7 @@ func FigureTenants(cfg Config, o Opts) (*Figure, error) {
 	for _, tn := range tenants {
 		srvTenants[tn.name] = server.TenantConfig{Root: "/tenants/" + tn.name, Weight: tn.weight}
 	}
-	// Two scheduler workers: fewer service slots than clients, so the
+	// Two service slots: fewer than clients, so the
 	// fair scheduler — not goroutine scheduling — resolves contention.
 	srv, err := server.New(server.Config{FS: inst.FS, Tenants: srvTenants, Workers: 2})
 	if err != nil {
@@ -147,7 +147,7 @@ func FigureTenants(cfg Config, o Opts) (*Figure, error) {
 
 	fig := &Figure{Table: Table{
 		Title: "Multi-tenant fairness: weighted service shares over a loopback server",
-		Note: fmt.Sprintf("HiNFS backend, %d clients/tenant, 16KiB R/W + fsync every 4 ops, %v window, 2 scheduler workers; svc-share should track the 4:1 weights",
+		Note: fmt.Sprintf("HiNFS backend, %d clients/tenant, 16KiB R/W + fsync every 4 ops, %v window, 2 service slots; svc-share should track the 4:1 weights",
 			clients, window),
 		Header: []string{"tenant", "weight", "ops", "ops/s", "share", "svc-share", "p50(us)", "p99(us)", "p999(us)", "quota-rej", "escapes"},
 	}}

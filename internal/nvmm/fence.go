@@ -9,7 +9,7 @@ import (
 // Fence coalescing.
 //
 // A batch of independent operations dispatched together (the server's
-// per-tenant dispatch batch) each ends with a trailing Fence() — the
+// grouped dispatch of one session's pipelined frames) each ends with a trailing Fence() — the
 // ordering point that makes the op's last persist visible before its
 // reply. Between independent ops those trailing fences are redundant:
 // one fence at the end of the batch orders everything the batch

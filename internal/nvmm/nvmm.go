@@ -215,26 +215,35 @@ func (d *Device) Read(dst []byte, off int64) {
 // store charges no device time — that is the point of the DRAM-speed
 // store path — so nothing accrues to Stats.WriteTime here.
 func (d *Device) Write(src []byte, off int64) {
+	d.store(src, off)
+}
+
+// store is the image update every write makes. With persistence tracking,
+// the copy and the pending-mark are one pmu section, so a crash snapshot
+// (faultPoint) or a commit never reads a line while it is being stored.
+func (d *Device) store(src []byte, off int64) {
 	d.check(off, len(src))
 	d.materializeFence()
-	copy(d.data[off:], src)
-	d.bytesWritten.Add(int64(len(src)))
 	if d.cfg.TrackPersistence {
-		d.markPending(off, len(src))
+		first := off &^ (cacheline.Size - 1)
+		end := off + int64(len(src))
+		d.pmu.Lock()
+		copy(d.data[off:], src)
+		for a := first; a < end; a += cacheline.Size {
+			d.pending[a] = struct{}{}
+		}
+		d.pmu.Unlock()
+	} else {
+		copy(d.data[off:], src)
 	}
+	d.bytesWritten.Add(int64(len(src)))
 }
 
 // WriteNT stores src at off with a non-temporal (cache-bypassing) store and
 // makes it durable, paying the write latency for each covered cacheline.
 // This models PMFS's copy_from_user_inatomic_nocache path.
 func (d *Device) WriteNT(src []byte, off int64) {
-	d.check(off, len(src))
-	d.materializeFence()
-	copy(d.data[off:], src)
-	d.bytesWritten.Add(int64(len(src)))
-	if d.cfg.TrackPersistence {
-		d.markPending(off, len(src))
-	}
+	d.store(src, off)
 	d.faultPoint(EvWriteNT)
 	d.persist(off, len(src))
 }
@@ -249,13 +258,7 @@ func (d *Device) WriteNT(src []byte, off int64) {
 // movnti retires immediately; only a subsequent sfence pays the drain.
 // Stats count the flush bytes but no synchronous write time accrues.
 func (d *Device) WriteNTPosted(src []byte, off int64) {
-	d.check(off, len(src))
-	d.materializeFence()
-	copy(d.data[off:], src)
-	d.bytesWritten.Add(int64(len(src)))
-	if d.cfg.TrackPersistence {
-		d.markPending(off, len(src))
-	}
+	d.store(src, off)
 	d.faultPoint(EvWriteNT)
 	d.flushes.Add(1)
 	d.bytesFlushed.Add(int64(cacheline.LineCount(off, len(src))) * cacheline.Size)
@@ -380,16 +383,6 @@ func (d *Device) Fence() {
 func (d *Device) fenceReal() {
 	d.faultPoint(EvFence)
 	d.fences.Add(1)
-}
-
-func (d *Device) markPending(off int64, n int) {
-	first := off &^ (cacheline.Size - 1)
-	end := off + int64(n)
-	d.pmu.Lock()
-	for a := first; a < end; a += cacheline.Size {
-		d.pending[a] = struct{}{}
-	}
-	d.pmu.Unlock()
 }
 
 func (d *Device) commitPending(off int64, n int) {

@@ -332,3 +332,38 @@ func TestStatsConcurrentWithWritersRace(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestCrashSnapshotConcurrentWithStoresRace captures crash snapshots
+// while two goroutines keep storing to the lines being copied. With
+// persistence tracking a store and its pending-mark are one critical
+// section, so under the race detector no snapshot reads a line mid-store.
+func TestCrashSnapshotConcurrentWithStoresRace(t *testing.T) {
+	d := MustNew(Config{Size: 64 << 10, TrackPersistence: true})
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(off int64) {
+			defer wg.Done()
+			buf := make([]byte, 256)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					d.Write(buf, off)
+					d.WriteNTPosted(buf[:64], off+256)
+				}
+			}
+		}(int64(w) * 4096)
+	}
+	d.SetCrashPlan(func(int64, EventKind) bool { return true })
+	for i := 0; i < 200; i++ {
+		d.Flush(8192, 64)
+		if d.TakeCrashState() == nil {
+			t.Fatal("an armed crash plan captured no snapshot")
+		}
+	}
+	close(stop)
+	wg.Wait()
+}

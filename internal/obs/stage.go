@@ -63,8 +63,8 @@ func Stages() []Stage {
 //
 // Charging discipline: all Charge calls for one op happen either on the
 // goroutine the op is Attached to (deep layers via CurrentOp) or on the
-// scheduler worker before/after the run with happens-before edges to the
-// reader, so the stage slots are plain int64s, not atomics.
+// session reader before/after the run with happens-before edges to the
+// writer, so the stage slots are plain int64s, not atomics.
 type OpCtx struct {
 	// Trace is the wire-propagated request/trace ID (client-assigned).
 	Trace uint64

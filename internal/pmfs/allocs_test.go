@@ -3,8 +3,6 @@ package pmfs
 import (
 	"fmt"
 	"testing"
-
-	"hinfs/internal/vfs"
 )
 
 // TestLookupAllocatesNothing: dirLookup runs for every component of every
@@ -37,19 +35,17 @@ func TestLookupAllocatesNothing(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("dirLookup in a 64-entry directory: %.0f allocs, want 0", n)
 	}
-	// Stat pays for splitting its path and for nothing else.
-	const path = "/d/file-63"
-	split := testing.AllocsPerRun(200, func() {
-		if _, err := vfs.SplitPath(path); err != nil {
-			t.Fatal(err)
-		}
-	})
+	// Stat splits its path into a stack array and returns a name that is a
+	// substring of it: nothing reaches the heap.
 	if n := testing.AllocsPerRun(200, func() {
-		if fi, err := fs.Stat(path); err != nil || fi.Name != "file-63" {
+		if fi, err := fs.Stat("/d/file-63"); err != nil || fi.Name != "file-63" {
 			t.Fatal("stat failed")
 		}
-	}); n != split {
-		t.Errorf("Stat in a 64-entry directory: %.0f allocs, want the %.0f of splitting its path", n, split)
+		if _, err := fs.Resolve("/d/file-00"); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Stat and Resolve in a 64-entry directory: %.0f allocs, want 0", n)
 	}
 }
 

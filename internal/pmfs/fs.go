@@ -301,7 +301,8 @@ func (fs *FS) lockDirPath(parts []string, write bool) (Ino, *inodeState, error) 
 
 // Resolve returns the inode at path.
 func (fs *FS) Resolve(path string) (Ino, error) {
-	parts, err := vfs.SplitPath(path)
+	var buf [16]string
+	parts, err := vfs.SplitPath(buf[:0], path)
 	if err != nil {
 		return 0, err
 	}
@@ -756,7 +757,8 @@ func (fs *FS) Stat(path string) (vfs.FileInfo, error) {
 	if err := fs.checkMounted(); err != nil {
 		return vfs.FileInfo{}, err
 	}
-	parts, err := vfs.SplitPath(path)
+	var buf [16]string
+	parts, err := vfs.SplitPath(buf[:0], path)
 	if err != nil {
 		return vfs.FileInfo{}, err
 	}
@@ -780,7 +782,7 @@ func (fs *FS) ReadDir(path string) ([]vfs.DirEntry, error) {
 	if err := fs.checkMounted(); err != nil {
 		return nil, err
 	}
-	parts, err := vfs.SplitPath(path)
+	parts, err := vfs.SplitPath(nil, path)
 	if err != nil {
 		return nil, err
 	}

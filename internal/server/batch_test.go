@@ -276,58 +276,116 @@ func TestClientEncodeZeroAllocs(t *testing.T) {
 }
 
 // TestSchedDispatchZeroAllocs pins the scheduler's steady-state budget:
-// enqueue, dispatch and settle of a pooled request allocate nothing —
-// the queue links are intrusive and the envelope is caller-owned.
+// an immediate grant, a parked request handed the slot by release, and
+// settle allocate nothing — the queue links are intrusive and the
+// envelopes are session-owned.
 func TestSchedDispatchZeroAllocs(t *testing.T) {
 	s := &sched{
 		queues:  map[string]*schedQueue{"t": {weight: 1}},
 		order:   []string{"t"},
 		workers: 1,
 	}
-	s.cond = sync.NewCond(&s.mu)
-	r := schedTask(1000, func() {})
-	buf := make([]*schedReq, 0, 1)
+	r, w := newSchedReq(), newSchedReq()
+	r.cost, w.cost = 1000, 1000
 	n := testing.AllocsPerRun(1000, func() {
-		if err := s.enqueue("t", r); err != nil {
-			t.Fatal(err)
+		if !s.acquire("t", r) {
+			t.Fatal("idle scheduler refused a grant")
 		}
-		buf = s.nextBatch(buf[:0], 1)
-		if len(buf) != 1 {
-			t.Fatal("dispatch returned nothing")
+		if s.submit("t", w) {
+			t.Fatal("a held slot was granted twice")
 		}
-		buf[0].t.exec()
-		s.settle(buf[0].q, 50)
+		s.settle(r.q, 50)
+		s.release() // hands the slot to w
+		if !<-w.grant {
+			t.Fatal("release did not grant the parked request")
+		}
 		s.release()
-		// The inline path: claim, run, release.
-		if !s.tryInline("t", r) {
-			t.Fatal("idle scheduler refused an inline run")
-		}
-		s.runInline(r)
 	})
 	if n != 0 {
-		t.Fatalf("dispatch cycle allocates %.1f objects/op, want 0", n)
+		t.Fatalf("grant cycle allocates %.1f objects/op, want 0", n)
 	}
 }
 
 // TestServerReadWriteSteadyStateAllocs pins the synchronous round trip at
 // zero heap allocations per op, end to end over TCP loopback: client
-// encode and decode, the server's reader, the inline dispatch, pmfs and
-// the reply. AllocsPerRun counts the whole process, so both sides are
+// encode and decode, the server's reader, the dispatch, pmfs and the
+// reply. AllocsPerRun counts the whole process, so both sides are
 // covered.
 func TestServerReadWriteSteadyStateAllocs(t *testing.T) {
 	srv := testServer(t, twoTenants())
 	if n := syncRPCAllocs(t, srv); n != 0 {
 		t.Fatalf("synchronous ReadAt+WriteAt+Fsync allocates %.1f objects, want 0", n)
 	}
-	if st := srv.Stats()[0]; st.Sched.Inline == 0 {
-		t.Fatal("no request ran inline on an idle server")
+}
+
+// TestBatchBurstZeroAllocs pins a pipelined burst — 16 writes, 16 reads
+// and an fsync of 512 B each, one Batch over TCP loopback — at zero heap
+// allocations: grouped dispatch, persist scope, the writer's replies and
+// the client's reaping all reuse what the first bursts allocated.
+func TestBatchBurstZeroAllocs(t *testing.T) {
+	c := loopbackClient(t, testServer(t, twoTenants()))
+	f, err := c.Create("/burst")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	wbuf, rbuf := make([]byte, 512), make([]byte, 512)
+	b := c.NewBatch()
+	burst := func() {
+		for i := 0; i < 16; i++ {
+			b.WriteAt(f, wbuf, int64(i)*512)
+			b.ReadAt(f, rbuf, int64(i)*512)
+		}
+		b.Fsync(f)
+		if err := b.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range b.Ops() {
+			if o.Err != nil {
+				t.Fatal(o.Err)
+			}
+		}
+		b.Reset()
+	}
+	for i := 0; i < 50; i++ {
+		burst()
+	}
+	if n := testing.AllocsPerRun(200, burst); n != 0 {
+		t.Fatalf("a 33-op Batch burst allocates %.1f objects, want 0", n)
 	}
 }
 
-// syncRPCAllocs measures the heap allocations of one synchronous ReadAt,
-// WriteAt and Fsync of a 4 KiB block on a TCP client of srv, after
-// warming the pools on both sides.
-func syncRPCAllocs(t *testing.T, srv *Server) float64 {
+// TestServedStatAllocs bounds a synchronous Stat over TCP loopback at
+// three allocations: the path string the server decodes, the tenant view
+// re-anchoring it under its root, and the name the client decodes. The
+// path is split into stack arrays (vfs.SplitPath) on the way down.
+func TestServedStatAllocs(t *testing.T) {
+	c := loopbackClient(t, testServer(t, twoTenants()))
+	if err := c.Mkdir("/dir"); err != nil {
+		t.Fatal(err)
+	}
+	f, err := c.Create("/dir/file")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	stat := func() {
+		if fi, err := c.Stat("/dir/file"); err != nil || fi.Name != "file" {
+			t.Fatalf("stat = %+v, %v", fi, err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		stat()
+	}
+	if n := testing.AllocsPerRun(500, stat); n > 3 {
+		t.Fatalf("a served Stat allocates %.1f objects, want at most 3", n)
+	}
+}
+
+// loopbackClient serves srv on a TCP loopback listener and returns a
+// client attached as alpha. Allocation tests use it: they skip under the
+// race detector, which drops sync.Pool items at random.
+func loopbackClient(t *testing.T, srv *Server) *Client {
 	t.Helper()
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool items at random")
@@ -342,6 +400,15 @@ func syncRPCAllocs(t *testing.T, srv *Server) float64 {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Unmount() })
+	return c
+}
+
+// syncRPCAllocs measures the heap allocations of one synchronous ReadAt,
+// WriteAt and Fsync of a 4 KiB block on a TCP client of srv, after
+// warming the pools on both sides.
+func syncRPCAllocs(t *testing.T, srv *Server) float64 {
+	t.Helper()
+	c := loopbackClient(t, srv)
 	f, err := c.Create("/hot")
 	if err != nil {
 		t.Fatal(err)

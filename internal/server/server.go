@@ -23,10 +23,8 @@ type Config struct {
 	FS vfs.FileSystem
 	// Tenants declares the tenant set. Roots are created if missing.
 	Tenants map[string]TenantConfig
-	// Workers bounds concurrently executing requests (default 8). This is
-	// the fair scheduler's service capacity; it counts the synchronous
-	// requests a session's reader runs inline as well as the worker pool's
-	// batches.
+	// Workers bounds concurrent dispatches (default 8): the number of
+	// service slots the fair scheduler grants to session readers.
 	Workers int
 	// SlowOpThreshold triggers the structured slow-op log: any op whose
 	// admission-to-completion latency reaches it is written to SlowOpLog
@@ -36,24 +34,10 @@ type Config struct {
 	// SlowOpLog receives the slow-op JSON lines (default os.Stderr when
 	// SlowOpThreshold is set).
 	SlowOpLog io.Writer
-	// MetricsWindow and MetricsWindows shape the per-tenant time-series
-	// latency metrics: MetricsWindows rotating windows of MetricsWindow
-	// each (defaults 1s × 8).
-	MetricsWindow  time.Duration
-	MetricsWindows int
-	// SessionWindow bounds in-flight (pipelined) requests per session
-	// (default 256). A client exceeding it is simply not read from until
-	// replies drain — backpressure, not an error.
-	SessionWindow int
-	// DispatchBatch bounds how many queued requests one scheduler worker
-	// drains from a single tenant queue per dispatch (default 8). The
-	// whole batch's service time is charged to the tenant, so batching
-	// coarsens the fairness grain without changing the ratios.
-	DispatchBatch int
 	// BatchFences, when set, opens a persist scope around every multi-op
-	// dispatch batch so the batch's trailing device fences coalesce into
-	// one ordering point (wire it to nvmm's Device.EnterFenceScope).
-	// Replies are released only after the scope closes.
+	// dispatch so its trailing device fences coalesce into one ordering
+	// point (wire it to nvmm's Device.EnterFenceScope). Replies are
+	// released only after the scope closes.
 	BatchFences func() PersistScope
 	// Flight, when set, receives one persisted record per dispatched
 	// request: trace, tenant, op, ino, offset, length, stage breakdown
@@ -63,9 +47,17 @@ type Config struct {
 	Flight *flight.Recorder
 }
 
-// defaultSessionWindow is the per-session in-flight bound when the
-// config leaves SessionWindow zero.
-const defaultSessionWindow = 256
+const (
+	// sessionWindow bounds in-flight (pipelined) requests per session. A
+	// client exceeding it is simply not read from until replies drain —
+	// backpressure, not an error.
+	sessionWindow = 256
+	// maxGroup bounds how many pipelined frames of one session run under
+	// one slot grant and one persist scope. The whole group's service time
+	// is charged to the tenant, so grouping coarsens the fairness grain
+	// without changing the ratios.
+	maxGroup = 8
+)
 
 // Server multiplexes framed-RPC sessions from many clients onto one
 // backing file system, with per-tenant namespace confinement, quota
@@ -77,7 +69,6 @@ type Server struct {
 	sched   *sched
 	slow    *obs.SlowLog
 	flight  *flight.Recorder
-	window  int
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -86,8 +77,8 @@ type Server struct {
 	wg     sync.WaitGroup
 }
 
-// New validates the tenant set, creates missing roots, and starts the
-// scheduler workers. The caller owns fs; Server.Close does not unmount it.
+// New validates the tenant set, creates missing roots, and sets up the
+// scheduler. The caller owns fs; Server.Close does not unmount it.
 func New(cfg Config) (*Server, error) {
 	if cfg.FS == nil {
 		return nil, fmt.Errorf("server: no backing file system")
@@ -100,10 +91,6 @@ func New(cfg Config) (*Server, error) {
 		tenants: make(map[string]*tenant),
 		conns:   make(map[net.Conn]struct{}),
 		flight:  cfg.Flight,
-		window:  cfg.SessionWindow,
-	}
-	if s.window <= 0 {
-		s.window = defaultSessionWindow
 	}
 	if cfg.SlowOpThreshold > 0 {
 		w := cfg.SlowOpLog
@@ -131,18 +118,18 @@ func New(cfg Config) (*Server, error) {
 		}
 		t := &tenant{name: name, view: view, cfg: tc}
 		for i := range t.win {
-			t.win[i] = obs.NewWindows(cfg.MetricsWindow, cfg.MetricsWindows)
+			t.win[i] = obs.NewWindows(obs.DefaultWindow, obs.DefaultWindowCount)
 		}
 		s.tenants[name] = t
 		weights[name] = int64(tc.Weight)
 	}
-	s.sched = newSched(weights, s.order, cfg.Workers, cfg.DispatchBatch, cfg.BatchFences)
+	s.sched = newSched(weights, s.order, cfg.Workers, cfg.BatchFences)
 	return s, nil
 }
 
 // mkdirAll creates path and its ancestors on fs.
 func mkdirAll(fs vfs.FileSystem, path string) error {
-	parts, err := vfs.SplitPath(path)
+	parts, err := vfs.SplitPath(nil, path)
 	if err != nil {
 		return err
 	}
@@ -203,8 +190,10 @@ func (s *Server) ServeConn(conn net.Conn) {
 	s.serveConn(conn)
 }
 
-// Close stops accepting, tears down every session, and stops the
-// scheduler. The backing file system is left mounted.
+// Close stops accepting, closes the scheduler and tears down every
+// session. The scheduler closes before the sessions are waited on, so a
+// session parked for a slot is refused (ErrUnmounted) rather than waited
+// for. The backing file system is left mounted.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -224,8 +213,8 @@ func (s *Server) Close() error {
 	for _, c := range conns {
 		c.Close()
 	}
-	s.wg.Wait()
 	s.sched.close()
+	s.wg.Wait()
 	return nil
 }
 
@@ -298,7 +287,7 @@ func (s *Server) WriteProm(w io.Writer) {
 			}
 		}
 	}
-	p.Header("hinfs_sched_queue_depth", "Requests queued or running per tenant.", "gauge")
+	p.Header("hinfs_sched_queue_depth", "Dispatches waiting for a service slot per tenant.", "gauge")
 	for i := range stats {
 		p.Metric("hinfs_sched_queue_depth", float64(stats[i].Sched.QueueDepth), "tenant", stats[i].Name)
 	}
@@ -306,17 +295,13 @@ func (s *Server) WriteProm(w io.Writer) {
 	for i := range stats {
 		p.Metric("hinfs_sched_vruntime_lag_ns", float64(stats[i].Sched.VruntimeLagNS), "tenant", stats[i].Name)
 	}
-	p.Header("hinfs_sched_service_ns_total", "Measured worker time consumed per tenant.", "counter")
+	p.Header("hinfs_sched_service_ns_total", "Measured service time consumed per tenant.", "counter")
 	for i := range stats {
 		p.Metric("hinfs_sched_service_ns_total", float64(stats[i].Sched.ServiceNS), "tenant", stats[i].Name)
 	}
 	p.Header("hinfs_sched_estimate_error_ns_total", "Cumulative |measured-estimated| service time per tenant.", "counter")
 	for i := range stats {
 		p.Metric("hinfs_sched_estimate_error_ns_total", float64(stats[i].Sched.EstErrNS), "tenant", stats[i].Name)
-	}
-	p.Header("hinfs_sched_inline_total", "Requests run on their session's reader goroutine instead of a worker.", "counter")
-	for i := range stats {
-		p.Metric("hinfs_sched_inline_total", float64(stats[i].Sched.Inline), "tenant", stats[i].Name)
 	}
 	p.Header("hinfs_slow_ops_total", "Slow-op log records written by the server.", "counter")
 	p.Metric("hinfs_slow_ops_total", float64(s.slow.Logged()))
@@ -353,25 +338,27 @@ type handle struct {
 	ino   uint64
 }
 
-// session is one connection's server-side state. The reader goroutine
-// (serveConn) decodes frames and admits requests to the scheduler; any
-// worker may execute them; the writer goroutine serializes completions
-// back onto the wire in completion order, which — with out-of-order
-// completion across the fair scheduler — is not arrival order. A
-// synchronous frame (opSyncFlag) that finds the scheduler idle is instead
-// executed and answered by the reader itself, with no hand-off. The
-// window (slots) bounds in-flight requests per session, so one
-// pipelining client cannot queue unbounded work.
+// session is one connection's server-side state. Its reader goroutine
+// (serveConn) decodes frames and runs them itself, one dispatch at a
+// time in arrival order, each under a service slot granted by the fair
+// scheduler. A lone synchronous frame (opSyncFlag) is answered by the
+// reader; every other reply goes to the writer goroutine, which
+// serializes replies onto the wire. The window (slots) bounds in-flight
+// requests per session, so one pipelining client cannot pile up
+// unbounded replies.
 type session struct {
 	srv  *Server
 	conn net.Conn
 	ten  *tenant
 
-	// hmu guards the handle table: with pipelining, several workers can
-	// execute this session's requests concurrently.
-	hmu     sync.Mutex
+	// The handle table is the reader goroutine's alone: every request
+	// runs there, and closeAll runs after the reader's loop.
 	handles map[uint32]handle
 	nextID  uint32
+
+	// sr is the session's seat at the scheduler: one dispatch is in
+	// flight at a time.
+	sr schedReq
 
 	// completions carries finished requests to the writer goroutine;
 	// slots is the window semaphore (send = acquire, receive = release).
@@ -381,27 +368,30 @@ type session struct {
 	slots       chan struct{}
 
 	// wmu serializes the two goroutines that write replies: the writer and
-	// the reader answering an inline request. It guards bw and dead; dead
-	// is set on a wire error, after which replies are dropped and only
-	// their accounting runs.
+	// the reader answering a synchronous request. It guards bw and dead;
+	// dead is set on a wire error, after which replies are dropped and
+	// only their accounting runs.
 	wmu  sync.Mutex
 	bw   *bufio.Writer
 	dead bool
 }
 
 // request is the pooled per-request envelope: decoded arguments, the
-// scheduler seat, the response buffer and the observability context. One
-// pool object cycles reader → scheduler → worker → writer → pool (or
-// reader → pool, run inline) with zero steady-state allocations.
+// response buffer and the observability context. One pool object cycles
+// reader → writer → pool (or reader → pool, answered by the reader) with
+// zero steady-state allocations.
 type request struct {
-	sr   schedReq
 	sess *session
 
 	op    vfs.Op
 	trace uint64
+	// flagged is the client's opSyncFlag promise: it sends nothing more
+	// until it has read this reply.
+	flagged bool
+	cost    int64 // estimated service nanoseconds (opCost)
 	// start is admission; done is when the reply was ready, stamped
-	// before it is handed to the writer or written inline. done − start
-	// is the server-side latency every record of the op reports.
+	// before it is handed to the writer or written by the reader. done −
+	// start is the server-side latency every record of the op reports.
 	start, done time.Time
 	ran         bool
 
@@ -422,18 +412,7 @@ type request struct {
 	opctx obs.OpCtx
 }
 
-var reqPool = sync.Pool{New: func() any {
-	r := &request{}
-	r.sr.t = r
-	r.sr.ctx = &r.opctx
-	return r
-}}
-
-func getReq(sess *session) *request {
-	r := reqPool.Get().(*request)
-	r.sess = sess
-	return r
-}
+var reqPool = sync.Pool{New: func() any { return new(request) }}
 
 func putReq(r *request) {
 	r.sess = nil
@@ -458,8 +437,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		bw:          bufio.NewWriterSize(conn, 64<<10),
 		handles:     make(map[uint32]handle),
 		nextID:      1,
-		completions: make(chan *request, s.window),
-		slots:       make(chan struct{}, s.window),
+		sr:          schedReq{grant: make(chan bool, 1)},
+		completions: make(chan *request, sessionWindow),
+		slots:       make(chan struct{}, sessionWindow),
 	}
 	var writerWG sync.WaitGroup
 	writerWG.Add(1)
@@ -468,16 +448,25 @@ func (s *Server) serveConn(conn net.Conn) {
 		sess.writeLoop()
 	}()
 	br := bufio.NewReaderSize(conn, 64<<10)
+	var buf [maxGroup]*request
 	for {
-		req := getReq(sess)
-		payload, err := readFrame(br, req.buf)
-		if err != nil {
-			putReq(req)
+		req := sess.read(br)
+		if req == nil {
 			break // EOF, reset, or protocol violation: the session is over
 		}
-		req.buf = payload
-		sess.slots <- struct{}{} // window: blocks until a reply drains
-		sess.admit(req)
+		if !sess.admit(req) {
+			continue
+		}
+		// An unflagged frame opens a group that every following frame
+		// joins while it is unflagged and already wholly buffered, so the
+		// group never waits on the wire. A flagged frame runs alone.
+		group := append(buf[:0], req)
+		for !req.flagged && len(group) < maxGroup && sess.groupable(br) {
+			if next := sess.read(br); next != nil && sess.admit(next) {
+				group = append(group, next)
+			}
+		}
+		sess.dispatch(group)
 	}
 	// Teardown: in-flight requests hold slots until the writer completes
 	// them, so holding every slot proves the pipeline is empty. Then the
@@ -490,44 +479,69 @@ func (s *Server) serveConn(conn net.Conn) {
 	sess.closeAll()
 }
 
-// header decodes a request's op byte and trace ID into req and reports
+// read reads the next frame into a pooled request and takes a window
+// slot for it, blocking until a reply drains if the window is full. nil
+// means the session is over.
+func (sess *session) read(br *bufio.Reader) *request {
+	req := reqPool.Get().(*request)
+	payload, err := readFrame(br, req.buf)
+	if err != nil {
+		putReq(req)
+		return nil
+	}
+	req.buf = payload
+	req.sess = sess
+	sess.slots <- struct{}{}
+	return req
+}
+
+// groupable reports whether the next frame can join the current group
+// without blocking: it is wholly buffered, it is not flagged (attach
+// counts as flagged), and the window has room for it — only the reader
+// takes window slots, so room now is room at read.
+func (sess *session) groupable(br *bufio.Reader) bool {
+	if br.Buffered() < 5 || len(sess.slots) == cap(sess.slots) {
+		return false
+	}
+	hdr, _ := br.Peek(5)
+	n := int(binary.BigEndian.Uint32(hdr))
+	return n > 0 && br.Buffered() >= 4+n && hdr[4]&opSyncFlag == 0
+}
+
+// header decodes a request's op byte and trace ID into req, noting
 // whether the client flagged the frame synchronous. Attach is matched on
 // its raw code before the flag is stripped.
-func (req *request) header(d *dec) (flagged bool) {
+func (req *request) header(d *dec) {
 	op := d.u8()
 	req.trace = d.u64()
 	req.op = vfs.Op(op)
-	if req.op != opAttach && op&opSyncFlag != 0 {
+	req.flagged = req.op != opAttach && op&opSyncFlag != 0
+	if req.flagged {
 		req.op = vfs.Op(op &^ opSyncFlag)
-		flagged = true
 	}
-	return flagged
 }
 
-// admit decodes one request frame and routes it: attach and malformed
-// frames are answered through the writer at once; a synchronous frame
-// that finds the scheduler idle runs and is answered right here, on the
-// reader goroutine; everything else is queued under the fair scheduler
-// as the session's tenant. The caller has acquired a window slot; the
-// request releases it when it completes.
-func (sess *session) admit(req *request) {
+// admit decodes one request frame and reports whether it is to be
+// dispatched. Attach and malformed frames are answered through the
+// writer at once. The request holds a window slot until it completes.
+func (sess *session) admit(req *request) bool {
 	d := dec{b: req.buf}
-	flagged := req.header(&d)
+	req.header(&d)
 	if d.err != nil {
 		// Header too short to even carry a trace; echo zero.
 		sess.respondErr(req, vfs.ErrInvalid)
-		return
+		return false
 	}
 	if req.op == opAttach {
 		name := d.str()
 		if d.err != nil {
 			sess.respondErr(req, vfs.ErrInvalid)
-			return
+			return false
 		}
 		t := sess.srv.tenants[name]
 		if t == nil {
 			sess.respondErr(req, ErrUnknownTenant)
-			return
+			return false
 		}
 		sess.ten = t
 		out := &req.out
@@ -535,34 +549,89 @@ func (sess *session) admit(req *request) {
 		out.u64(req.trace)
 		out.u8(stOK)
 		sess.completions <- req
-		return
+		return false
 	}
 	if sess.ten == nil {
 		sess.respondErr(req, ErrNoTenant)
-		return
+		return false
 	}
 	if !req.parse(&d) {
 		sess.respondErr(req, vfs.ErrInvalid)
-		return
+		return false
 	}
 	req.opctx.Reset(req.trace)
 	req.start = time.Now()
+	return true
+}
+
+// dispatch runs a group of admitted requests under one slot grant costed
+// at their summed estimates: in arrival order, inside one persist scope
+// when there is more than one, with each op's context attached. After
+// the ops it closes the scope, settles the tenant's clock once to the
+// measured time and releases the slot, and only then replies: a lone
+// flagged request on the reader itself — its client is reading, so this
+// write cannot block on a peer that is itself blocked writing to us —
+// and everything else through the writer. A dispatch the closed
+// scheduler refuses answers ErrUnmounted.
+func (sess *session) dispatch(group []*request) {
 	sched := sess.srv.sched
-	if flagged && sched.tryInline(sess.ten.name, &req.sr) {
-		sched.runInline(&req.sr)
-		req.done = time.Now()
-		// The client flagged the frame, so it is reading: this write
-		// cannot block on a peer that is itself blocked writing to us.
+	r := &sess.sr
+	r.cost = 0
+	for _, req := range group {
+		r.cost += req.cost
+	}
+	if !sched.acquire(sess.ten.name, r) {
+		for _, req := range group {
+			sess.respondErr(req, vfs.ErrUnmounted)
+		}
+		return
+	}
+	var scope PersistScope
+	if len(group) > 1 && sched.newScope != nil {
+		scope = sched.newScope()
+	}
+	start := time.Now()
+	done := start
+	for i, req := range group {
+		if i > 0 && scope != nil {
+			scope.OpBoundary()
+		}
+		done = req.run(done)
+	}
+	if scope != nil {
+		scope.Close()
+		done = time.Now()
+	}
+	sched.settle(r.q, done.Sub(start).Nanoseconds()-r.cost)
+	sched.release()
+	if req := group[0]; req.flagged {
+		req.done = done
 		sess.send(req, true)
 		return
 	}
-	if err := sched.enqueue(sess.ten.name, &req.sr); err != nil {
-		sess.respondErr(req, err)
+	for _, req := range group {
+		req.done = done
+		sess.completions <- req
 	}
 }
 
-// respondErr completes req inline with an error response (no scheduler
-// pass, no tenant accounting).
+// run executes req in the caller's service slot from start and returns
+// when it ended. The wait since admission is charged to its queue stage
+// and the run to its service stage; its context is attached to the
+// goroutine for the body, so deep layers can charge their stages.
+func (req *request) run(start time.Time) time.Time {
+	ctx := &req.opctx
+	ctx.Charge(obs.StageQueue, start.Sub(req.start).Nanoseconds())
+	ctx.Attach()
+	req.exec()
+	ctx.Detach()
+	end := time.Now()
+	ctx.Charge(obs.StageService, end.Sub(start).Nanoseconds())
+	return end
+}
+
+// respondErr completes req at once with an error response (no slot, no
+// tenant accounting).
 func (sess *session) respondErr(req *request, err error) {
 	out := &req.out
 	out.b = out.b[:0]
@@ -574,7 +643,7 @@ func (sess *session) respondErr(req *request, err error) {
 // parse decodes the per-op arguments into req and sets its scheduler
 // cost. False means a malformed request.
 func (req *request) parse(d *dec) bool {
-	req.sr.cost = 1
+	req.cost = 1
 	switch req.op {
 	case vfs.OpOpen:
 		req.flags = int(d.u32())
@@ -590,12 +659,12 @@ func (req *request) parse(d *dec) bool {
 		if req.n < 0 || req.n > MaxIO {
 			return false
 		}
-		req.sr.cost = opCost(req.n)
+		req.cost = opCost(req.n)
 	case vfs.OpWrite:
 		req.id = d.u32()
 		req.off = int64(d.u64())
 		req.data = d.bytes()
-		req.sr.cost = opCost(len(req.data))
+		req.cost = opCost(len(req.data))
 	case vfs.OpTruncate:
 		req.id = d.u32()
 		req.size = int64(d.u64())
@@ -621,16 +690,16 @@ func (sess *session) writeLoop() {
 
 // send writes req's response and completes req. The writer goroutine
 // flushes only when its completion queue has gone empty, so a burst of
-// pipelined replies shares one syscall; the reader answering an inline
-// request (inline set) always flushes, since its client waits for this
+// pipelined replies shares one syscall; the reader answering a flagged
+// request (flush set) always flushes, since its client waits for this
 // very reply. After a write error the wire is dead: later responses are
 // dropped, their accounting still runs, and closing the connection
 // unblocks the reader.
-func (sess *session) send(req *request, inline bool) {
+func (sess *session) send(req *request, flush bool) {
 	sess.wmu.Lock()
 	if !sess.dead {
 		err := writeFrame(sess.bw, req.out.b)
-		if err == nil && (inline || len(sess.completions) == 0) {
+		if err == nil && (flush || len(sess.completions) == 0) {
 			err = sess.bw.Flush()
 		}
 		if err != nil {
@@ -644,8 +713,8 @@ func (sess *session) send(req *request, inline bool) {
 
 // complete records one executed request's accounting, returns it to the
 // pool and releases its window slot. It runs on whichever goroutine wrote
-// the reply, after the write, with no obs.OpCtx attached (an inline run
-// detaches before it replies) — so the flight record's NT store cannot be
+// the reply, after the write, with no obs.OpCtx attached (run detaches
+// before anything replies) — so the flight record's NT store cannot be
 // charged to any request's StageFlush.
 func (sess *session) complete(req *request) {
 	if req.ran {
@@ -692,26 +761,9 @@ func (sess *session) complete(req *request) {
 	<-sess.slots
 }
 
-// finish implements task: the scheduler hands the request to the writer
-// once its dispatch batch (and persist scope) is done. ran=false means
-// the scheduler shut down before exec; answer ErrUnmounted.
-func (req *request) finish(ran bool) {
-	if ran {
-		req.done = time.Now()
-	} else {
-		out := &req.out
-		out.b = out.b[:0]
-		out.u64(req.trace)
-		encodeErr(out, vfs.ErrUnmounted)
-	}
-	req.sess.completions <- req
-}
-
 // closeAll closes every handle the session still holds — the server-side
 // half of the handle lifecycle: a dying connection leaks nothing.
 func (sess *session) closeAll() {
-	sess.hmu.Lock()
-	defer sess.hmu.Unlock()
 	for id, h := range sess.handles {
 		h.f.Close()
 		delete(sess.handles, id)
@@ -733,10 +785,9 @@ func (req *request) fail(err error) {
 	encodeErr(&req.out, err)
 }
 
-// exec implements task: it runs the decoded operation against the
-// tenant's view and encodes the response into req.out. It runs in a
-// service slot — a scheduler worker, or the session reader for an inline
-// run — concurrent with other requests of the same session.
+// exec runs the decoded operation against the tenant's view and encodes
+// the response into req.out. It runs on the session reader, in a
+// service slot.
 func (req *request) exec() {
 	req.ran = true
 	sess := req.sess
@@ -944,8 +995,6 @@ func (req *request) exec() {
 // reused within a session, so a stale client ID cannot alias a newer file.
 func (sess *session) put(f vfs.File, flags int) (uint32, uint64) {
 	ino := vfs.InodeOf(f)
-	sess.hmu.Lock()
-	defer sess.hmu.Unlock()
 	id := sess.nextID
 	sess.nextID++
 	sess.handles[id] = handle{f: f, flags: flags, ino: ino}
@@ -955,8 +1004,6 @@ func (sess *session) put(f vfs.File, flags int) (uint32, uint64) {
 // lookup returns a handle, removing it from the table when retire is set
 // (close).
 func (sess *session) lookup(id uint32, retire bool) (handle, bool) {
-	sess.hmu.Lock()
-	defer sess.hmu.Unlock()
 	h, ok := sess.handles[id]
 	if ok && retire {
 		delete(sess.handles, id)

@@ -286,7 +286,6 @@ func TestWriteProm(t *testing.T) {
 		"hinfs_sched_vruntime_lag_ns",
 		"hinfs_sched_service_ns_total",
 		"hinfs_sched_estimate_error_ns_total",
-		"hinfs_sched_inline_total",
 	} {
 		if !strings.Contains(out, "# TYPE "+family+" ") {
 			t.Errorf("missing TYPE header for %s", family)

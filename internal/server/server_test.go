@@ -55,48 +55,75 @@ func twoTenants() map[string]TenantConfig {
 	}
 }
 
-// schedTask wraps a closure in the scheduler's task envelope for the
-// deterministic unit tests below (no workers; dispatch by direct next()
-// calls, execution by r.t.exec()).
-func schedTask(cost int64, fn func()) *schedReq {
-	ft := &funcTask{fn: fn, done: make(chan struct{})}
-	ft.sr = schedReq{cost: cost, t: ft}
-	return &ft.sr
+func newSchedReq() *schedReq { return &schedReq{grant: make(chan bool, 1)} }
+
+// heldSched returns a scheduler over tenants (name → weight, scanned in
+// the given order) whose one service slot is already held, so every
+// submit parks and grants happen only on release — the deterministic
+// drive the unit tests below use, with no goroutines.
+func heldSched(order []string, weights ...int64) *sched {
+	s := &sched{queues: map[string]*schedQueue{}, order: order, workers: 1, busy: 1}
+	for i, name := range order {
+		s.queues[name] = &schedQueue{weight: weights[i]}
+	}
+	return s
 }
 
-// TestSchedulerWeights drives the credit scheduler deterministically —
-// no workers, direct next() calls — and checks that backlogged tenants
-// are served in weight proportion.
+// park submits a request of the given cost for tenant and checks that it
+// waits for a grant.
+func park(t *testing.T, s *sched, tenant string, cost int64) *schedReq {
+	t.Helper()
+	r := newSchedReq()
+	r.cost = cost
+	if s.submit(tenant, r) {
+		t.Fatalf("%s took a slot that is held", tenant)
+	}
+	return r
+}
+
+// grantedOf releases the held slot and returns which of rs it was
+// handed to, failing unless exactly one of them received a grant.
+func grantedOf(t *testing.T, s *sched, rs ...*schedReq) *schedReq {
+	t.Helper()
+	s.release()
+	var got *schedReq
+	for _, r := range rs {
+		select {
+		case ok := <-r.grant:
+			if !ok || got != nil {
+				t.Fatalf("release answered more than one request, or refused one")
+			}
+			got = r
+		default:
+		}
+	}
+	if got == nil {
+		t.Fatal("release granted none of the parked requests")
+	}
+	return got
+}
+
+// TestSchedulerWeights drives the slot grants deterministically and
+// checks that backlogged tenants are served in weight proportion.
 func TestSchedulerWeights(t *testing.T) {
-	s := &sched{
-		queues: map[string]*schedQueue{
-			"big":   {weight: 3},
-			"small": {weight: 1},
-		},
-		order:   []string{"big", "small"},
-		workers: 1,
-	}
-	s.cond = sync.NewCond(&s.mu)
+	s := heldSched([]string{"big", "small"}, 3, 1)
 	// Every request costs 1/16 of a quantum, so one replenish cycle
-	// (weights 3+1 = 4 quanta of credit) serves exactly 64 requests.
+	// (weights 3+1 = 4 quanta of credit) grants exactly 64 requests.
 	const reqCost = schedQuantum / 16
-	served := map[string]int{}
+	tenantOf := map[*schedReq]string{}
+	var parked []*schedReq
 	for _, name := range s.order {
-		name := name
-		q := s.queues[name]
 		for i := 0; i < 64; i++ {
-			q.push(schedTask(reqCost, func() { served[name]++ }))
+			r := park(t, s, name, reqCost)
+			tenantOf[r] = name
+			parked = append(parked, r)
 		}
 	}
-	// Serve exactly one replenish cycle's worth of requests. No workers
-	// run, so nothing settles — the pre-charged estimates are the whole
-	// accounting, and dispatch is deterministic.
+	// Grant exactly one replenish cycle's worth of requests. Nothing
+	// settles, so the pre-charged estimates are the whole accounting.
+	served := map[string]int{}
 	for i := 0; i < 64; i++ {
-		r := s.next()
-		if r == nil {
-			t.Fatal("scheduler returned nil with backlog")
-		}
-		r.t.exec()
+		served[tenantOf[grantedOf(t, s, parked...)]]++
 	}
 	if served["big"] != 48 || served["small"] != 16 {
 		t.Fatalf("served big=%d small=%d, want 48 and 16",
@@ -104,48 +131,39 @@ func TestSchedulerWeights(t *testing.T) {
 	}
 }
 
-// TestSchedulerBatchDrain checks batched dispatch: one nextBatch call
-// drains up to the cap from the min-vrt queue only, pre-charging each
-// request, so a batch is a contiguous single-tenant run.
+// TestSchedulerBatchDrain checks that a dispatch group is charged as one
+// grant: a session running a group of 8 pipelined frames is pre-charged
+// their summed estimates, so its tenant then waits while a tenant of
+// single-frame dispatches catches up.
 func TestSchedulerBatchDrain(t *testing.T) {
-	s := &sched{
-		queues: map[string]*schedQueue{
-			"a": {weight: 1},
-			"b": {weight: 1},
-		},
-		order:   []string{"a", "b"},
-		workers: 3,
+	s := heldSched([]string{"a", "b"}, 1, 1)
+	a, b := s.queues["a"], s.queues["b"]
+	var groups, singles []*schedReq
+	for i := 0; i < 2; i++ {
+		groups = append(groups, park(t, s, "a", 8*schedQuantum))
 	}
-	s.cond = sync.NewCond(&s.mu)
 	for i := 0; i < 12; i++ {
-		for _, name := range s.order {
-			q := s.queues[name]
-			r := schedTask(schedQuantum, func() {})
-			r.q = q
-			q.push(r)
+		singles = append(singles, park(t, s, "b", schedQuantum))
+	}
+	all := append(append([]*schedReq{}, groups...), singles...)
+	if got := grantedOf(t, s, all...); got != groups[0] {
+		t.Fatal("the first grant did not go to the first group (tie: order position)")
+	}
+	if a.vrt != 8*schedQuantum || a.servedNS != 8*schedQuantum {
+		t.Fatalf("group pre-charged vrt %d served %d, want %d", a.vrt, a.servedNS, 8*schedQuantum)
+	}
+	// b trails by 8 quanta: its next 8 dispatches go first, in FIFO
+	// order, and then the tie at 8 quanta goes back to a.
+	for i := 0; i < 8; i++ {
+		if got := grantedOf(t, s, all...); got != singles[i] {
+			t.Fatalf("grant %d did not go to b's dispatch %d", i+2, i)
 		}
 	}
-	buf := s.nextBatch(nil, 8)
-	if len(buf) != 8 {
-		t.Fatalf("batch drained %d, want 8", len(buf))
+	if b.vrt != 8*schedQuantum || grantedOf(t, s, all...) != groups[1] {
+		t.Fatalf("b at vrt %d: the tie did not go back to a's second group", b.vrt)
 	}
-	for i, r := range buf {
-		if r.q != s.queues["a"] {
-			t.Fatalf("batch element %d from wrong queue", i)
-		}
-	}
-	if got := s.queues["a"].vrt; got != 8*schedQuantum {
-		t.Fatalf("pre-charged vrt = %d, want %d", got, 8*schedQuantum)
-	}
-	// Having pre-charged 8 quanta, tenant a is now behind b: the next
-	// batch must come from b, and a short queue yields a short batch.
-	buf = s.nextBatch(buf[:0], 8)
-	if len(buf) != 8 || buf[0].q != s.queues["b"] {
-		t.Fatalf("second batch len=%d from a=%v", len(buf), buf[0].q == s.queues["a"])
-	}
-	buf = s.nextBatch(buf[:0], 8)
-	if len(buf) != 4 || buf[0].q != s.queues["a"] {
-		t.Fatalf("third batch len=%d, want the 4 left in a", len(buf))
+	if a.depth != 0 || b.depth != 4 {
+		t.Fatalf("queue depths a=%d b=%d, want 0 and 4", a.depth, b.depth)
 	}
 }
 
@@ -165,16 +183,8 @@ func TestSchedulerByteCost(t *testing.T) {
 // advances its tenant's virtual clock past the frontier, deferring its
 // next service until rivals catch up.
 func TestSchedulerSettle(t *testing.T) {
-	s := &sched{
-		queues: map[string]*schedQueue{
-			"heavy": {weight: 2},
-			"light": {weight: 1},
-		},
-		order:   []string{"heavy", "light"},
-		workers: 1,
-	}
-	s.cond = sync.NewCond(&s.mu)
-	heavy, light := s.queues["heavy"], s.queues["light"]
+	s := heldSched([]string{"heavy", "light"}, 2, 1)
+	heavy := s.queues["heavy"]
 	// heavy ran 4 quanta over its estimate: its clock advances by the
 	// overrun divided by its weight.
 	s.settle(heavy, 4*schedQuantum)
@@ -182,27 +192,20 @@ func TestSchedulerSettle(t *testing.T) {
 		t.Fatalf("heavy vrt after settle = %d, want %d", heavy.vrt, 2*schedQuantum)
 	}
 	// With both backlogged, the tenant that has consumed less weighted
-	// service is served first regardless of arrival order.
-	s.enqueue("heavy", schedTask(1, func() {}))
-	s.enqueue("light", schedTask(1, func() {}))
-	if r := s.next(); r.q != light {
-		t.Fatal("scheduler served the overdrawn tenant before the lagging one")
+	// service is granted first regardless of arrival order.
+	h := park(t, s, "heavy", 1)
+	l := park(t, s, "light", 1)
+	if grantedOf(t, s, h, l) != l {
+		t.Fatal("scheduler granted the overdrawn tenant before the lagging one")
 	}
 }
 
 // TestSchedulerLagClamp checks the bounded-memory rule: a tenant
 // re-entering from idle keeps at most lagWindow of unused entitlement.
 func TestSchedulerLagClamp(t *testing.T) {
-	s := &sched{
-		queues:  map[string]*schedQueue{"t": {weight: 1}},
-		order:   []string{"t"},
-		workers: 1,
-	}
-	s.cond = sync.NewCond(&s.mu)
+	s := heldSched([]string{"t"}, 1)
 	s.vtime = 100 * schedQuantum // frontier advanced while t was idle
-	if err := s.enqueue("t", schedTask(1, func() {})); err != nil {
-		t.Fatal(err)
-	}
+	park(t, s, "t", 1)
 	if got, want := s.queues["t"].vrt, 100*schedQuantum-lagWindow; got != want {
 		t.Fatalf("idle tenant vrt clamped to %d, want %d", got, want)
 	}

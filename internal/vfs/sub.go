@@ -11,7 +11,7 @@ package vfs
 // system, and Unmount is refused (ErrInvalid) — teardown belongs to the
 // owner of the real mount, not to a confined view.
 func Sub(fs FileSystem, root string) (FileSystem, error) {
-	parts, err := SplitPath(root)
+	parts, err := SplitPath(nil, root)
 	if err != nil {
 		return nil, err
 	}
@@ -35,9 +35,11 @@ type subFS struct {
 // resolve validates path and re-anchors it under the view's root. All
 // escapes are structurally impossible after SplitPath: the surviving
 // components contain no "..", no empty names and no separators, so the
-// join can only descend.
+// join can only descend. A path that is already canonical is appended to
+// the prefix as is, so the common case costs one concatenation.
 func (s *subFS) resolve(path string) (string, error) {
-	parts, err := SplitPath(path)
+	var buf [16]string
+	parts, err := SplitPath(buf[:0], path)
 	if err != nil {
 		return "", err
 	}
@@ -46,6 +48,9 @@ func (s *subFS) resolve(path string) (string, error) {
 			return "/", nil
 		}
 		return s.prefix, nil
+	}
+	if isCanonical(path, parts) {
+		return s.prefix + path, nil
 	}
 	return s.prefix + JoinPath(parts), nil
 }

@@ -215,24 +215,30 @@ func HasBlockMmap(f File) bool {
 	return ok
 }
 
-// SplitPath normalizes path and splits it into components. The root "/"
-// yields an empty slice. It rejects, with ErrInvalid: empty paths, any
-// ".." component (the namespace has no parent links, so dot-dot could only
-// ever be an escape attempt), components containing NUL bytes, and paths
-// exceeding MaxPathLen bytes or MaxPathComponents components. Components
-// longer than MaxComponentLen return ErrNameTooLon. Repeated slashes,
-// trailing slashes and "." components are ignored. Every namespace walk in
-// the repository starts here, so these checks hold for all systems.
-func SplitPath(path string) ([]string, error) {
-	if path == "" {
+// SplitPath normalizes path, appends its components to dst and returns
+// the extended slice. The components are substrings of path, so a caller
+// that passes a stack array (var buf [16]string; SplitPath(buf[:0], p))
+// splits without allocating; deeper paths still work, append grows the
+// slice. The root "/" appends nothing. It rejects, with ErrInvalid: empty
+// paths, any ".." component (the namespace has no parent links, so
+// dot-dot could only ever be an escape attempt), components containing
+// NUL bytes, and paths exceeding MaxPathLen bytes or MaxPathComponents
+// components. Components longer than MaxComponentLen return
+// ErrNameTooLon. Repeated slashes, trailing slashes and "." components
+// are ignored. Every namespace walk in the repository starts here, so
+// these checks hold for all systems.
+func SplitPath(dst []string, path string) ([]string, error) {
+	if path == "" || len(path) > MaxPathLen {
 		return nil, ErrInvalid
 	}
-	if len(path) > MaxPathLen {
-		return nil, ErrInvalid
-	}
-	parts := strings.Split(path, "/")
-	out := parts[:0]
-	for _, p := range parts {
+	out := dst
+	for rest := path; rest != ""; {
+		p := rest
+		if i := strings.IndexByte(rest, '/'); i >= 0 {
+			p, rest = rest[:i], rest[i+1:]
+		} else {
+			rest = ""
+		}
 		switch p {
 		case "", ".":
 		case "..":
@@ -247,15 +253,27 @@ func SplitPath(path string) ([]string, error) {
 			out = append(out, p)
 		}
 	}
-	if len(out) > MaxPathComponents {
+	if len(out)-len(dst) > MaxPathComponents {
 		return nil, ErrInvalid
 	}
 	return out, nil
 }
 
+// isCanonical reports whether path is exactly JoinPath(parts) for the
+// parts SplitPath found in it: absolute, single separators, no "." and
+// no trailing slash. Every separator or "." SplitPath dropped adds bytes
+// beyond one slash per component, so the length decides.
+func isCanonical(path string, parts []string) bool {
+	n := len(parts)
+	for _, p := range parts {
+		n += len(p)
+	}
+	return path[0] == '/' && len(path) == n
+}
+
 // SplitDirBase splits path into its parent components and final name.
 func SplitDirBase(path string) (dir []string, base string, err error) {
-	parts, err := SplitPath(path)
+	parts, err := SplitPath(nil, path)
 	if err != nil {
 		return nil, "", err
 	}

@@ -42,7 +42,7 @@ func TestSplitPath(t *testing.T) {
 		{"/" + strings.Repeat("x/", MaxPathLen), nil, ErrInvalid},
 	}
 	for _, c := range cases {
-		got, err := SplitPath(c.in)
+		got, err := SplitPath(nil, c.in)
 		if err != c.err {
 			t.Errorf("SplitPath(%.40q) err = %v, want %v", c.in, err, c.err)
 			continue
@@ -65,11 +65,50 @@ func TestSplitPath(t *testing.T) {
 func TestSplitPathDepthLimit(t *testing.T) {
 	// Exactly MaxPathComponents is fine; one more is not.
 	ok := strings.Repeat("/a", MaxPathComponents)
-	if _, err := SplitPath(ok); err != nil {
+	if _, err := SplitPath(nil, ok); err != nil {
 		t.Fatalf("depth %d rejected: %v", MaxPathComponents, err)
 	}
-	if _, err := SplitPath(ok + "/a"); err != ErrInvalid {
+	if _, err := SplitPath(nil, ok+"/a"); err != ErrInvalid {
 		t.Fatalf("depth %d accepted: %v", MaxPathComponents+1, err)
+	}
+}
+
+// TestSplitPathAppends: SplitPath appends to the caller's slice and keeps
+// what was there, grows past a stack array for deep paths, and splits
+// into a stack array without allocating.
+func TestSplitPathAppends(t *testing.T) {
+	got, err := SplitPath([]string{"x"}, "/a/b")
+	if err != nil || len(got) != 3 || got[0] != "x" || got[1] != "a" || got[2] != "b" {
+		t.Fatalf("SplitPath onto [x] = %v, %v", got, err)
+	}
+	var buf [16]string
+	got, err = SplitPath(buf[:0], strings.Repeat("/d", 40))
+	if err != nil || len(got) != 40 {
+		t.Fatalf("40-deep path split into %d components, %v", len(got), err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		var buf [16]string
+		if _, err := SplitPath(buf[:0], "/a/./b//c/"); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("SplitPath into a stack array allocates %.0f objects", n)
+	}
+}
+
+func TestIsCanonical(t *testing.T) {
+	for path, want := range map[string]bool{
+		"/a": true, "/a/b": true, "/abc/de": true,
+		"/a/": false, "//a": false, "/a//b": false, "/./a": false, "/a/.": false,
+		"a": false, "a/b": false, "a//b": false,
+	} {
+		parts, err := SplitPath(nil, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := isCanonical(path, parts); got != want {
+			t.Errorf("isCanonical(%q) = %v, want %v", path, got, want)
+		}
 	}
 }
 
@@ -129,6 +168,7 @@ func TestSubResolvesUnderRoot(t *testing.T) {
 	}{
 		{"/", "/tenants/t1"},
 		{"/f", "/tenants/t1/f"},
+		{"/a/b/c", "/tenants/t1/a/b/c"},
 		{"//f//", "/tenants/t1/f"},
 		{"/./a/./b", "/tenants/t1/a/b"},
 		{"relative/name", "/tenants/t1/relative/name"},
