@@ -403,10 +403,10 @@ func BenchmarkCreateUnlinkChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationReplacementPolicy compares LRW eviction order against a
-// deliberately bad policy (evict most-recently-written) by measuring the
-// buffer hit ratio proxy: the NVMM bytes flushed for a skewed rewrite
-// workload. This backs the DESIGN.md ablation note on LRW.
+// BenchmarkAblationLRWSkewedRewrites reports the LRW buffer's write hit
+// ratio on an 80/20-skewed rewrite stream over 4x the buffer: higher hit%
+// means more coalescing before writeback. This backs the DESIGN.md
+// ablation note on LRW.
 func BenchmarkAblationLRWSkewedRewrites(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		dev := microDevice(b)
@@ -428,39 +428,6 @@ func BenchmarkAblationLRWSkewedRewrites(b *testing.B) {
 		if i == 0 {
 			b.ReportMetric(float64(hits)/4000*100, "hit%")
 		}
-	}
-}
-
-// BenchmarkAblationPolicies compares buffer replacement policies' write
-// hit ratios under an 80/20-skewed rewrite stream (DESIGN.md ablation:
-// LRW vs FIFO vs LFW). Higher hit% = more coalescing before writeback.
-func BenchmarkAblationPolicies(b *testing.B) {
-	for _, pol := range []buffer.Policy{buffer.LRW, buffer.FIFO, buffer.LFW} {
-		b.Run(pol.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				dev := microDevice(b)
-				fs, err := core.Mkfs(dev, core.Options{
-					BufferBlocks: 128,
-					Buffer:       buffer.Config{Policy: pol},
-					PMFS:         pmfs.Options{MaxInodes: 1024},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				f, _ := fs.Create("/skew")
-				rng := workload.NewRand(1)
-				buf := make([]byte, 4096)
-				for op := 0; op < 4000; op++ {
-					f.WriteAt(buf, int64(rng.HotIntn(512))*4096)
-				}
-				f.Close()
-				hits := fs.Pool().Stats().WriteHits
-				fs.Unmount()
-				if i == 0 {
-					b.ReportMetric(float64(hits)/4000*100, "hit%")
-				}
-			}
-		})
 	}
 }
 

@@ -80,7 +80,7 @@ func run() int {
 		debugAddr = flag.String("debug-addr", "", "serve /metrics, /debug/obs, /debug/vars and /debug/pprof on this address")
 		statsIvl  = flag.Duration("stats-interval", 0, "dump the per-tenant stats table to stdout at this interval (0 = only at shutdown)")
 		slowOp    = flag.Duration("slow-op", 0, "log a JSON line to stderr for every request at or over this latency (0 = off)")
-		flightBlk = flag.Int64("flight", 32, "NVMM flight-recorder region size in 4 KiB blocks; one record per dispatched request, crash-survivable (0 = off; hinfs/pmfs only)")
+		flightBlk = flag.Int64("flight", 32, "NVMM flight-recorder region size in 4 KiB blocks; one record per dispatched request; survives a simulated power cut, lost at process exit (0 = off; hinfs/pmfs only)")
 		tenants   = tenantFlags{}
 	)
 	flag.Var(tenants, "tenant", "tenant spec name:root:weight:quotaMiB (repeatable)")
@@ -146,7 +146,7 @@ func run() int {
 			name, tc.Root, tc.Weight, quota)
 	}
 	if inst.Flight != nil {
-		fmt.Printf("hinfs-server:   flight ring %d slots (%d blocks, crash-survivable)\n",
+		fmt.Printf("hinfs-server:   flight ring %d slots (%d blocks; survives a simulated power cut, lost at process exit)\n",
 			inst.Flight.Slots(), *flightBlk)
 	}
 

@@ -245,7 +245,7 @@ func render(w io.Writer, url string, cur, prev scrape) {
 	}
 	if seq, ok := cur.get("hinfs_flight_seq"); ok {
 		slots, _ := cur.get("hinfs_flight_slots")
-		fmt.Fprintf(w, "\nflight ring: %.0f records appended (%.0f slots, crash-survivable)\n", seq, slots)
+		fmt.Fprintf(w, "\nflight ring: %.0f records appended (%.0f slots; survives a simulated power cut, lost at process exit)\n", seq, slots)
 	}
 }
 

@@ -15,7 +15,7 @@
 // inequality benefits from buffering and is set Lazy-Persistent;
 // otherwise it is set Eager-Persistent and subsequent asynchronous writes
 // go directly to NVMM. A block decays back to Lazy-Persistent when its
-// file has not seen a synchronization for EagerDecay (5 s default).
+// file has not seen a synchronization for 5 s (eagerDecay).
 //
 // N_cf is measured with a ghost buffer: a bounded index that pretends
 // every write was buffered but stores only cacheline bitmaps, not data
@@ -28,23 +28,27 @@ import (
 	"sync"
 	"time"
 
-	"hinfs/internal/buffer"
 	"hinfs/internal/cacheline"
 	"hinfs/internal/clock"
 	"hinfs/internal/obs"
 )
 
+const (
+	// dramWriteLatency is L_dram per cacheline.
+	dramWriteLatency = 25 * time.Nanosecond
+	// eagerDecay switches a block back to Lazy-Persistent after this long
+	// without a synchronization on its file.
+	eagerDecay = 5 * time.Second
+)
+
 // Config parameterizes the model. Zero fields take paper defaults.
 type Config struct {
-	// DRAMWriteLatency is L_dram per cacheline (default 25 ns).
-	DRAMWriteLatency time.Duration
 	// NVMMWriteLatency is L_nvmm per cacheline (default 200 ns).
 	NVMMWriteLatency time.Duration
-	// EagerDecay switches a block back to Lazy-Persistent after this long
-	// without a synchronization on its file (default 5 s).
-	EagerDecay time.Duration
-	// GhostBlocks bounds the ghost buffer (default 4096 blocks; size it
-	// like the real DRAM buffer).
+	// GhostBlocks bounds the ghost buffer (default 4096 blocks). The
+	// paper's ghost buffer "has the same number of entries as the write
+	// buffer" (§3.3.2) while storing only bitmaps, so size it like the
+	// real DRAM buffer.
 	GhostBlocks int
 	// Obs, when non-nil, counts each synchronization's per-block
 	// verdicts (obs.CtrBenefitEager / CtrBenefitLazy), exposing the
@@ -52,25 +56,9 @@ type Config struct {
 	Obs *obs.Collector
 }
 
-// SizeGhostFromBuffer sizes the ghost buffer from the real DRAM write
-// buffer's resolved configuration (paper §3.3.2: the ghost buffer "has the
-// same number of entries as the write buffer" while storing only bitmaps).
-// It is a no-op if GhostBlocks was set explicitly.
-func (c *Config) SizeGhostFromBuffer(b buffer.Config) {
-	if c.GhostBlocks == 0 {
-		c.GhostBlocks = b.Blocks
-	}
-}
-
 func (c *Config) fill() {
-	if c.DRAMWriteLatency == 0 {
-		c.DRAMWriteLatency = 25 * time.Nanosecond
-	}
 	if c.NVMMWriteLatency == 0 {
 		c.NVMMWriteLatency = 200 * time.Nanosecond
-	}
-	if c.EagerDecay == 0 {
-		c.EagerDecay = 5 * time.Second
 	}
 	if c.GhostBlocks == 0 {
 		c.GhostBlocks = 4096
@@ -243,7 +231,7 @@ func (m *Model) RecordWrite(ino uint64, idx int64, mask cacheline.Bitmap) {
 
 // IsEager reports whether an asynchronous write to block idx must bypass
 // the DRAM buffer. lastSync is the file's last synchronization time: a
-// block whose file has not synced within EagerDecay decays to
+// block whose file has not synced within eagerDecay decays to
 // Lazy-Persistent (the paper's 5 s rule, applied at write time using the
 // file's recorded sync time rather than by scanning).
 func (m *Model) IsEager(ino uint64, idx int64, lastSync time.Time) bool {
@@ -254,7 +242,7 @@ func (m *Model) IsEager(ino uint64, idx int64, lastSync time.Time) bool {
 	if f != nil {
 		s = f.blocks[idx]
 	}
-	if m.clk.Now().Sub(lastSync) > m.cfg.EagerDecay {
+	if m.clk.Now().Sub(lastSync) > eagerDecay {
 		// The file has been quiet: everything decays to Lazy-Persistent.
 		if s != nil {
 			s.eager = false
@@ -281,7 +269,7 @@ func (m *Model) OnSync(ino uint64) (eager, lazy int) {
 		return 0, 0
 	}
 	now := m.clk.Now()
-	ld := int64(m.cfg.DRAMWriteLatency)
+	ld := int64(dramWriteLatency)
 	ln := int64(m.cfg.NVMMWriteLatency)
 	for _, s := range f.touched {
 		var ncf int

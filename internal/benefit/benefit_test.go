@@ -174,11 +174,11 @@ func TestPerBlockIndependence(t *testing.T) {
 func TestDefaults(t *testing.T) {
 	m := NewModel(clock.Real{}, Config{})
 	c := m.Config()
-	if c.DRAMWriteLatency != 25*time.Nanosecond || c.NVMMWriteLatency != 200*time.Nanosecond {
-		t.Fatalf("latency defaults: %+v", c)
+	if dramWriteLatency != 25*time.Nanosecond || c.NVMMWriteLatency != 200*time.Nanosecond {
+		t.Fatalf("latency defaults: L_dram %v, %+v", dramWriteLatency, c)
 	}
-	if c.EagerDecay != 5*time.Second || c.GhostBlocks != 4096 {
-		t.Fatalf("policy defaults: %+v", c)
+	if eagerDecay != 5*time.Second || c.GhostBlocks != 4096 {
+		t.Fatalf("policy defaults: decay %v, %+v", eagerDecay, c)
 	}
 }
 
@@ -239,7 +239,7 @@ func (m *refModel) RecordWrite(ino uint64, idx int64, mask cacheline.Bitmap) {
 
 func (m *refModel) IsEager(ino uint64, idx int64, lastSync time.Time) bool {
 	s := m.files[ino][idx]
-	if m.clk.Now().Sub(lastSync) > m.cfg.EagerDecay {
+	if m.clk.Now().Sub(lastSync) > eagerDecay {
 		if s != nil {
 			s.eager = false
 		}
@@ -261,7 +261,7 @@ func (m *refModel) OnSync(ino uint64) (eager, lazy int) {
 		if s.ncw == 0 && ncf == 0 {
 			continue
 		}
-		ld, ln := int64(m.cfg.DRAMWriteLatency), int64(m.cfg.NVMMWriteLatency)
+		ld, ln := int64(dramWriteLatency), int64(m.cfg.NVMMWriteLatency)
 		satisfied := int64(s.ncw)*ld+int64(ncf)*ln < int64(s.ncw)*ln
 		if s.hasPrev {
 			m.decisions++
@@ -301,7 +301,7 @@ func (m *refModel) DropFile(ino uint64) {
 
 // TestOnSyncMatchesFullWalk is the equivalence proof by differential
 // testing: random RecordWrite / IsEager / OnSync / MarkEager / DropFile
-// sequences, with clock advances past EagerDecay and a ghost buffer small
+// sequences, with clock advances past eagerDecay and a ghost buffer small
 // enough to evict, against the full-walk reference. Every return value,
 // the accuracy counters, the ghost occupancy and the eager state of every
 // block must agree after every step.

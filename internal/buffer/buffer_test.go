@@ -22,17 +22,17 @@ func testPool(t testing.TB, blocks int, clfw bool) (*Pool, *nvmm.Device) {
 	return p, dev
 }
 
-// policyPool builds a pool whose eviction order is fully deterministic:
+// lrwPool builds a pool whose eviction order is fully deterministic:
 // one shard (a single LRW list) and no background writeback threads, so
 // every eviction happens inline in the foreground allocation path.
-func policyPool(t testing.TB, blocks int, pol Policy) *Pool {
+func lrwPool(t testing.TB, blocks int) *Pool {
 	t.Helper()
 	dev, err := nvmm.New(nvmm.Config{Size: 16 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := NewPool(dev, clock.Real{}, Config{
-		Blocks: blocks, Shards: 1, WritebackThreads: -1, CLFW: true, Policy: pol})
+		Blocks: blocks, Shards: 1, WritebackThreads: -1, CLFW: true})
 	t.Cleanup(p.Close)
 	return p
 }
@@ -294,7 +294,7 @@ func TestInvalidateFlushesDirtyBeforeDropping(t *testing.T) {
 }
 
 func TestLRWOrderEvictsOldestWritten(t *testing.T) {
-	p := policyPool(t, 4, LRW)
+	p := lrwPool(t, 4)
 	fb := p.NewFile()
 	base := int64(1 << 20)
 	for i := int64(0); i < 4; i++ {
@@ -388,54 +388,5 @@ func TestDirtyLines(t *testing.T) {
 	}
 	if got := fb.DirtyLines(9); got != 0 {
 		t.Fatalf("missing block dirty lines = %d", got)
-	}
-}
-
-func TestFIFOPolicyIgnoresRewrites(t *testing.T) {
-	p := policyPool(t, 4, FIFO)
-	fb := p.NewFile()
-	base := int64(1 << 20)
-	for i := int64(0); i < 4; i++ {
-		fb.Write(i, 0, []byte{1}, base+i*BlockSize, false)
-	}
-	// Rewrite block 0; under FIFO it must NOT be refreshed, so it is
-	// still the first victim.
-	fb.Write(0, 64, []byte{2}, base, false)
-	fb.Write(4, 0, []byte{3}, base+4*BlockSize, false)
-	if fb.Buffered(0) {
-		t.Fatal("FIFO kept the rewritten block")
-	}
-	if !fb.Buffered(1) {
-		t.Fatal("FIFO evicted the wrong block")
-	}
-}
-
-func TestLFWPolicyKeepsHotBlocks(t *testing.T) {
-	p := policyPool(t, 4, LFW)
-	fb := p.NewFile()
-	base := int64(1 << 20)
-	for i := int64(0); i < 4; i++ {
-		fb.Write(i, 0, []byte{1}, base+i*BlockSize, false)
-	}
-	// Make blocks 1..3 hot; block 0 stays cold (1 write).
-	for r := 0; r < 5; r++ {
-		for i := int64(1); i < 4; i++ {
-			fb.Write(i, 64, []byte{2}, base+i*BlockSize, false)
-		}
-	}
-	fb.Write(4, 0, []byte{3}, base+4*BlockSize, false)
-	if fb.Buffered(0) {
-		t.Fatal("LFW kept the cold block")
-	}
-	for i := int64(1); i < 4; i++ {
-		if !fb.Buffered(i) {
-			t.Fatalf("LFW evicted hot block %d", i)
-		}
-	}
-}
-
-func TestPolicyString(t *testing.T) {
-	if LRW.String() != "lrw" || FIFO.String() != "fifo" || LFW.String() != "lfw" {
-		t.Fatal("policy names")
 	}
 }

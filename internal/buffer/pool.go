@@ -109,14 +109,10 @@ type Config struct {
 	// paper's HiNFS-NCLFW ablation), whole blocks are fetched on a partial
 	// miss and whole blocks are written back.
 	CLFW bool
-	// Policy selects the replacement policy. The paper uses LRW and notes
-	// other policies (LFU, ARC, 2Q) could be integrated; LRW, FIFO and a
-	// simple LFW are provided for the ablation benches.
-	Policy Policy
 	// Obs, when non-nil, receives foreground stall latencies
-	// (obs.PathStall), background writeback batch sizes
-	// (obs.PathWriteback) and the corresponding spans. Nil disables
-	// observability at zero cost on the write-hit fast path.
+	// (obs.PathStall) and background writeback batch sizes
+	// (obs.PathWriteback). Nil disables observability at zero cost on the
+	// write-hit fast path.
 	Obs *obs.Collector
 	// WriteFault, when non-nil, is consulted before every writeback
 	// device write with the target range and may return an error to
@@ -131,32 +127,6 @@ type Config struct {
 	// FaultBackoff is the initial retry backoff, doubled per retry
 	// (default 50 µs).
 	FaultBackoff time.Duration
-}
-
-// Policy is a buffer replacement policy.
-type Policy int
-
-// Replacement policies.
-const (
-	// LRW evicts the Least Recently Written block (paper default).
-	LRW Policy = iota
-	// FIFO evicts in insertion order (rewrites do not refresh position).
-	FIFO
-	// LFW evicts the Least Frequently Written block (LRW tiebreak).
-	LFW
-)
-
-// String implements fmt.Stringer.
-func (p Policy) String() string {
-	switch p {
-	case LRW:
-		return "lrw"
-	case FIFO:
-		return "fifo"
-	case LFW:
-		return "lfw"
-	}
-	return "unknown"
 }
 
 func (c *Config) fill() {
@@ -263,7 +233,6 @@ type block struct {
 	dirty atomic.Uint64 // cacheline.Bitmap: lines needing writeback
 
 	lastWrite atomic.Int64 // unix nanos of the last buffered write
-	writes    atomic.Int64 // buffered write count (LFW policy)
 	retryAt   atomic.Int64 // pool-clock nanos before which eviction skips the block (fault quarantine)
 
 	fmu sync.Mutex    // serializes content mutation: write, flush, invalidate
@@ -559,10 +528,6 @@ func (sh *shard) unlinkList(b *block) {
 }
 
 func (sh *shard) touch(b *block) {
-	b.writes.Add(1)
-	if sh.pool.cfg.Policy == FIFO {
-		return // insertion order is preserved
-	}
 	sh.unlinkList(b)
 	sh.pushMRW(b)
 }
@@ -597,29 +562,13 @@ func (sh *shard) detachLocked(b *block) {
 	sh.inUseCount.Store(int32(sh.inUse))
 }
 
-// victimLocked picks the eviction victim per the configured policy from
-// unpinned blocks, skipping blocks quarantined after a failed writeback;
-// nil if none. Caller holds sh.mu.
+// victimLocked picks the Least Recently Written unpinned block, skipping
+// blocks quarantined after a failed writeback; nil if none. Caller holds
+// sh.mu.
 func (sh *shard) victimLocked() *block {
 	now := sh.pool.clk.Now().UnixNano()
-	skip := func(b *block) bool {
-		return b.pins.Load() != 0 || b.retryAt.Load() > now
-	}
-	if sh.pool.cfg.Policy == LFW {
-		var victim *block
-		min := int64(1) << 62
-		for b := sh.tail; b != nil; b = b.prev {
-			if skip(b) {
-				continue
-			}
-			if w := b.writes.Load(); w < min {
-				min, victim = w, b
-			}
-		}
-		return victim
-	}
 	for b := sh.tail; b != nil; b = b.prev {
-		if !skip(b) {
+		if b.pins.Load() == 0 && b.retryAt.Load() <= now {
 			return b
 		}
 	}
@@ -630,7 +579,6 @@ func (sh *shard) victimLocked() *block {
 func (p *Pool) releaseBlock(b *block) {
 	b.valid.Store(0)
 	b.dirty.Store(0)
-	b.writes.Store(0)
 	b.retryAt.Store(0)
 	b.idx, b.addr = 0, 0
 	b.fresh = false
@@ -845,7 +793,6 @@ func (p *Pool) reclaimFrom(off int) {
 // unshared and clean — a failed (fault-injected) writeback leaves the
 // block buffered and quarantined rather than detached with dirty data.
 func (p *Pool) reclaimShard(sh *shard) {
-	start := p.clk.Now()
 	batch := int64(0)
 	for {
 		sh.mu.Lock()
@@ -868,7 +815,7 @@ func (p *Pool) reclaimShard(sh *shard) {
 	if batch > 0 {
 		p.wbBatches.Add(1)
 		p.wbBlocks.Add(batch)
-		p.observeWriteback(sh, start, batch, "reclaim")
+		p.cfg.Obs.Path(obs.PathWriteback, batch)
 	}
 }
 
@@ -895,25 +842,6 @@ func (p *Pool) evictPinned(sh *shard, victim *block, kind obs.CopyKind) bool {
 	return ok
 }
 
-// observeWriteback records one background writeback batch (size in
-// blocks, plus a span timed on the pool clock) into the collector.
-func (p *Pool) observeWriteback(sh *shard, start time.Time, blocks int64, outcome string) {
-	c := p.cfg.Obs
-	if c == nil {
-		return
-	}
-	c.Path(obs.PathWriteback, blocks)
-	c.Span(obs.Span{
-		Start:   start.UnixNano(),
-		Dur:     p.clk.Now().Sub(start).Nanoseconds(),
-		Op:      obs.OpWrite,
-		Path:    obs.PathWriteback,
-		Size:    blocks,
-		Shard:   int32(sh.id),
-		Outcome: outcome,
-	})
-}
-
 // flushAgedFrom writes back dirty blocks older than MaxDirtyAge without
 // evicting them; they stay cached clean. The sweep starts at shard offset
 // off.
@@ -923,7 +851,6 @@ func (p *Pool) flushAgedFrom(off int) {
 	var victims []*block
 	for k := 0; k < n; k++ {
 		sh := p.shards[(off+k)%n]
-		start := p.clk.Now()
 		victims = victims[:0]
 		sh.mu.Lock()
 		for b := sh.tail; b != nil; b = b.prev {
@@ -943,7 +870,7 @@ func (p *Pool) flushAgedFrom(off int) {
 		if len(victims) > 0 {
 			p.wbBatches.Add(1)
 			p.wbBlocks.Add(int64(len(victims)))
-			p.observeWriteback(sh, start, int64(len(victims)), "age")
+			p.cfg.Obs.Path(obs.PathWriteback, int64(len(victims)))
 		}
 	}
 }
@@ -1013,7 +940,7 @@ func (p *Pool) allocBlock(sh *shard) *block {
 		p.kickWriteback()
 		sh.mu.Unlock()
 		if b := p.stealFree(sh); b != nil {
-			p.observeStall(sh, stallStart, stallOp, stallFlush0)
+			p.observeStall(stallStart, stallOp, stallFlush0)
 			return b
 		}
 		sh.mu.Lock()
@@ -1040,16 +967,16 @@ func (p *Pool) allocBlock(sh *shard) *block {
 	}
 	sh.mu.Unlock()
 	if stalled {
-		p.observeStall(sh, stallStart, stallOp, stallFlush0)
+		p.observeStall(stallStart, stallOp, stallFlush0)
 	}
 	return b
 }
 
 // observeStall accounts one completed foreground stall episode: the
-// cumulative StallNanos counter, the stall-latency histogram, a span,
-// and the attached op's StageStall — net of device flush time charged
+// cumulative StallNanos counter, the stall-latency histogram and the
+// attached op's StageStall — net of device flush time charged
 // during the episode, so stall and flush never double-count.
-func (p *Pool) observeStall(sh *shard, start time.Time, op *obs.OpCtx, flush0 int64) {
+func (p *Pool) observeStall(start time.Time, op *obs.OpCtx, flush0 int64) {
 	ns := p.clk.Now().Sub(start).Nanoseconds()
 	p.stallNanos.Add(ns)
 	if op != nil {
@@ -1058,16 +985,5 @@ func (p *Pool) observeStall(sh *shard, start time.Time, op *obs.OpCtx, flush0 in
 			op.Charge(obs.StageStall, net)
 		}
 	}
-	if c := p.cfg.Obs; c != nil {
-		c.Path(obs.PathStall, ns)
-		c.Span(obs.Span{
-			Start:   start.UnixNano(),
-			Dur:     ns,
-			Op:      obs.OpWrite,
-			Path:    obs.PathStall,
-			Shard:   int32(sh.id),
-			Trace:   op.TraceOrZero(),
-			Outcome: "stall",
-		})
-	}
+	p.cfg.Obs.Path(obs.PathStall, ns)
 }

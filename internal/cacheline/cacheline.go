@@ -49,11 +49,6 @@ func (b *Bitmap) SetRange(off, n int) {
 	*b |= RangeMask(off, n)
 }
 
-// ClearRange clears the bits for every cacheline overlapping [off, off+n).
-func (b *Bitmap) ClearRange(off, n int) {
-	*b &^= RangeMask(off, n)
-}
-
 // RangeMask returns a bitmap with the bits set for every cacheline
 // overlapping the byte range [off, off+n) within a block.
 func RangeMask(off, n int) Bitmap {

@@ -61,8 +61,6 @@ type Options struct {
 	// Buffer overrides write-buffer tuning; Blocks and CLFW are set from
 	// the fields above.
 	Buffer buffer.Config
-	// Benefit overrides Buffer Benefit Model tuning.
-	Benefit benefit.Config
 	// Clock substitutes the time source (tests). Defaults to the wall
 	// clock.
 	Clock clock.Clock
@@ -71,10 +69,10 @@ type Options struct {
 	// the serial-namespace baseline), which apply on every mount.
 	PMFS pmfs.Options
 	// Obs, when non-nil, receives decision-path latency histograms
-	// (direct vs buffered read, eager vs lazy write), per-block routing
-	// counters and op spans from this mount, and is propagated to the
-	// write buffer, the benefit model and the device. Nil (the default)
-	// costs one pointer test per operation.
+	// (direct vs buffered read, eager vs lazy write) and per-block routing
+	// counters from this mount, and is propagated to the write buffer, the
+	// benefit model and the device. Nil (the default) costs one pointer
+	// test per operation.
 	Obs *obs.Collector
 	// UnsafeSkipOrderedCommit deliberately breaks the paper's §4.1
 	// ordered-mode coupling: a lazy write's metadata commit record is
@@ -138,20 +136,17 @@ func wrap(base *pmfs.FS, dev *nvmm.Device, opts Options) *FS {
 		bcfg.Obs = opts.Obs
 	}
 	pool := buffer.NewPool(dev, opts.Clock, bcfg)
-	mcfg := opts.Benefit
-	if mcfg.Obs == nil {
-		mcfg.Obs = opts.Obs
-	}
-	// Size the ghost buffer from the pool's resolved (defaulted) config,
+	// The ghost buffer mirrors the pool's resolved (defaulted) capacity,
 	// not the raw mount options.
-	mcfg.SizeGhostFromBuffer(pool.Config())
-	if mcfg.NVMMWriteLatency == 0 {
-		mcfg.NVMMWriteLatency = dev.Config().WriteLatency
-	}
+	model := benefit.NewModel(opts.Clock, benefit.Config{
+		GhostBlocks:      pool.Config().Blocks,
+		NVMMWriteLatency: dev.Config().WriteLatency,
+		Obs:              opts.Obs,
+	})
 	fs := &FS{
 		FS:    base,
 		pool:  pool,
-		model: benefit.NewModel(opts.Clock, mcfg),
+		model: model,
 		clk:   opts.Clock,
 		opts:  opts,
 		obs:   opts.Obs,
@@ -370,12 +365,6 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 			path = obs.PathBufferedRead
 		}
 		c.Path(path, dur)
-		c.Span(obs.Span{
-			Start: start.UnixNano(), Dur: dur,
-			Op: obs.OpRead, Path: path,
-			File: uint64(f.pf.Ino()), Off: off, Size: int64(n),
-			Shard: -1, Trace: obs.CurrentTrace(), Outcome: "ok",
-		})
 	}
 	return n, eof
 }
@@ -503,22 +492,13 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 		// belongs to the eager-persistent distribution; pure-DRAM ops
 		// belong to the lazy one. The block-level split stays exact in
 		// the counters.
-		path, outcome := obs.PathLazyWrite, "lazy"
+		path := obs.PathLazyWrite
 		if anyDirect {
-			path, outcome = obs.PathEagerWrite, "eager"
-			if lazyBlocks > 0 {
-				outcome = "mixed"
-			}
+			path = obs.PathEagerWrite
 		}
 		c.Path(path, dur)
 		c.Add(obs.CtrEagerBlocks, eagerBlocks)
 		c.Add(obs.CtrLazyBlocks, lazyBlocks)
-		c.Span(obs.Span{
-			Start: start.UnixNano(), Dur: dur,
-			Op: obs.OpWrite, Path: path,
-			File: ino, Off: off, Size: int64(written),
-			Shard: -1, Trace: obs.CurrentTrace(), Outcome: outcome,
-		})
 	}
 	return written, nil
 }
@@ -529,13 +509,8 @@ func (f *File) Fsync() error {
 	if err := f.checkOpen(); err != nil {
 		return err
 	}
-	c := f.fs.obs
-	var start time.Time
-	if c != nil {
-		start = time.Now()
-	}
 	f.pf.Lock()
-	flushed, ferr := f.fb.Flush()
+	_, ferr := f.fb.Flush()
 	f.fs.Device().Fence()
 	f.pf.Unlock()
 	if ferr == nil {
@@ -543,20 +518,6 @@ func (f *File) Fsync() error {
 		// has dirty DRAM state, and re-running fsync must retry it.
 		f.fs.model.OnSync(uint64(f.pf.Ino()))
 		f.pf.MarkSynced(f.fs.clk.Now())
-	}
-	if c != nil {
-		dur := time.Since(start).Nanoseconds()
-		outcome := "ok"
-		if ferr != nil {
-			outcome = "error"
-		}
-		// Size carries the cachelines the sync itself flushed (N_cf).
-		c.Span(obs.Span{
-			Start: start.UnixNano(), Dur: dur,
-			Op: obs.OpFsync, Path: obs.PathWriteback,
-			File: uint64(f.pf.Ino()), Size: int64(flushed),
-			Shard: -1, Trace: obs.CurrentTrace(), Outcome: outcome,
-		})
 	}
 	return ferr
 }
@@ -668,9 +629,4 @@ func (f *File) Msync(index int64) error {
 func (f *File) Munmap() error {
 	f.mapped = false
 	return nil
-}
-
-// LastSyncAge returns how long ago the file was last fsynced (tests).
-func (f *File) LastSyncAge(now time.Time) time.Duration {
-	return now.Sub(f.pf.LastSync())
 }

@@ -5,9 +5,9 @@ import (
 	"testing"
 	"time"
 
-	"hinfs/internal/buffer"
 	"hinfs/internal/clock"
 	"hinfs/internal/nvmm"
+	"hinfs/internal/pmfs"
 	"hinfs/internal/vfs"
 )
 
@@ -216,10 +216,32 @@ func TestReadAtNegativeOffset(t *testing.T) {
 	}
 }
 
-func TestPoolPolicyPassthrough(t *testing.T) {
-	fs, _ := testFS(t, Options{Buffer: buffer.Config{Policy: buffer.FIFO}})
-	if got := fs.Pool().Config().Policy; got != buffer.FIFO {
-		t.Fatalf("policy = %v", got)
+// TestBenefitModelWiring checks the mount sizes the ghost buffer like the
+// DRAM buffer and takes L_nvmm from the device, falling back to the
+// model's 200 ns default on a device with no write latency.
+func TestBenefitModelWiring(t *testing.T) {
+	for _, tc := range []struct {
+		lat, want time.Duration
+	}{
+		{300 * time.Nanosecond, 300 * time.Nanosecond},
+		{0, 200 * time.Nanosecond},
+	} {
+		dev, err := nvmm.New(nvmm.Config{Size: 16 << 20, WriteLatency: tc.lat})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs, err := Mkfs(dev, Options{BufferBlocks: 96, PMFS: pmfs.Options{MaxInodes: 64}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := fs.Model().Config()
+		if c.GhostBlocks != 96 || c.NVMMWriteLatency != tc.want {
+			t.Errorf("device latency %v: ghost %d, L_nvmm %v; want 96, %v",
+				tc.lat, c.GhostBlocks, c.NVMMWriteLatency, tc.want)
+		}
+		if err := fs.Unmount(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -47,7 +47,6 @@ func TestFigureLatencyShape(t *testing.T) {
 func TestRunResultObsSnapshot(t *testing.T) {
 	cfg := fastCfg()
 	cfg.Observe = true
-	cfg.TraceSpans = 256
 	res, err := RunWorkload(HiNFS, cfg,
 		&workload.Fileserver{Files: 8, FileSize: 16 << 10, IOSize: 16 << 10}, 2, 30)
 	if err != nil {

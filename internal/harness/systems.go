@@ -90,13 +90,10 @@ type Config struct {
 	FlightBlocks int64
 	// Observe attaches an obs.Collector to the instance: op-class
 	// latency histograms at the VFS boundary (all systems), decision-path
-	// histograms and spans inside HiNFS, and device flush latency. The
+	// histograms inside HiNFS, and device flush latency. The
 	// collector is registered in obs.Default (for -debug-addr scrapes)
 	// and snapshotted into RunResult.Obs. Off by default.
 	Observe bool
-	// TraceSpans bounds the span ring attached to the collector when
-	// Observe is set (0 = no tracer).
-	TraceSpans int
 }
 
 // Fill applies defaults.
@@ -166,9 +163,6 @@ func NewInstance(sys System, cfg Config) (*Instance, error) {
 	inst := &Instance{System: sys, Dev: dev}
 	if cfg.Observe {
 		inst.Obs = obs.New()
-		if cfg.TraceSpans > 0 {
-			inst.Obs.SetTracer(obs.NewTracer(cfg.TraceSpans))
-		}
 		dev.SetObs(inst.Obs)
 		obs.Default.RegisterCollector(string(sys), inst.Obs)
 	}

@@ -226,8 +226,8 @@ func CopyKinds() []CopyKind {
 }
 
 // Collector aggregates one instance's observability state: an op-class
-// histogram per OpClass, a path histogram per Path, the counters, and an
-// optional span tracer. Every method is nil-safe, so instrumented code
+// histogram per OpClass, a path histogram per Path and the counters.
+// Every method is nil-safe, so instrumented code
 // paths pass a possibly-nil *Collector and pay one pointer test when
 // observability is disabled.
 type Collector struct {
@@ -236,10 +236,9 @@ type Collector struct {
 	ctrs      [NumCounters]atomic.Int64
 	copies    [NumCopyKinds]atomic.Int64
 	copyBytes [NumCopyKinds]atomic.Int64
-	tracer    atomic.Pointer[Tracer]
 }
 
-// New creates an empty collector with no tracer attached.
+// New creates an empty collector.
 func New() *Collector { return &Collector{} }
 
 // Op records one operation of class op taking d.
@@ -301,14 +300,6 @@ func (c *Collector) Copy(kind CopyKind, n int) {
 	c.copyBytes[kind].Add(int64(n))
 }
 
-// CopyCount returns the number of copies recorded for kind.
-func (c *Collector) CopyCount(kind CopyKind) int64 {
-	if c == nil {
-		return 0
-	}
-	return c.copies[kind].Load()
-}
-
 // CopyBytes returns the bytes copied for kind.
 func (c *Collector) CopyBytes(kind CopyKind) int64 {
 	if c == nil {
@@ -317,31 +308,7 @@ func (c *Collector) CopyBytes(kind CopyKind) int64 {
 	return c.copyBytes[kind].Load()
 }
 
-// SetTracer attaches (or with nil detaches) a span tracer.
-func (c *Collector) SetTracer(t *Tracer) {
-	if c != nil {
-		c.tracer.Store(t)
-	}
-}
-
-// Tracer returns the attached tracer, if any.
-func (c *Collector) Tracer() *Tracer {
-	if c == nil {
-		return nil
-	}
-	return c.tracer.Load()
-}
-
-// Span forwards s to the attached tracer. One atomic load when no
-// tracer is attached or it is disabled.
-func (c *Collector) Span(s Span) {
-	if c == nil {
-		return
-	}
-	c.tracer.Load().Record(s)
-}
-
-// Reset zeroes histograms and counters (not the tracer). Call at
+// Reset zeroes histograms and counters. Call at
 // quiesced phase boundaries, e.g. between a workload's setup and run.
 func (c *Collector) Reset() {
 	if c == nil {

@@ -1,6 +1,5 @@
 // Package obs is the repository's observability layer: low-overhead
-// latency histograms, a ring-buffer span tracer, and a metrics registry
-// exported over expvar/pprof.
+// latency histograms and a metrics registry exported over expvar/pprof.
 //
 // The paper's evaluation (Figs. 4/5, 12) argues from *where time goes* —
 // per-op latency decomposed into NVMM write exposure, double-copy
@@ -8,8 +7,7 @@
 // an obs.Collector: op-class latency histograms at the VFS boundary
 // (WrapFS), decision-path histograms inside HiNFS (direct vs buffered
 // read, eager vs lazy write, foreground stalls, writeback batches, NVMM
-// flushes), and optional begin/end spans in a bounded ring for offline
-// analysis.
+// flushes).
 //
 // Everything is nil-safe: a nil *Collector (the default everywhere) makes
 // every record call a single pointer test, so the instrumented hot paths

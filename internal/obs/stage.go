@@ -100,14 +100,6 @@ func (c *OpCtx) StageNS(st Stage) int64 {
 	return c.stage[st]
 }
 
-// TraceOrZero returns the trace ID, nil-safe.
-func (c *OpCtx) TraceOrZero() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.Trace
-}
-
 // Breakdown returns a copy of the per-stage accumulator.
 func (c *OpCtx) Breakdown() [NumStages]int64 {
 	if c == nil {

@@ -20,8 +20,8 @@ func TestOpCtxChargeAndBreakdown(t *testing.T) {
 	if b[StageQueue] != 150 || b[StageFlush] != 7 {
 		t.Fatalf("breakdown = %v", b)
 	}
-	if c.TraceOrZero() != 0xabcd {
-		t.Fatalf("trace = %x", c.TraceOrZero())
+	if c.Trace != 0xabcd {
+		t.Fatalf("trace = %x", c.Trace)
 	}
 
 	// Reset clears every stage for reuse.
@@ -36,7 +36,7 @@ func TestOpCtxChargeAndBreakdown(t *testing.T) {
 	nilCtx.Charge(StageQueue, 1)
 	nilCtx.Attach()
 	nilCtx.Detach()
-	if nilCtx.StageNS(StageQueue) != 0 || nilCtx.TraceOrZero() != 0 {
+	if nilCtx.StageNS(StageQueue) != 0 {
 		t.Fatal("nil OpCtx must read as zero")
 	}
 }

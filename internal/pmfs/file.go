@@ -377,17 +377,6 @@ func (f *File) truncateLocked(size int64) error {
 	return nil
 }
 
-// CloseWillReclaim reports whether closing this handle would free the
-// inode's storage (it is the last handle to an unlinked file). The HiNFS
-// layer uses it to discard buffered blocks before the NVMM blocks are
-// released.
-func (f *File) CloseWillReclaim() bool {
-	st := f.fs.state(f.ino)
-	st.meta.Lock()
-	defer st.meta.Unlock()
-	return st.refs == 1 && st.unlinked
-}
-
 // Close implements vfs.File. Closing an already-closed handle returns
 // ErrClosed without touching the refcount (a double Close must not
 // release another handle's reference).

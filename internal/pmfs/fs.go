@@ -804,14 +804,6 @@ func (fs *FS) ReadDir(path string) ([]vfs.DirEntry, error) {
 	return out, nil
 }
 
-// OpenRefs returns the number of open handles on ino.
-func (fs *FS) OpenRefs(ino Ino) int {
-	st := fs.state(ino)
-	st.meta.Lock()
-	defer st.meta.Unlock()
-	return st.refs
-}
-
 // Sync implements vfs.FileSystem. PMFS persists data at write time, so a
 // fence suffices.
 func (fs *FS) Sync() error {
