@@ -64,7 +64,7 @@ func TestPersistBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := budgetFile(t, fs, "/d/f", 0)
-	data := make([]byte, 2*BlockSize)
+	data := make([]byte, 4*BlockSize)
 	write := func(f *File, n int, off int64) func() {
 		return func() {
 			t.Helper()
@@ -138,6 +138,17 @@ func TestPersistBudget(t *testing.T) {
 		if _, err := g.WriteAt(data[:100], 8*BlockSize); err != nil { // EOF now sits mid-block
 			t.Fatal(err)
 		}
+		v, err := fs.Create("/d/small")
+		if err != nil {
+			t.Fatal(err)
+		}
+		small := v.(*File)
+		defer small.Close()
+		if v, err = fs.Create("/d/four"); err != nil {
+			t.Fatal(err)
+		}
+		write(v.(*File), 4*BlockSize, 0)()
+		v.Close()
 		for _, c := range []struct {
 			name string
 			op   func()
@@ -145,6 +156,17 @@ func TestPersistBudget(t *testing.T) {
 		}{
 			{"append inside a block", write(g, 100, 8*BlockSize+100), cost{6, 512, 6, 2, 1}},
 			{"append allocating a block", write(g, BlockSize, 9*BlockSize), cost{12, 4800, 10, 4, 1}},
+			// A file of up to four blocks keeps its pointers in the inode:
+			// 16 KiB of data and 10 metadata lines, no 4 KiB index block.
+			{"first write of a 4-block file", write(small, 4*BlockSize, 0), cost{14, 4*BlockSize + 640, 9, 4, 1}},
+			// The fifth block promotes it: its data, the index block (paid
+			// once, here) and 16 metadata lines.
+			{"append promoting 4 to 5 blocks", write(small, BlockSize, 4*BlockSize), cost{18, 2*BlockSize + 1024, 13, 6, 1}},
+			{"unlink of a 4-block file", func() {
+				if err := fs.Unlink("/d/four"); err != nil {
+					t.Fatal(err)
+				}
+			}, cost{15, 960, 13, 6, 2}},
 			{"create", func() {
 				h, err := fs.Create("/d/new")
 				if err != nil {

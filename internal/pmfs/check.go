@@ -11,6 +11,10 @@ import (
 // Check wraps each finding so callers can test with errors.Is.
 var ErrJournalResidue = errors.New("journal residue")
 
+// ErrStalePointer is the error class for direct pointer words left set on
+// an inode of height >= 1, where only the root pointer addresses blocks.
+var ErrStalePointer = errors.New("stale pointer")
+
 // Check is an fsck-style validator of the on-device image. It walks the
 // namespace from the root, validates every inode record and index tree,
 // and cross-checks the block bitmap:
@@ -19,6 +23,7 @@ var ErrJournalResidue = errors.New("journal residue")
 //   - every index/data block must be inside the data region, marked
 //     allocated in the bitmap, and referenced exactly once;
 //   - inode Blocks counters must match the tree contents;
+//   - an inode of height >= 1 must have zero direct words;
 //   - every allocated block must be reachable (no leaks).
 //
 // The file system must be quiescent while Check runs (no in-flight
@@ -58,6 +63,17 @@ func (fs *FS) Check() []error {
 		}
 		return data
 	}
+	// walkInode walks every block rec points at and returns its data
+	// block count.
+	walkInode := func(ino Ino, rec inodeRec) int64 {
+		var data int64
+		rec.roots(func(bn int64, height byte) { data += walkTree(ino, bn, height) })
+		if rec.Height > 0 && rec.Direct != [directPtrs - 1]int64{} {
+			errs = append(errs, fmt.Errorf("inode %d: direct words %v set at height %d: %w",
+				ino, rec.Direct, rec.Height, ErrStalePointer))
+		}
+		return data
+	}
 
 	checkInode := func(ino Ino, wantType byte) inodeRec {
 		rec := fs.loadInode(ino)
@@ -65,14 +81,9 @@ func (fs *FS) Check() []error {
 			addErr("inode %d: type %d, want %d", ino, rec.Type, wantType)
 			return rec
 		}
-		if rec.Root != 0 {
-			dataBlocks := walkTree(ino, rec.Root, rec.Height)
-			if dataBlocks != rec.Blocks {
-				addErr("inode %d: Blocks=%d but tree holds %d data blocks",
-					ino, rec.Blocks, dataBlocks)
-			}
-		} else if rec.Blocks != 0 {
-			addErr("inode %d: Blocks=%d with no tree", ino, rec.Blocks)
+		if dataBlocks := walkInode(ino, rec); dataBlocks != rec.Blocks {
+			addErr("inode %d: Blocks=%d but tree holds %d data blocks",
+				ino, rec.Blocks, dataBlocks)
 		}
 		if rec.Size < 0 {
 			addErr("inode %d: negative size %d", ino, rec.Size)
@@ -116,10 +127,7 @@ func (fs *FS) Check() []error {
 			ino := k.(Ino)
 			if !liveInos[ino] {
 				liveInos[ino] = true
-				rec := fs.loadInode(ino)
-				if rec.Root != 0 {
-					walkTree(ino, rec.Root, rec.Height)
-				}
+				walkInode(ino, fs.loadInode(ino))
 			}
 		}
 		st.meta.Unlock()

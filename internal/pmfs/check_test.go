@@ -2,6 +2,7 @@ package pmfs
 
 import (
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -69,18 +70,62 @@ func TestCheckUnlinkedOpenFileIsNotALeak(t *testing.T) {
 }
 
 func TestCheckDetectsCorruptPointer(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		blocks int
+		height byte
+		addr   func(fs *FS, rec inodeRec, ino Ino) int64
+	}{
+		// The first leaf slot of a height-1 tree.
+		{"leaf slot", 5, 1, func(_ *FS, rec inodeRec, _ Ino) int64 { return blockAddr(rec.Root) }},
+		// File block 2's direct word in the inode of a height-0 file.
+		{"direct word", 4, 0, func(fs *FS, _ inodeRec, ino Ino) int64 { return fs.l.inodeAddr(ino) + inoDirect + 8 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			fs, dev := testFS(t)
+			f, _ := fs.Create("/victim")
+			f.WriteAt(make([]byte, c.blocks*BlockSize), 0)
+			f.Close()
+			ino, _ := fs.Resolve("/victim")
+			rec := fs.loadInode(ino)
+			if rec.Height != c.height {
+				t.Fatalf("a %d-block file has height %d, want %d", c.blocks, rec.Height, c.height)
+			}
+			// Point it at an out-of-range block.
+			var b [8]byte
+			binary.LittleEndian.PutUint64(b[:], uint64(fs.l.totalBlocks+5))
+			dev.Write(b[:], c.addr(fs, rec, ino))
+			if errs := fs.Check(); len(errs) == 0 {
+				t.Fatal("corrupt pointer not detected")
+			}
+		})
+	}
+}
+
+// TestCheckDetectsStalePointer: the direct words mean nothing above height
+// 0, so a word left set on a tree inode is reported in its own class.
+func TestCheckDetectsStalePointer(t *testing.T) {
 	fs, dev := testFS(t)
-	f, _ := fs.Create("/victim")
-	f.WriteAt(make([]byte, 4*BlockSize), 0) // height-1 tree
+	f, _ := fs.Create("/tree")
+	f.WriteAt(make([]byte, 5*BlockSize), 0)
 	f.Close()
-	ino, _ := fs.Resolve("/victim")
-	rec := fs.loadInode(ino)
-	// Corrupt the first leaf pointer to an out-of-range block.
+	ino, _ := fs.Resolve("/tree")
+	if rec := fs.loadInode(ino); rec.Height != 1 {
+		t.Fatalf("a 5-block file has height %d, want 1", rec.Height)
+	}
+	if errs := fs.Check(); len(errs) != 0 {
+		t.Fatalf("clean image reported errors: %v", errs)
+	}
 	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(fs.l.totalBlocks+5))
-	dev.Write(b[:], blockAddr(rec.Root))
-	if errs := fs.Check(); len(errs) == 0 {
-		t.Fatal("corrupt pointer not detected")
+	binary.LittleEndian.PutUint64(b[:], uint64(fs.l.dataStart+1))
+	dev.Write(b[:], fs.l.inodeAddr(ino)+inoDirect+16)
+	errs := fs.Check()
+	found := false
+	for _, err := range errs {
+		found = found || errors.Is(err, ErrStalePointer)
+	}
+	if !found {
+		t.Fatalf("stale direct word not reported as ErrStalePointer: %v", errs)
 	}
 }
 

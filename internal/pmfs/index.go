@@ -6,12 +6,14 @@ import (
 	"hinfs/internal/journal"
 )
 
-// The per-file block index is a B-tree of 512-ary index blocks, as in PMFS.
-// A file of height 0 stores its single data block number directly in the
-// inode root pointer; height h > 0 means the root is an index block whose
-// children each cover 512^(h-1) blocks.
+// The per-file block index is a B-tree of 512-ary index blocks, as in PMFS,
+// with direct pointers at the bottom. A file of height 0 addresses up to
+// directPtrs data blocks from the inode itself — file block 0 through the
+// root pointer, blocks 1-3 through the direct words — so a file of at most
+// 16 KiB owns no index block. Height h > 0 means the root is an index block
+// whose children each cover 512^(h-1) blocks, and the direct words are zero.
 
-// capBlocks returns the number of data blocks addressable at height h.
+// capBlocks returns the number of data blocks a subtree of height h spans.
 func capBlocks(h byte) int64 {
 	c := int64(1)
 	for i := byte(0); i < h; i++ {
@@ -20,10 +22,19 @@ func capBlocks(h byte) int64 {
 	return c
 }
 
-// heightFor returns the minimum tree height addressing block index idx.
+// addressable returns the number of file blocks an inode of height h
+// addresses.
+func addressable(h byte) int64 {
+	if h == 0 {
+		return directPtrs
+	}
+	return capBlocks(h)
+}
+
+// heightFor returns the minimum inode height addressing block index idx.
 func heightFor(idx int64) byte {
 	h := byte(0)
-	for capBlocks(h) <= idx {
+	for addressable(h) <= idx {
 		h++
 	}
 	return h
@@ -68,8 +79,11 @@ func (fs *FS) zeroBlock(bn int64) { fs.zeroRange(blockAddr(bn), BlockSize) }
 // treeLookup returns the block number holding file block idx, or 0 if the
 // block is a hole.
 func (fs *FS) treeLookup(rec inodeRec, idx int64) int64 {
-	if rec.Root == 0 || idx >= capBlocks(rec.Height) {
+	if idx >= addressable(rec.Height) {
 		return 0
+	}
+	if rec.Height == 0 {
+		return *rec.ptr(idx)
 	}
 	bn := rec.Root
 	for h := rec.Height; h > 0; h-- {
@@ -90,11 +104,21 @@ func (fs *FS) treeLookup(rec inodeRec, idx int64) int64 {
 // allocated, nothing journaled — for the write that turns out to need neither.
 func (fs *FS) treeLookupRange(rec inodeRec, first, count int64, dst []Extent) ([]Extent, bool) {
 	last := first + count - 1
-	if rec.Root == 0 || last >= capBlocks(rec.Height) {
+	if last >= addressable(rec.Height) {
 		return dst, false
 	}
 	if rec.Height == 0 {
-		return append(dst, Extent{Index: 0, Addr: blockAddr(rec.Root)}), true
+		for idx := first; idx <= last; idx++ {
+			bn := *rec.ptr(idx)
+			if bn == 0 {
+				return dst, false
+			}
+			dst = append(dst, Extent{Index: idx, Addr: blockAddr(bn)})
+		}
+		return dst, true
+	}
+	if rec.Root == 0 {
+		return dst, false
 	}
 	for idx := first; idx <= last; {
 		leaf, base := rec.Root, int64(0)
@@ -117,60 +141,52 @@ func (fs *FS) treeLookupRange(rec inodeRec, first, count int64, dst []Extent) ([
 	return dst, true
 }
 
-// treeEnsure makes file block idx exist, growing the tree and allocating
-// index/data blocks as needed. It updates rec in place (caller persists the
-// inode record once per operation) and returns the data block number.
-func (fs *FS) treeEnsure(tx *journal.Tx, rec *inodeRec, idx int64) (bn int64, created bool, err error) {
-	// Grow the tree until idx is addressable.
-	for idx >= capBlocks(rec.Height) {
-		if rec.Root == 0 {
-			rec.Height = heightFor(idx)
-			break
-		}
-		newRoot, err := fs.alloc.allocOne(tx)
+// grow makes file block last addressable, updating rec in place. An empty
+// inode takes the height it needs at once. Otherwise each step allocates a
+// new root index block holding what the inode pointed at — the four direct
+// words when a small file outgrows them, the old root above that — and the
+// inode's next store publishes it. The block needs no undo image: nothing
+// reaches it until that store, whose fence orders its flush.
+func (fs *FS) grow(tx *journal.Tx, rec *inodeRec, last int64) error {
+	if rec.empty() {
+		rec.Height = heightFor(last)
+		return nil
+	}
+	for last >= addressable(rec.Height) {
+		ix, err := fs.alloc.allocOne(tx)
 		if err != nil {
-			return 0, false, err
+			return err
 		}
-		fs.zeroBlock(newRoot)
-		fs.writePtr(tx, newRoot, 0, rec.Root)
-		rec.Root = newRoot
+		var b [directPtrs * 8]byte
+		if rec.Height == 0 {
+			for idx := int64(0); idx < directPtrs; idx++ {
+				putLE64(b[idx*8:], uint64(*rec.ptr(idx)))
+			}
+		} else {
+			putLE64(b[:], uint64(rec.Root))
+		}
+		fs.dev.Write(fs.zero[:], blockAddr(ix))
+		fs.dev.Write(b[:], blockAddr(ix))
+		fs.dev.Flush(blockAddr(ix), BlockSize)
+		rec.Root, rec.Direct = ix, [directPtrs - 1]int64{}
 		rec.Height++
 	}
-	if rec.Root == 0 {
-		// Empty file: allocate the root path directly.
-		bn, err := fs.alloc.allocOne(tx)
-		if err != nil {
-			return 0, false, err
-		}
-		fs.zeroBlock(bn)
-		rec.Root = bn
-		if rec.Height == 0 {
-			rec.Blocks++
-			return bn, true, nil
-		}
+	return nil
+}
+
+// treeEnsure makes file block idx exist, as treeEnsureRange does, and
+// zeroes it whole if it allocated it: it is the directory path, and a new
+// directory block must read as free slots. It returns the block number.
+func (fs *FS) treeEnsure(tx *journal.Tx, rec *inodeRec, idx int64) (bn int64, created bool, err error) {
+	var buf [1]Extent
+	ext, err := fs.treeEnsureRange(tx, rec, idx, 1, buf[:0])
+	if err != nil {
+		return 0, false, err
 	}
-	// Walk down, filling missing interior blocks.
-	cur := rec.Root
-	for h := rec.Height; h > 0; h-- {
-		sub := capBlocks(h - 1)
-		slot := idx / sub
-		idx %= sub
-		child := fs.readPtr(cur, slot)
-		if child == 0 {
-			child, err = fs.alloc.allocOne(tx)
-			if err != nil {
-				return 0, false, err
-			}
-			fs.zeroBlock(child)
-			fs.writePtr(tx, cur, slot, child)
-			if h == 1 {
-				created = true
-				rec.Blocks++
-			}
-		}
-		cur = child
+	if ext[0].Created {
+		fs.zeroBlock(ext[0].Addr / BlockSize)
 	}
-	return cur, created, nil
+	return ext[0].Addr / BlockSize, ext[0].Created, nil
 }
 
 // walkToLeaf ensures the interior path for file block idx exists and
@@ -210,33 +226,33 @@ func (fs *FS) treeEnsureRange(tx *journal.Tx, rec *inodeRec, first, count int64,
 		return dst, nil
 	}
 	last := first + count - 1
-	// Grow the tree until the whole range is addressable.
-	for last >= capBlocks(rec.Height) {
-		if rec.Root == 0 {
-			rec.Height = heightFor(last)
-			break
+	if err := fs.grow(tx, rec, last); err != nil {
+		return dst, err
+	}
+	if rec.Height == 0 {
+		// Direct pointers: one allocation for the missing blocks, recorded
+		// in the inode, which the caller stores.
+		missing := 0
+		for idx := first; idx <= last; idx++ {
+			if *rec.ptr(idx) == 0 {
+				missing++
+			}
 		}
-		newRoot, err := fs.alloc.allocOne(tx)
+		var bbuf [directPtrs]int64
+		blocks, err := fs.alloc.alloc(tx, missing, bbuf[:0])
 		if err != nil {
 			return dst, err
 		}
-		fs.zeroBlock(newRoot)
-		fs.writePtr(tx, newRoot, 0, rec.Root)
-		rec.Root = newRoot
-		rec.Height++
-	}
-	// Height 0: single-block file, root is the data block.
-	if rec.Height == 0 {
-		if rec.Root == 0 {
-			bn, err := fs.alloc.allocOne(tx)
-			if err != nil {
-				return dst, err
+		for idx := first; idx <= last; idx++ {
+			p := rec.ptr(idx)
+			created := *p == 0
+			if created {
+				*p, blocks = blocks[0], blocks[1:]
+				rec.Blocks++
 			}
-			rec.Root = bn
-			rec.Blocks++
-			return append(dst, Extent{Index: 0, Addr: blockAddr(bn), Created: true}), nil
+			dst = append(dst, Extent{Index: idx, Addr: blockAddr(*p), Created: created})
 		}
-		return append(dst, Extent{Index: 0, Addr: blockAddr(rec.Root)}), nil
+		return dst, nil
 	}
 	if rec.Root == 0 {
 		bn, err := fs.alloc.allocOne(tx)
@@ -317,6 +333,9 @@ func (fs *FS) treeEnsureRange(tx *journal.Tx, rec *inodeRec, first, count int64,
 // a tail is a consistent, shorter tree — and calls again with a new
 // transaction.
 func (fs *FS) treeFreeFrom(tx *journal.Tx, rec *inodeRec, from int64) (cut int64, more bool) {
+	if rec.Height == 0 {
+		return fs.directFreeFrom(tx, rec, from)
+	}
 	if rec.Root == 0 {
 		return from, false
 	}
@@ -327,6 +346,31 @@ func (fs *FS) treeFreeFrom(tx *journal.Tx, rec *inodeRec, from int64) (cut int64
 	}
 	fs.alloc.release(tx, w.freed)
 	return w.cut, w.more
+}
+
+// directFreeFrom is treeFreeFrom at height 0: it clears the direct pointers
+// of blocks >= from, highest first, within the same chunk budget.
+func (fs *FS) directFreeFrom(tx *journal.Tx, rec *inodeRec, from int64) (cut int64, more bool) {
+	var buf [directPtrs]int64
+	freed, budget := buf[:0], fs.freeChunk()
+	cut = from
+	for idx := int64(directPtrs - 1); idx >= from; idx-- {
+		p := rec.ptr(idx)
+		if *p == 0 {
+			continue
+		}
+		if budget == 0 {
+			more = true
+			break
+		}
+		budget--
+		freed = append(freed, *p)
+		*p = 0
+		rec.Blocks--
+		cut = idx
+	}
+	fs.alloc.release(tx, freed)
+	return cut, more
 }
 
 // freeChunk sizes treeFreeFrom's chunk from the journal's geometry. Freeing

@@ -17,15 +17,49 @@ type inodeRec struct {
 	Height byte
 	Links  uint32
 	Size   int64
-	Root   int64 // root block number of the index tree (0 = none)
-	Blocks int64 // data+index blocks allocated
+	Root   int64 // root index block, or file block 0's data block at height 0 (0 = none)
+	Blocks int64 // data blocks allocated
 	Mtime  int64
+	// Direct holds the data blocks of file blocks 1-3 at height 0; zero at
+	// any other height.
+	Direct [directPtrs - 1]int64
+}
+
+// ptr returns the pointer word addressing file block idx of a height-0
+// inode, idx < directPtrs.
+func (r *inodeRec) ptr(idx int64) *int64 {
+	if idx == 0 {
+		return &r.Root
+	}
+	return &r.Direct[idx-1]
+}
+
+// empty reports whether the inode addresses no block at all.
+func (r *inodeRec) empty() bool {
+	return r.Root == 0 && r.Direct == [directPtrs - 1]int64{}
+}
+
+// roots calls fn with every block the inode points at and the height of the
+// subtree under it: the direct data blocks at height 0, the root index block
+// above. Check and recoverRebuild reach a file's blocks through it.
+func (r inodeRec) roots(fn func(bn int64, height byte)) {
+	if r.Height > 0 {
+		if r.Root != 0 {
+			fn(r.Root, r.Height)
+		}
+		return
+	}
+	for idx := int64(0); idx < directPtrs; idx++ {
+		if bn := *r.ptr(idx); bn != 0 {
+			fn(bn, 0)
+		}
+	}
 }
 
 func (fs *FS) loadInode(ino Ino) inodeRec {
-	var b [InodeSize]byte
+	var b [inoLine]byte
 	fs.dev.Read(b[:], fs.l.inodeAddr(ino))
-	return inodeRec{
+	rec := inodeRec{
 		Type:   b[inoType],
 		Height: b[inoHeight],
 		Links:  binary.LittleEndian.Uint32(b[inoLinks:]),
@@ -34,16 +68,23 @@ func (fs *FS) loadInode(ino Ino) inodeRec {
 		Blocks: int64(binary.LittleEndian.Uint64(b[inoBlocks:])),
 		Mtime:  int64(binary.LittleEndian.Uint64(b[inoMtime:])),
 	}
+	for i := range rec.Direct {
+		rec.Direct[i] = int64(binary.LittleEndian.Uint64(b[inoDirect+8*i:]))
+	}
+	return rec
 }
 
 // storeInode journals the inode's first cacheline under tx and writes rec
-// through to NVMM. Every transaction that mutates an inode passes through
-// here, so this is also where per-inode commit chaining is established:
-// tx's commit record is ordered behind the previous transaction that
-// touched the same inode. Deferred (ordered-mode) commits finish in data
-// writeback order, which can invert begin order; without the chain a crash
-// could roll an older uncommitted transaction's inode pre-image over a
-// newer committed one's update.
+// through to NVMM as one line. Fields [0, 40) are logged every time; the
+// direct words only when this store changes them, as a second entry, so a
+// transaction that leaves the block map alone logs one entry for the inode.
+// Every transaction that mutates an inode passes through here, so this is
+// also where per-inode commit chaining is established: tx's commit record
+// is ordered behind the previous transaction that touched the same inode.
+// Deferred (ordered-mode) commits finish in data writeback order, which can
+// invert begin order; without the chain a crash could roll an older
+// uncommitted transaction's inode pre-image over a newer committed one's
+// update.
 func (fs *FS) storeInode(tx *journal.Tx, ino Ino, rec inodeRec) {
 	st := fs.state(ino)
 	st.meta.Lock()
@@ -56,8 +97,7 @@ func (fs *FS) storeInode(tx *journal.Tx, ino Ino, rec inodeRec) {
 		tx.After(prev)
 	}
 	addr := fs.l.inodeAddr(ino)
-	tx.LogRange(addr, 40) // all fields live in the first 40 bytes
-	var b [40]byte
+	var b [inoLine]byte
 	b[inoType] = rec.Type
 	b[inoHeight] = rec.Height
 	binary.LittleEndian.PutUint32(b[inoLinks:], rec.Links)
@@ -65,6 +105,15 @@ func (fs *FS) storeInode(tx *journal.Tx, ino Ino, rec inodeRec) {
 	binary.LittleEndian.PutUint64(b[inoRoot:], uint64(rec.Root))
 	binary.LittleEndian.PutUint64(b[inoBlocks:], uint64(rec.Blocks))
 	binary.LittleEndian.PutUint64(b[inoMtime:], uint64(rec.Mtime))
+	for i, bn := range rec.Direct {
+		binary.LittleEndian.PutUint64(b[inoDirect+8*i:], uint64(bn))
+	}
+	tx.LogRange(addr, inoDirect)
+	var cur [inoLine - inoDirect]byte
+	fs.dev.Read(cur[:], addr+inoDirect)
+	if cur != [inoLine - inoDirect]byte(b[inoDirect:]) {
+		tx.LogRange(addr+inoDirect, inoLine-inoDirect)
+	}
 	fs.dev.Write(b[:], addr)
 	fs.dev.Flush(addr, len(b))
 	fs.dev.Fence()

@@ -16,14 +16,16 @@
 //	blocks B+1..F          flight-recorder ring, optional (internal/obs/flight)
 //	blocks F+1..end        data blocks
 //
-// File data is indexed by a per-inode B-tree of 512-ary index blocks,
-// exactly PMFS's scheme: height 0 means the root pointer is the single
-// data block; height h>0 means the root is an index block whose subtrees
-// cover 512^h blocks.
+// File data is indexed by a per-inode B-tree of 512-ary index blocks, as
+// in PMFS, except at the bottom: height 0 means the inode itself holds up
+// to four data block pointers (the root pointer and three direct words), so
+// a file of at most 16 KiB owns no index block; height h>0 means the root
+// is an index block whose subtrees cover 512^(h-1) blocks each.
 package pmfs
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"hinfs/internal/cacheline"
@@ -35,6 +37,25 @@ const BlockSize = cacheline.BlockSize
 
 // Magic identifies a formatted device.
 const Magic = 0x48694e4653_2016 // "HiNFS" 2016
+
+// formatVersion is the format version Mkfs writes. Images formatted before
+// the superblock carried one read back version 0 and no feature bits.
+const formatVersion = 1
+
+// Incompatible format features: a mount that does not know a set bit
+// refuses the image, since it would misread it.
+const (
+	// incompatDirectPtrs: a height-0 inode addresses file blocks 0-3 through
+	// its root pointer and three direct words. A version-0 image never set
+	// the direct words, so its single-block inodes are valid under it.
+	incompatDirectPtrs = 1 << 0
+
+	incompatKnown = incompatDirectPtrs
+)
+
+// ErrIncompatFormat is returned by Mount for an image that sets an
+// incompatible feature bit this code does not know.
+var ErrIncompatFormat = errors.New("pmfs: unknown incompatible format feature")
 
 // InodeSize is the on-device inode record size.
 const InodeSize = 128
@@ -76,7 +97,9 @@ const (
 	sbCleanUnmount = 80 // 1 if cleanly unmounted
 	sbFlightStart  = 88 // byte offset of flight-recorder region (0 = none)
 	sbFlightSize   = 96 // bytes
-	sbHeaderEnd    = 104
+	sbVersion      = 104
+	sbIncompat     = 112 // incompatible feature bits
+	sbHeaderEnd    = 120
 )
 
 // Inode record field offsets.
@@ -86,9 +109,15 @@ const (
 	inoLinks  = 4  // uint32
 	inoSize   = 8  // uint64
 	inoRoot   = 16 // uint64 block number (0 = none)
-	inoBlocks = 24 // uint64 allocated data+index blocks
+	inoBlocks = 24 // uint64 allocated data blocks
 	inoMtime  = 32 // uint64 unix nanos
+	inoDirect = 40 // 3 × uint64: data blocks of file blocks 1-3 at height 0
+	inoLine   = 64 // the record's first cacheline: every field above
 )
+
+// directPtrs is the number of file blocks a height-0 inode addresses: block
+// 0 through the root pointer, blocks 1-3 through the direct words.
+const directPtrs = 4
 
 // Dentry record field offsets (64 B).
 const (
@@ -189,6 +218,8 @@ func (l layout) writeSuper(dev *nvmm.Device) {
 	put(b[sbTotalBlocks:], uint64(l.totalBlocks))
 	put(b[sbFlightStart:], uint64(l.flightStart))
 	put(b[sbFlightSize:], uint64(l.flightSize))
+	put(b[sbVersion:], formatVersion)
+	put(b[sbIncompat:], incompatKnown)
 	dev.Write(b[:], 0)
 	dev.Flush(0, BlockSize)
 	dev.Fence()
@@ -200,6 +231,9 @@ func readLayout(dev *nvmm.Device) (layout, error) {
 	get := binary.LittleEndian.Uint64
 	if get(b[sbMagic:]) != Magic {
 		return layout{}, fmt.Errorf("pmfs: bad magic: device not formatted")
+	}
+	if unknown := get(b[sbIncompat:]) &^ incompatKnown; unknown != 0 {
+		return layout{}, fmt.Errorf("%w: %#x (format version %d)", ErrIncompatFormat, unknown, get(b[sbVersion:]))
 	}
 	l := layout{
 		size:         int64(get(b[sbSize:])),

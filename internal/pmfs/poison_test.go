@@ -153,18 +153,19 @@ func TestFreshBlockZeroedOnlyAtItsEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	// The first write pays for the file's index block; measure after it.
-	if _, err := f.WriteAt(make([]byte, 4*BlockSize), 0); err != nil {
+	// The first write pays for the file's index block — five blocks are
+	// more than the inode addresses directly; measure after it.
+	if _, err := f.WriteAt(make([]byte, 5*BlockSize), 0); err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {
 		off, n int64
 		zeroed int64 // bytes of whole cachelines zeroEdges must flush
 	}{
-		{4 * BlockSize, 4 * BlockSize, 0},                   // four covered blocks
-		{8*BlockSize + 100, 2*BlockSize - 100, 128},         // head of the first: [0,100) is two lines
-		{10 * BlockSize, BlockSize + 64*3, BlockSize - 192}, // tail of the last
-		{12*BlockSize + 640, 64, BlockSize - 64},            // one line in the middle of one block
+		{5 * BlockSize, 4 * BlockSize, 0},                   // four covered blocks
+		{9*BlockSize + 100, 2*BlockSize - 100, 128},         // head of the first: [0,100) is two lines
+		{11 * BlockSize, BlockSize + 64*3, BlockSize - 192}, // tail of the last
+		{13*BlockSize + 640, 64, BlockSize - 64},            // one line in the middle of one block
 	}
 	for _, c := range cases {
 		before := dev.Stats()
@@ -440,6 +441,160 @@ func TestChunkedFreeCrashImages(t *testing.T) {
 		}
 		if !unlink && len(sizes) < blocks/4 {
 			t.Fatalf("truncate crash images showed only sizes %v: the chunk transactions were not explored", sizes)
+		}
+	}
+}
+
+// TestDirectPointerCrashImages crashes at every persist event of a sequence
+// that moves files across the direct-pointer boundary: a small file written
+// through its direct words and then promoted to a tree by an append, a sparse
+// write leaving direct holes and a second one promoting them, a full direct
+// file truncated to half, then
+// truncates to zero and unlinks. Every image must recover to a consistent
+// file system in which each file is as it was before or after the operation
+// in flight.
+func TestDirectPointerCrashImages(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	type step struct {
+		path  string
+		do    func(fs *FS) error
+		model func(m map[string][]byte)
+	}
+	create := func(p string) step {
+		return step{p, func(fs *FS) error {
+			f, err := fs.Create(p)
+			if err == nil {
+				f.Close()
+			}
+			return err
+		}, func(m map[string][]byte) { m[p] = []byte{} }}
+	}
+	write := func(p string, off int64, n int) step {
+		data := payload(rng, n)
+		return step{p, func(fs *FS) error {
+			f, err := fs.Open(p, vfs.ORdwr)
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			_, err = f.WriteAt(data, off)
+			return err
+		}, func(m map[string][]byte) {
+			if end := off + int64(n); end > int64(len(m[p])) {
+				m[p] = append(m[p], make([]byte, end-int64(len(m[p])))...)
+			}
+			copy(m[p][off:], data)
+		}}
+	}
+	truncate := func(p string, size int64) step {
+		return step{p, func(fs *FS) error {
+			f, err := fs.Open(p, vfs.ORdwr)
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			return f.Truncate(size)
+		}, func(m map[string][]byte) {
+			m[p] = append(m[p][:min(size, int64(len(m[p])))], make([]byte, max(0, size-int64(len(m[p]))))...)
+		}}
+	}
+	unlink := func(p string) step {
+		return step{p, func(fs *FS) error { return fs.Unlink(p) }, func(m map[string][]byte) { delete(m, p) }}
+	}
+	steps := []step{
+		create("/a"),
+		write("/a", 0, 3*BlockSize),             // three direct blocks
+		write("/a", 3*BlockSize, BlockSize+300), // fills the fourth, promotes with the fifth
+		create("/b"),
+		write("/b", 2*BlockSize+10, 100), // blocks 0 and 1 stay direct holes
+		write("/b", 9*BlockSize, 50),     // promotes with holes; the new slot is in another line
+		create("/c"),
+		write("/c", 0, 4*BlockSize), // every direct word
+		truncate("/a", 2*BlockSize), // stays a tree
+		truncate("/b", 2*BlockSize),
+		truncate("/c", 2*BlockSize),
+		truncate("/a", 0), // the tree empties: back to height 0
+		truncate("/b", 0),
+		truncate("/c", 0),
+		unlink("/a"),
+		unlink("/b"),
+		unlink("/c"),
+	}
+	// states[k] is the model after the first k steps.
+	states := []map[string][]byte{{}}
+	for _, s := range steps {
+		m := make(map[string][]byte)
+		for p, data := range states[len(states)-1] {
+			m[p] = bytes.Clone(data)
+		}
+		s.model(m)
+		states = append(states, m)
+	}
+	// run replays the steps with a crash plan armed at event target and
+	// returns each step's persist-event window (ends[k-1], ends[k]].
+	run := func(target int64) (ends []int64, state *nvmm.CrashState) {
+		dev, err := nvmm.New(nvmm.Config{Size: 1 << 20, TrackPersistence: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs, err := Mkfs(dev, Options{MaxInodes: 64, JournalBlocks: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ends = []int64{dev.PersistEvents()}
+		dev.SetCrashPlan(func(ev int64, _ nvmm.EventKind) bool { return ev == target })
+		for k, s := range steps {
+			if err := s.do(fs); err != nil {
+				t.Fatalf("step %d: %v", k, err)
+			}
+			ends = append(ends, dev.PersistEvents())
+			if target == 0 {
+				for p, want := range states[k+1] {
+					if got := readAll(t, fs, p); !bytes.Equal(got, want) {
+						t.Fatalf("step %d: live %s differs from the model", k, p)
+					}
+				}
+			}
+		}
+		if errs := fs.Check(); len(errs) != 0 {
+			t.Fatalf("check after the live run: %v", errs)
+		}
+		return ends, dev.TakeCrashState()
+	}
+	ends, _ := run(0)
+	k := 0
+	for ev := ends[0] + 1; ev <= ends[len(ends)-1]; ev++ {
+		for ev > ends[k+1] {
+			k++
+		}
+		before, after := states[k], states[k+1]
+		_, state := run(ev)
+		for _, seed := range []uint64{0, 0x9E3779B97F4A7C15, 7} {
+			dev, err := state.Materialize(nvmm.Config{}, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs, _, err := MountRecover(dev)
+			if err != nil {
+				t.Fatalf("step %d event %d seed %#x: recovery: %v", k, ev, seed, err)
+			}
+			if errs := fs.Check(); len(errs) != 0 {
+				t.Fatalf("step %d event %d seed %#x: check: %v", k, ev, seed, errs)
+			}
+			for _, p := range []string{"/a", "/b", "/c"} {
+				var got []byte
+				if _, err := fs.Stat(p); err == nil {
+					got = readAll(t, fs, p)
+				}
+				matches := func(m map[string][]byte) bool {
+					want, ok := m[p]
+					return ok == (got != nil) && bytes.Equal(got, want)
+				}
+				if !matches(before) && !matches(after) {
+					t.Fatalf("step %d (%s) event %d seed %#x: %s recovered at %d bytes, neither before nor after the step",
+						k, steps[k].path, ev, seed, p, len(got))
+				}
+			}
 		}
 	}
 }

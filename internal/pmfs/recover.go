@@ -15,7 +15,7 @@ package pmfs
 //     open handles at mount time, so unlinked-but-open does not apply);
 //     any other in-use inode record is freed;
 //   - the block bitmap becomes exactly {metadata region} ∪ {blocks
-//     referenced by live inodes' index trees}.
+//     referenced by live inodes' direct pointers and index trees}.
 //
 // The walk is defensive: out-of-range or doubly-referenced blocks are
 // skipped rather than trusted (Check reports them). Rebuilding is
@@ -43,9 +43,7 @@ func (fs *FS) recoverRebuild() (wordsFixed, inosFreed int) {
 	var walkDir func(ino Ino)
 	walkDir = func(ino Ino) {
 		rec := fs.loadInode(ino)
-		if rec.Root != 0 {
-			walkTree(rec.Root, rec.Height)
-		}
+		rec.roots(walkTree)
 		fs.dirScan(rec, func(_ int64, d dentry) bool {
 			if d.ino == 0 || int64(d.ino) >= fs.l.maxInodes || live[d.ino] {
 				return false
@@ -53,8 +51,8 @@ func (fs *FS) recoverRebuild() (wordsFixed, inosFreed int) {
 			live[d.ino] = true
 			if d.typ == typeDir {
 				walkDir(d.ino)
-			} else if rec := fs.loadInode(d.ino); rec.Root != 0 {
-				walkTree(rec.Root, rec.Height)
+			} else {
+				fs.loadInode(d.ino).roots(walkTree)
 			}
 			return false
 		})
