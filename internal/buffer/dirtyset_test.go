@@ -2,12 +2,9 @@ package buffer
 
 import (
 	"bytes"
-	"errors"
 	"math/bits"
 	"math/rand"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -120,32 +117,18 @@ func checkDirtySuperset(t *testing.T, fb *FileBuf, n int64, when string) {
 // under everything that moves a dirty map: one foreground client (standing
 // in for the inode lock) issues random Write / Flush / Invalidate /
 // EvictBlock / DropBlock / Drop on a pool small enough to reclaim, while
-// the background writeback threads reclaim and age blocks and WriteFault
-// fails a share of device writes. After every foreground op the set ⊇
-// {idx : DirtyLines(idx) > 0}; a successful Flush leaves the set empty; and
-// once the faults stop one Flush brings NVMM level with a shadow copy, so no
-// block a failed Flush left dirty was lost from the set
-// (TestWritebackPermanentFaultKeepsDirtyData pins that case alone).
+// the background writeback threads reclaim and age blocks. After every
+// foreground op the set ⊇ {idx : DirtyLines(idx) > 0}; a Flush leaves the
+// set empty; and a final Flush brings NVMM level with a shadow copy, so no
+// dirty block was lost from the set.
 func TestDirtySetInvariantUnderFaultsAndWriteback(t *testing.T) {
 	dev, err := nvmm.New(nvmm.Config{Size: 16 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var failPct atomic.Int64 // share of device writes that fail, in percent
-	var faultMu sync.Mutex
-	faultRng := rand.New(rand.NewSource(99))
 	p := NewPool(dev, clock.Real{}, Config{
 		Blocks: 24, Shards: 3, CLFW: true,
 		FlushPeriod: 200 * time.Microsecond, MaxDirtyAge: 100 * time.Microsecond,
-		FaultRetries: 1, FaultBackoff: time.Microsecond,
-		WriteFault: func(int64, int) error {
-			faultMu.Lock()
-			defer faultMu.Unlock()
-			if int64(faultRng.Intn(100)) < failPct.Load() {
-				return errInjected
-			}
-			return nil
-		},
 	})
 	defer p.Close()
 	const nBlocks = 160 // many times the pool: allocation stalls and reclaims
@@ -157,9 +140,6 @@ func TestDirtySetInvariantUnderFaultsAndWriteback(t *testing.T) {
 	fb := p.NewFile()
 
 	for op := 0; op < 6000; op++ {
-		if op%500 == 0 {
-			failPct.Store(int64(rng.Intn(3)) * 30) // 0, 30 or 60 %
-		}
 		idx := int64(rng.Intn(nBlocks))
 		switch r := rng.Intn(100); {
 		case r < 60:
@@ -169,22 +149,17 @@ func TestDirtySetInvariantUnderFaultsAndWriteback(t *testing.T) {
 			fb.Write(idx, off, buf[:n], addr(idx), true)
 			copy(shadow[idx*BlockSize+int64(off):], buf[:n])
 		case r < 70:
-			// A failed Flush keeps its blocks dirty and in the set: the
-			// superset check below sees them.
 			if _, err := fb.Flush(); err != nil {
-				if !errors.Is(err, errInjected) {
-					t.Fatal(err)
-				}
-			} else if n := fb.dirty.len(); n != 0 {
-				t.Fatalf("op %d: %d members after a successful Flush with no writer", op, n)
+				t.Fatal(err)
+			}
+			if n := fb.dirty.len(); n != 0 {
+				t.Fatalf("op %d: %d members after a Flush with no writer", op, n)
 			}
 		case r < 80:
 			off := rng.Intn(BlockSize)
-			// Only the error return matters here: a failed invalidate keeps
-			// the lines valid and dirty, which the superset check covers.
-			_ = fb.Invalidate(idx, off, 1+rng.Intn(BlockSize-off))
+			fb.Invalidate(idx, off, 1+rng.Intn(BlockSize-off))
 		case r < 88:
-			_ = fb.EvictBlock(idx)
+			fb.EvictBlock(idx)
 		case r < 98:
 			// Truncate's drop: the dirty data is discarded, so is the shadow.
 			fb.DropBlock(idx)
@@ -199,11 +174,9 @@ func TestDirtySetInvariantUnderFaultsAndWriteback(t *testing.T) {
 		checkDirtySuperset(t, fb, nBlocks, "after op")
 	}
 
-	if st := p.Stats(); st.WritebackBlocks == 0 || st.Evictions == 0 || st.WritebackGiveUps == 0 {
-		t.Fatalf("the run never exercised background writeback, eviction or a failed episode: %+v", st)
+	if st := p.Stats(); st.WritebackBlocks == 0 || st.Evictions == 0 {
+		t.Fatalf("the run never exercised background writeback or eviction: %+v", st)
 	}
-	// The retry: faults off, one Flush must find everything still dirty.
-	failPct.Store(0)
 	if _, err := fb.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -324,6 +297,53 @@ func TestDropReleasesGatedTxsInOrder(t *testing.T) {
 	}
 }
 
+// TestFlushCommitsGatedTxsInBlockOrder pins Flush's write-back order:
+// ascending file block index across the whole file, whatever shard each
+// block lives in, so the fsync's persist-event stream is a function of the
+// op sequence. Each block gates its own transaction, which commits once
+// the block is written back; commit order is read off the persist events.
+func TestFlushCommitsGatedTxsInBlockOrder(t *testing.T) {
+	p, dev := dropPool(t, 256, 4)
+	const jbase, jsize, dbase = 1 << 20, 64 * BlockSize, 2 << 20
+	j, err := journal.NewLanes(dev, jbase, jsize, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb := p.NewFile()
+	const n = 96
+	txs := make([]*journal.Tx, n)
+	for _, i := range rand.New(rand.NewSource(6)).Perm(n) {
+		tx := j.Begin()
+		fb.Write(int64(i), 0, []byte{byte(i)}, dbase+int64(i)*BlockSize, false, tx)
+		tx.AddPending(1)
+		tx.Seal()
+		txs[i] = tx
+	}
+	var got []int64
+	seen := make([]bool, n)
+	dev.SetCrashPlan(func(int64, nvmm.EventKind) bool {
+		for i, tx := range txs {
+			if !seen[i] && tx.Committed() {
+				seen[i] = true
+				got = append(got, int64(i))
+			}
+		}
+		return false
+	})
+	lines, err := fb.Flush()
+	dev.SetCrashPlan(nil)
+	if err != nil || lines != n {
+		t.Fatalf("Flush = %d, %v; want %d lines", lines, err, n)
+	}
+	want := make([]int64, n)
+	for i := range want {
+		want[i] = int64(i)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("gated transactions committed in order %v, want ascending", got)
+	}
+}
+
 // TestBufferHotPathsAllocateNothing: a buffered read, a write hit that
 // fetches a partial line, and the flush of a clean file stay off the heap.
 func TestBufferHotPathsAllocateNothing(t *testing.T) {
@@ -338,9 +358,7 @@ func TestBufferHotPathsAllocateNothing(t *testing.T) {
 	// Leave every other pair of lines invalid so the read merges runs from
 	// both DRAM and NVMM.
 	for l := 0; l < 64; l += 4 {
-		if err := fb.Invalidate(0, l*64, 128); err != nil {
-			t.Fatal(err)
-		}
+		fb.Invalidate(0, l*64, 128)
 	}
 	dst := make([]byte, BlockSize)
 	if n := testing.AllocsPerRun(200, func() {
@@ -366,9 +384,7 @@ func TestBufferHotPathsAllocateNothing(t *testing.T) {
 	hits := p.Stats().WriteHits
 	if n := testing.AllocsPerRun(200, func() {
 		fb.Write(0, 10, blk[:20], addr, true)
-		if err := fb.Invalidate(0, 0, 64); err != nil {
-			t.Fatal(err)
-		}
+		fb.Invalidate(0, 0, 64)
 	}); n != 0 {
 		t.Fatalf("write hit with a partial-line fetch allocates %v times", n)
 	}

@@ -299,20 +299,16 @@ func (fb *FileBuf) DirtyLines(idx int64) int {
 // (and with it the persist-event stream crash exploration replays) is a
 // function of the op sequence alone; a file with nothing dirty costs one
 // look at the set — no shard lock, no allocation. A member that a writeback
-// thread cleaned or evicted since the snapshot is a no-op. If a block's
-// writeback episode exhausts its retries the remaining blocks are still
-// flushed and the first error is returned; failed blocks keep their dirty
-// lines and their place in the set (fsync must not report durability it
-// does not have, and its retry must find them).
+// thread cleaned or evicted since the snapshot is a no-op. Write-back
+// cannot fail, so the error is always nil.
 func (fb *FileBuf) Flush() (int, error) {
 	p := fb.pool
 	flushed := 0
-	var firstErr error
 	var batch [32]int64
 	for next := int64(0); ; {
 		n := fb.dirty.from(next, batch[:])
 		if n == 0 {
-			return flushed, firstErr
+			return flushed, nil
 		}
 		next = batch[n-1] + 1
 		for _, idx := range batch[:n] {
@@ -321,27 +317,18 @@ func (fb *FileBuf) Flush() (int, error) {
 				continue
 			}
 			b.fmu.Lock()
-			lines := b.dirtyMap().Count()
-			err := p.flushBlockRetryLocked(b, obs.CopySyncFlush)
+			flushed += b.dirtyMap().Count()
+			p.flushBlockLocked(b, obs.CopySyncFlush)
 			b.fmu.Unlock()
 			b.pins.Add(-1)
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
-			flushed += lines
 		}
 	}
 }
 
 // EvictBlock flushes block idx if dirty and removes it from the buffer
 // (the paper's case-1 eager-persistent consistency path: write to the
-// DRAM block, then explicitly evict it before returning). On a writeback
-// error the block stays buffered with its dirty data and the error is
-// returned — the eager durability contract was not met.
-func (fb *FileBuf) EvictBlock(idx int64) error {
+// DRAM block, then explicitly evict it before returning).
+func (fb *FileBuf) EvictBlock(idx int64) {
 	p := fb.pool
 	sh := p.shardFor(fb, idx)
 	for {
@@ -349,7 +336,7 @@ func (fb *FileBuf) EvictBlock(idx int64) error {
 		b := fb.blocks[sh.id][idx]
 		if b == nil {
 			sh.mu.Unlock()
-			return nil
+			return
 		}
 		if b.pins.Load() != 0 {
 			sh.mu.Unlock()
@@ -358,20 +345,8 @@ func (fb *FileBuf) EvictBlock(idx int64) error {
 		}
 		b.pins.Add(1)
 		sh.mu.Unlock()
-		err := p.flushBlock(b, obs.CopyInlineEvict)
-		sh.mu.Lock()
-		ok := err == nil && b.fb != nil && b.pins.Load() == 1 && !b.dirtyMap().Any()
-		if ok {
-			sh.detachLocked(b)
-		}
-		sh.mu.Unlock()
-		b.pins.Add(-1)
-		if err != nil {
-			return err
-		}
-		if ok {
-			p.releaseBlock(b)
-			return nil
+		if p.evictPinned(sh, b, obs.CopyInlineEvict) {
+			return
 		}
 	}
 }
@@ -379,22 +354,16 @@ func (fb *FileBuf) EvictBlock(idx int64) error {
 // Invalidate drops the valid/dirty state of every cacheline overlapping
 // [blkOff, blkOff+n) of block idx, flushing first if any covered line is
 // dirty. HiNFS calls it when an eager-persistent write goes directly to
-// NVMM so stale DRAM lines cannot shadow the new data. If the flush fails
-// the lines stay valid and dirty and the error is returned — invalidating
-// unflushed dirty data would lose writes.
-func (fb *FileBuf) Invalidate(idx int64, blkOff, n int) error {
+// NVMM so stale DRAM lines cannot shadow the new data.
+func (fb *FileBuf) Invalidate(idx int64, blkOff, n int) {
 	b := fb.lookupPin(idx, false)
 	if b == nil {
-		return nil
+		return
 	}
 	mask := cacheline.RangeMask(blkOff, n)
 	b.fmu.Lock()
 	if (b.dirtyMap() & mask).Any() {
-		if err := fb.pool.flushBlockRetryLocked(b, obs.CopyInlineEvict); err != nil {
-			b.fmu.Unlock()
-			b.pins.Add(-1)
-			return err
-		}
+		fb.pool.flushBlockLocked(b, obs.CopyInlineEvict)
 	}
 	b.valid.Store(uint64(b.validMap() &^ mask))
 	fb.storeDirtyLocked(b, b.dirtyMap()&^mask)
@@ -403,7 +372,6 @@ func (fb *FileBuf) Invalidate(idx int64, blkOff, n int) error {
 	if !b.validMap().Any() {
 		fb.dropIfEmpty(idx)
 	}
-	return nil
 }
 
 // dropIfEmpty releases block idx if it holds no valid lines.
@@ -419,8 +387,8 @@ func (fb *FileBuf) dropIfEmpty(idx int64) {
 	sh.detachLocked(b)
 	sh.mu.Unlock()
 	// No valid lines means no dirty lines: this only releases any gated
-	// transactions and cannot fail.
-	_ = p.flushBlock(b, obs.CopySyncFlush)
+	// transactions.
+	p.flushBlock(b, obs.CopySyncFlush)
 	p.releaseBlock(b)
 }
 

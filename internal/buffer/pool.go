@@ -114,19 +114,6 @@ type Config struct {
 	// (obs.PathWriteback). Nil disables observability at zero cost on the
 	// write-hit fast path.
 	Obs *obs.Collector
-	// WriteFault, when non-nil, is consulted before every writeback
-	// device write with the target range and may return an error to
-	// inject a transient write failure (fault-injection testing). Failed
-	// writeback attempts are retried with exponential backoff on the pool
-	// clock; a block whose retries are exhausted keeps its dirty data and
-	// is quarantined from eviction for a short period.
-	WriteFault func(addr int64, n int) error
-	// FaultRetries is the number of writeback retries after a failed
-	// attempt before giving up on the attempt (default 5).
-	FaultRetries int
-	// FaultBackoff is the initial retry backoff, doubled per retry
-	// (default 50 µs).
-	FaultBackoff time.Duration
 }
 
 func (c *Config) fill() {
@@ -161,12 +148,6 @@ func (c *Config) fill() {
 	if c.WritebackThreads < 0 {
 		c.WritebackThreads = 0
 	}
-	if c.FaultRetries == 0 {
-		c.FaultRetries = 5
-	}
-	if c.FaultBackoff == 0 {
-		c.FaultBackoff = 50 * time.Microsecond
-	}
 }
 
 // ShardStats reports one shard's occupancy (lock-free snapshot).
@@ -189,7 +170,8 @@ type Stats struct {
 	LinesFetched int64
 	// LinesFlushed counts cachelines written back DRAM→NVMM.
 	LinesFlushed int64
-	// Evictions counts blocks reclaimed by writeback threads or inline.
+	// Evictions counts blocks reclaimed by writeback threads or by a
+	// stalled foreground allocation (not case-1 evictions or unmount).
 	Evictions int64
 	// Stalls counts foreground allocation episodes that found their shard
 	// exhausted.
@@ -207,16 +189,6 @@ type Stats struct {
 	// Drops counts dirty blocks discarded because their file was deleted —
 	// writes that never had to reach NVMM.
 	Drops int64
-	// WritebackFaults counts injected writeback write errors observed
-	// (Config.WriteFault returning non-nil).
-	WritebackFaults int64
-	// WritebackRetries counts writeback attempts re-run after a fault,
-	// each preceded by an exponential-backoff wait on the pool clock.
-	WritebackRetries int64
-	// WritebackGiveUps counts writeback episodes that exhausted their
-	// retries; the block keeps its dirty data (background paths quarantine
-	// it and retry later, sync paths surface the error).
-	WritebackGiveUps int64
 	// Shards snapshots per-shard occupancy.
 	Shards []ShardStats
 }
@@ -233,15 +205,14 @@ type block struct {
 	dirty atomic.Uint64 // cacheline.Bitmap: lines needing writeback
 
 	lastWrite atomic.Int64 // unix nanos of the last buffered write
-	retryAt   atomic.Int64 // pool-clock nanos before which eviction skips the block (fault quarantine)
 
 	fmu sync.Mutex    // serializes content mutation: write, flush, invalidate
 	txs []*journal.Tx // ordered-mode commits gated on this block (under fmu)
 	// fresh (under fmu) marks a block whose NVMM backing was allocated by a
 	// write buffered here and has not been written back since: pmfs left
-	// the bytes that write covers un-zeroed, so until a flush succeeds the
-	// dirty lines of the NVMM block still hold its previous owner's bytes.
-	// Set by Write(blockExists == false), cleared by a successful flush;
+	// the bytes that write covers un-zeroed, so until the block is flushed
+	// the dirty lines of the NVMM block still hold its previous owner's
+	// bytes. Set by Write(blockExists == false), cleared by a flush;
 	// DropBlock zeroes those lines on NVMM before it lets txs commit.
 	fresh bool
 
@@ -302,9 +273,6 @@ type Pool struct {
 	wbBatches    atomic.Int64
 	wbBlocks     atomic.Int64
 	drops        atomic.Int64
-	wbFaults     atomic.Int64
-	wbRetries    atomic.Int64
-	wbGiveUps    atomic.Int64
 }
 
 // NewPool creates a pool of cfg.Blocks DRAM blocks over dev and starts the
@@ -384,9 +352,6 @@ func (p *Pool) Stats() Stats {
 		WritebackBatches: p.wbBatches.Load(),
 		WritebackBlocks:  p.wbBlocks.Load(),
 		Drops:            p.drops.Load(),
-		WritebackFaults:  p.wbFaults.Load(),
-		WritebackRetries: p.wbRetries.Load(),
-		WritebackGiveUps: p.wbGiveUps.Load(),
 		Shards:           make([]ShardStats, len(p.shards)),
 	}
 	for i, sh := range p.shards {
@@ -445,10 +410,8 @@ func (p *Pool) Abandon() {
 	p.wg.Wait()
 }
 
-// Close flushes every dirty block to NVMM and stops the writeback threads
-// (the paper flushes all DRAM blocks at unmount). A block whose writeback
-// exhausts its retries stays installed with its dirty data — never
-// discarded — and is skipped for the rest of the unmount sweep.
+// Close flushes every dirty block to NVMM, releases every block and stops
+// the writeback threads (the paper flushes all DRAM blocks at unmount).
 func (p *Pool) Close() {
 	if p.closed.Swap(true) {
 		return
@@ -456,45 +419,22 @@ func (p *Pool) Close() {
 	close(p.quit)
 	p.wg.Wait()
 	for _, sh := range p.shards {
-		failed := make(map[*block]bool)
 		for {
 			sh.mu.Lock()
-			var victim *block
-			remaining := 0
-			for b := sh.tail; b != nil; b = b.prev {
-				if failed[b] {
-					continue
-				}
-				remaining++
-				if victim == nil && b.pins.Load() == 0 {
-					victim = b
-				}
-			}
+			empty := sh.tail == nil
+			victim := sh.victimLocked()
 			if victim != nil {
 				victim.pins.Add(1)
 			}
 			sh.mu.Unlock()
+			if empty {
+				break
+			}
 			if victim == nil {
-				if remaining == 0 {
-					break
-				}
 				runtime.Gosched()
 				continue
 			}
-			err := p.flushBlock(victim, obs.CopySyncFlush)
-			sh.mu.Lock()
-			ok := err == nil && victim.fb != nil && victim.pins.Load() == 1 &&
-				!victim.dirtyMap().Any()
-			if ok {
-				sh.detachLocked(victim)
-			}
-			sh.mu.Unlock()
-			victim.pins.Add(-1)
-			if ok {
-				p.releaseBlock(victim)
-			} else if err != nil {
-				failed[victim] = true
-			}
+			p.evictPinned(sh, victim, obs.CopySyncFlush)
 		}
 	}
 }
@@ -562,13 +502,11 @@ func (sh *shard) detachLocked(b *block) {
 	sh.inUseCount.Store(int32(sh.inUse))
 }
 
-// victimLocked picks the Least Recently Written unpinned block, skipping
-// blocks quarantined after a failed writeback; nil if none. Caller holds
-// sh.mu.
+// victimLocked picks the Least Recently Written unpinned block; nil if
+// none. Caller holds sh.mu.
 func (sh *shard) victimLocked() *block {
-	now := sh.pool.clk.Now().UnixNano()
 	for b := sh.tail; b != nil; b = b.prev {
-		if b.pins.Load() == 0 && b.retryAt.Load() <= now {
+		if b.pins.Load() == 0 {
 			return b
 		}
 	}
@@ -579,7 +517,6 @@ func (sh *shard) victimLocked() *block {
 func (p *Pool) releaseBlock(b *block) {
 	b.valid.Store(0)
 	b.dirty.Store(0)
-	b.retryAt.Store(0)
 	b.idx, b.addr = 0, 0
 	b.fresh = false
 	sh := b.sh
@@ -598,91 +535,42 @@ func notifyTxsLocked(b *block) {
 	b.txs = nil
 }
 
-// faultQuarantine is how long a block whose writeback exhausted its
-// retries is exempted from eviction scans, so a persistently failing
-// block cannot pin the reclaim loop in a hot spin.
-const faultQuarantine = 5 * time.Millisecond
-
-// flushBlock writes b's dirty lines back to NVMM, retrying injected write
-// faults with exponential backoff. The caller must hold a pin or have
-// detached the block. On error the block keeps its dirty lines. kind
-// attributes the DRAM→NVMM copy: CopySyncFlush for fsync/sync/unmount,
-// CopyInlineEvict for foreground stall evictions, CopyWriteback for
-// background reclaim/age passes.
-func (p *Pool) flushBlock(b *block, kind obs.CopyKind) error {
+// flushBlock writes b's dirty lines back to NVMM. The caller must hold a
+// pin or have detached the block. kind attributes the DRAM→NVMM copy:
+// CopySyncFlush for fsync/sync/unmount, CopyInlineEvict for foreground
+// evictions, CopyWriteback for background reclaim/age passes.
+func (p *Pool) flushBlock(b *block, kind obs.CopyKind) {
 	b.fmu.Lock()
-	defer b.fmu.Unlock()
-	return p.flushBlockRetryLocked(b, kind)
+	p.flushBlockLocked(b, kind)
+	b.fmu.Unlock()
 }
 
-// flushBlockRetryLocked runs one writeback episode: an attempt plus up to
-// FaultRetries retries with exponential backoff on the pool clock. If the
-// episode fails the block stays dirty (nothing is lost), is quarantined
-// from eviction for faultQuarantine, and the error is returned for sync
-// paths to surface. Caller holds b.fmu.
-func (p *Pool) flushBlockRetryLocked(b *block, kind obs.CopyKind) error {
-	err := p.flushBlockLocked(b, kind)
-	if err == nil {
-		return nil
-	}
-	backoff := p.cfg.FaultBackoff
-	for i := 0; i < p.cfg.FaultRetries; i++ {
-		<-p.clk.After(backoff)
-		backoff *= 2
-		p.wbRetries.Add(1)
-		p.cfg.Obs.Add(obs.CtrWritebackRetries, 1)
-		if err = p.flushBlockLocked(b, kind); err == nil {
-			return nil
-		}
-	}
-	p.wbGiveUps.Add(1)
-	b.retryAt.Store(p.clk.Now().Add(faultQuarantine).UnixNano())
-	return err
-}
-
-// flushBlockLocked is one writeback attempt. With CLFW only dirty runs are
-// copied and flushed; without it the whole block is written. The dirty map
-// is cleared — and gated transactions notified — only after every write
-// succeeded, so a failed attempt is safe to retry (undone runs stay dirty,
-// re-written runs are idempotent). Caller holds b.fmu.
-func (p *Pool) flushBlockLocked(b *block, kind obs.CopyKind) error {
+// flushBlockLocked writes b's dirty lines back to NVMM and fences. With
+// CLFW only dirty runs are copied and flushed; without it the whole block
+// is written. Write-back is stores and cacheline flushes into memory, so
+// it cannot fail: the dirty map is cleared and gated transactions are
+// notified once the fence returns. Caller holds b.fmu.
+func (p *Pool) flushBlockLocked(b *block, kind obs.CopyKind) {
 	dirty := b.dirtyMap()
 	if !dirty.Any() {
 		notifyTxsLocked(b)
-		return nil
+		return
 	}
 	dirtyBytes := dirty.Count() * cacheline.Size
-	if !p.cfg.CLFW {
-		dirtyBytes = BlockSize
-	}
-	write := func(data []byte, addr int64) error {
-		if f := p.cfg.WriteFault; f != nil {
-			if err := f(addr, len(data)); err != nil {
-				p.wbFaults.Add(1)
-				p.cfg.Obs.Add(obs.CtrWritebackFaults, 1)
-				return err
-			}
-		}
-		p.dev.Write(data, addr)
-		p.dev.Flush(addr, len(data))
-		return nil
-	}
 	if p.cfg.CLFW {
 		var rb [cacheline.PerBlock]cacheline.Run
 		for _, r := range dirty.Runs(rb[:0], 0, cacheline.PerBlock-1) {
 			if !r.Set {
 				continue
 			}
-			if err := write(b.data[r.Off:r.Off+r.Len], b.addr+int64(r.Off)); err != nil {
-				p.dev.Fence() // runs already issued drain; all lines stay dirty
-				return err
-			}
+			p.dev.Write(b.data[r.Off:r.Off+r.Len], b.addr+int64(r.Off))
+			p.dev.Flush(b.addr+int64(r.Off), r.Len)
 			p.linesFlushed.Add(int64(r.Len / cacheline.Size))
 		}
 	} else {
-		if err := write(b.data, b.addr); err != nil {
-			return err
-		}
+		dirtyBytes = BlockSize
+		p.dev.Write(b.data, b.addr)
+		p.dev.Flush(b.addr, BlockSize)
 		p.linesFlushed.Add(cacheline.PerBlock)
 	}
 	p.dev.Fence()
@@ -694,7 +582,6 @@ func (p *Pool) flushBlockLocked(b *block, kind obs.CopyKind) error {
 	}
 	p.cfg.Obs.Copy(kind, dirtyBytes)
 	notifyTxsLocked(b)
-	return nil
 }
 
 // FlushAll writes back every dirty block in the pool (the sync(2) path)
@@ -704,12 +591,9 @@ func (p *Pool) flushBlockLocked(b *block, kind obs.CopyKind) error {
 // count: a pin only prevents detachment, never writeback, so a concurrent
 // reader (ReadMerge) must not exempt a block from sync durability. Shards
 // are visited in index order; blocks dirtied after their shard was scanned
-// belong to the next sync. If a block's writeback episode exhausts its
-// retries the remaining blocks are still flushed and the first error is
-// returned; failed blocks keep their dirty lines for a later attempt.
-func (p *Pool) FlushAll() (int, error) {
+// belong to the next sync.
+func (p *Pool) FlushAll() int {
 	flushed := 0
-	var firstErr error
 	var victims []*block
 	for _, sh := range p.shards {
 		victims = victims[:0]
@@ -723,20 +607,13 @@ func (p *Pool) FlushAll() (int, error) {
 		sh.mu.Unlock()
 		for _, b := range victims {
 			b.fmu.Lock()
-			n := b.dirtyMap().Count()
-			err := p.flushBlockRetryLocked(b, obs.CopySyncFlush)
+			flushed += b.dirtyMap().Count()
+			p.flushBlockLocked(b, obs.CopySyncFlush)
 			b.fmu.Unlock()
 			b.pins.Add(-1)
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
-			flushed += n
 		}
 	}
-	return flushed, firstErr
+	return flushed
 }
 
 // writebackLoop is the background flusher (§3.2): it reclaims blocks from
@@ -788,10 +665,7 @@ func (p *Pool) reclaimFrom(off int) {
 }
 
 // reclaimShard evicts LRW-position blocks until the shard's free space
-// exceeds High_f. Eviction pins and flushes the victim first and detaches
-// it only once writeback succeeded and the block is still installed,
-// unshared and clean — a failed (fault-injected) writeback leaves the
-// block buffered and quarantined rather than detached with dirty data.
+// exceeds High_f.
 func (p *Pool) reclaimShard(sh *shard) {
 	batch := int64(0)
 	for {
@@ -809,6 +683,7 @@ func (p *Pool) reclaimShard(sh *shard) {
 		sh.mu.Unlock()
 		if p.evictPinned(sh, victim, obs.CopyWriteback) {
 			batch++
+			p.evictions.Add(1)
 		}
 		runtime.Gosched() // see writebackLoop: one block's device time per turn
 	}
@@ -819,24 +694,21 @@ func (p *Pool) reclaimShard(sh *shard) {
 	}
 }
 
-// evictPinned flushes a pinned eviction victim and, if the flush succeeded
-// and the block is still installed, clean and exclusively ours, detaches
-// and releases it. The pin is always dropped. Reports whether the block
-// was reclaimed. kind attributes the flush copy: CopyWriteback from the
-// background reclaim threads, CopyInlineEvict from a stalled foreground
-// allocation.
+// evictPinned flushes a pinned eviction victim and, if the block is still
+// installed, clean and exclusively ours, detaches and releases it. The pin
+// is always dropped. Reports whether the block was released; a block that
+// was re-pinned or re-dirtied meanwhile stays buffered. kind attributes the
+// flush copy.
 func (p *Pool) evictPinned(sh *shard, victim *block, kind obs.CopyKind) bool {
-	err := p.flushBlock(victim, kind)
+	p.flushBlock(victim, kind)
 	sh.mu.Lock()
-	ok := err == nil && victim.fb != nil && victim.pins.Load() == 1 &&
-		!victim.dirtyMap().Any()
+	ok := victim.fb != nil && victim.pins.Load() == 1 && !victim.dirtyMap().Any()
 	if ok {
 		sh.detachLocked(victim)
 	}
 	sh.mu.Unlock()
 	victim.pins.Add(-1)
 	if ok {
-		p.evictions.Add(1)
 		p.releaseBlock(victim)
 	}
 	return ok
@@ -861,9 +733,7 @@ func (p *Pool) flushAgedFrom(off int) {
 		}
 		sh.mu.Unlock()
 		for _, b := range victims {
-			// A failed episode quarantines the block; the next periodic
-			// sweep retries it.
-			_ = p.flushBlock(b, obs.CopyWriteback)
+			p.flushBlock(b, obs.CopyWriteback)
 			b.pins.Add(-1)
 			runtime.Gosched() // see writebackLoop
 		}
@@ -948,9 +818,11 @@ func (p *Pool) allocBlock(sh *shard) *block {
 		if victim != nil {
 			victim.pins.Add(1)
 			sh.mu.Unlock()
-			if !p.evictPinned(sh, victim, obs.CopyInlineEvict) {
-				// Writeback failed (victim is quarantined) or the block
-				// was re-dirtied; back off before rescanning.
+			if p.evictPinned(sh, victim, obs.CopyInlineEvict) {
+				p.evictions.Add(1)
+			} else {
+				// The block was re-pinned or re-dirtied; back off before
+				// rescanning.
 				<-p.clk.After(stallBackoff)
 			}
 		} else {

@@ -79,7 +79,7 @@ func TestShardedWriteReadFlushAcrossFiles(t *testing.T) {
 			fb.Write(int64(blk), 0, data, addr(f, blk), false)
 		}
 	}
-	if n, _ := p.FlushAll(); n == 0 {
+	if n := p.FlushAll(); n == 0 {
 		t.Fatal("FlushAll flushed nothing")
 	}
 	if p.DirtyBlocks() != 0 {
@@ -145,7 +145,7 @@ func TestFlushAllFlushesPinnedBlocks(t *testing.T) {
 	fb.Write(0, 0, bytes.Repeat([]byte{0xD1}, BlockSize), addr, false)
 	b := fb.lookupPin(0, false) // a reader holds the block pinned
 	defer b.pins.Add(-1)
-	if n, _ := p.FlushAll(); n == 0 {
+	if n := p.FlushAll(); n == 0 {
 		t.Fatal("FlushAll skipped the pinned dirty block")
 	}
 	if p.DirtyBlocks() != 0 {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"hinfs/internal/buffer"
+	"hinfs/internal/clock"
 	"hinfs/internal/nvmm"
 	"hinfs/internal/pmfs"
 )
@@ -138,17 +139,16 @@ func TestFsyncAllocatesNothing(t *testing.T) {
 }
 
 // persistLog is one run's persist-event stream: the kind of every persist
-// event, and the range of every writeback device write with the event
-// ordinal it was issued at.
+// event, and the device's flushed-byte count when it was issued, so
+// consecutive entries differ by the bytes the previous event flushed.
 type persistLog struct {
-	kinds  []nvmm.EventKind
-	writes [][3]int64 // event ordinal, addr, len
+	kinds   []nvmm.EventKind
+	flushed []int64
 }
 
 // runPersistLog plays a fixed single-client op sequence (seeded) against a
-// fresh multi-shard mount with no background writeback and returns its
-// persist-event stream. During every fsync it also checks that writeback
-// addresses are issued in ascending file-block order.
+// fresh multi-shard mount with no background writeback and a fake clock,
+// and returns its persist-event stream.
 func runPersistLog(t *testing.T, seed int64) *persistLog {
 	t.Helper()
 	dev, err := nvmm.New(nvmm.Config{Size: 64 << 20, TrackPersistence: true})
@@ -158,19 +158,15 @@ func runPersistLog(t *testing.T, seed int64) *persistLog {
 	log := &persistLog{}
 	dev.SetCrashPlan(func(_ int64, kind nvmm.EventKind) bool {
 		log.kinds = append(log.kinds, kind)
+		log.flushed = append(log.flushed, dev.Stats().BytesFlushed)
 		return false
 	})
-	var inFsync []int64 // writeback addresses of the fsync in progress
 	fs, err := Mkfs(dev, Options{
 		BufferBlocks:        512,
 		DisableEagerChecker: true,
+		Clock:               clock.NewFake(time.Unix(1e9, 0)),
 		PMFS:                pmfs.Options{MaxInodes: 64},
-		Buffer: buffer.Config{Shards: 4, WritebackThreads: -1,
-			WriteFault: func(addr int64, n int) error {
-				log.writes = append(log.writes, [3]int64{dev.PersistEvents(), addr, int64(n)})
-				inFsync = append(inFsync, addr)
-				return nil
-			}},
+		Buffer:              buffer.Config{Shards: 4, WritebackThreads: -1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -189,30 +185,8 @@ func runPersistLog(t *testing.T, seed int64) *persistLog {
 	for op := 0; op < 1500; op++ {
 		f := files[rng.Intn(nFiles)]
 		if rng.Intn(12) == 0 {
-			inFsync = inFsync[:0]
 			if err := f.Fsync(); err != nil {
 				t.Fatal(err)
-			}
-			// Map each address back to its file block: ascending blocks,
-			// not ascending addresses, is the contract.
-			f.pf.RLock()
-			blockOf := make(map[int64]int64)
-			for idx := int64(0); idx < nBlocks+2; idx++ {
-				if a := f.pf.BlockAddrLocked(idx); a != 0 {
-					blockOf[a] = idx
-				}
-			}
-			f.pf.RUnlock()
-			order := make([]int64, len(inFsync))
-			for i, a := range inFsync {
-				idx, ok := blockOf[a&^(BlockSize-1)]
-				if !ok {
-					t.Fatalf("op %d: fsync wrote %#x, not a block of the file", op, a)
-				}
-				order[i] = idx
-			}
-			if !slices.IsSorted(order) {
-				t.Fatalf("op %d: fsync flushed blocks out of order: %v", op, order)
 			}
 			continue
 		}
@@ -231,18 +205,18 @@ func runPersistLog(t *testing.T, seed int64) *persistLog {
 
 // TestPersistStreamDeterministic: the persist-event stream the crash
 // explorer replays is a pure function of the op sequence — two runs of one
-// sequence issue the same events and the same writeback ranges at the same
-// ordinals — and one fsync's writebacks go out in ascending file-block
-// order although the blocks live in four shards.
+// sequence on four buffer shards issue the same events, each flushing the
+// same number of bytes. (TestFlushCommitsGatedTxsInBlockOrder in the
+// buffer package pins the fsync write-back order that makes it so.)
 func TestPersistStreamDeterministic(t *testing.T) {
 	log1, log2 := runPersistLog(t, 42), runPersistLog(t, 42)
-	if len(log1.writes) == 0 || len(log1.kinds) == 0 {
+	if len(log1.kinds) == 0 || log1.flushed[len(log1.flushed)-1] == 0 {
 		t.Fatal("empty persist log")
 	}
 	if !slices.Equal(log1.kinds, log2.kinds) {
 		t.Fatalf("persist-event kinds differ between runs (%d vs %d events)", len(log1.kinds), len(log2.kinds))
 	}
-	if !slices.Equal(log1.writes, log2.writes) {
-		t.Fatalf("writeback schedules differ between runs (%d vs %d writes)", len(log1.writes), len(log2.writes))
+	if !slices.Equal(log1.flushed, log2.flushed) {
+		t.Fatalf("flushed bytes per event differ between runs (%d vs %d events)", len(log1.flushed), len(log2.flushed))
 	}
 }

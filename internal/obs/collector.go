@@ -111,10 +111,6 @@ const (
 	// ghost-buffer verdicts at synchronization points.
 	CtrBenefitEager
 	CtrBenefitLazy
-	// CtrWritebackFaults / CtrWritebackRetries count injected writeback
-	// write errors and the backoff retries they triggered.
-	CtrWritebackFaults
-	CtrWritebackRetries
 	// CtrJournalLaneContended counts journal slot allocations that found
 	// their lane's mutex held (metadata hot-path lock contention).
 	CtrJournalLaneContended
@@ -141,10 +137,6 @@ func (c Counter) String() string {
 		return "benefit-eager"
 	case CtrBenefitLazy:
 		return "benefit-lazy"
-	case CtrWritebackFaults:
-		return "writeback-faults"
-	case CtrWritebackRetries:
-		return "writeback-retries"
 	case CtrJournalLaneContended:
 		return "journal-lane-contended"
 	case CtrAllocShardSteals:
@@ -160,7 +152,6 @@ func (c Counter) String() string {
 // Counters lists every counter in display order.
 func Counters() []Counter {
 	return []Counter{CtrEagerBlocks, CtrLazyBlocks, CtrBenefitEager, CtrBenefitLazy,
-		CtrWritebackFaults, CtrWritebackRetries,
 		CtrJournalLaneContended, CtrAllocShardSteals, CtrAllocWordsScanned, CtrDirLockContended}
 }
 

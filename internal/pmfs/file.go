@@ -2,6 +2,7 @@ package pmfs
 
 import (
 	"io"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -183,9 +184,10 @@ func (f *File) readAtLocked(p []byte, off int64) (int, error) {
 // the data up — before the transaction's commit record is written, either by
 // writing it (WriteNT, fence) and then calling Commit, or by gating the
 // transaction on its buffered blocks (AddPending, Seal: HiNFS ordered mode,
-// §4.1).
+// §4.1). A write whose end would pass math.MaxInt64 is rejected, like a
+// negative offset.
 func (f *File) PrepareWriteLocked(off int64, n int) (WritePlan, error) {
-	if off < 0 || n < 0 {
+	if off < 0 || n < 0 || off > math.MaxInt64-int64(n) {
 		return WritePlan{}, vfs.ErrInvalid
 	}
 	rec := f.fs.loadInode(f.ino)
