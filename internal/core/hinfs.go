@@ -385,9 +385,11 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 	}
 	f.pf.Lock()
 	defer f.pf.Unlock()
+	size := f.pf.SizeLocked()
 	if f.flags&vfs.OAppend != 0 {
-		off = f.pf.SizeLocked()
+		off = size
 	}
+	f.zeroBufferedGap(size, off)
 	plan, err := f.pf.PrepareWriteLocked(off, len(p))
 	if err != nil {
 		return 0, err
@@ -512,13 +514,6 @@ func (f *File) Truncate(size int64) error {
 				f.fb.DropBlock(idx)
 			}
 		}
-		if size%BlockSize != 0 && f.fb.Buffered(boundary) {
-			// Zero the buffered tail of the boundary block so a later
-			// re-extension reads zeros from DRAM too.
-			tail := int(BlockSize - size%BlockSize)
-			addr := f.pf.BlockAddrLocked(boundary)
-			f.fb.Write(boundary, int(size%BlockSize), zeroBlock[:tail], addr, addr != 0)
-		}
 		// Write back what stays buffered, so every transaction still gated
 		// on this file commits now and the truncate's own — chained behind
 		// them — commits before it returns. The allocator hands freed
@@ -527,7 +522,24 @@ func (f *File) Truncate(size int64) error {
 		// after another file had durably taken one of them.
 		f.fb.Flush()
 	}
+	f.zeroBufferedGap(old, size)
 	return f.pf.TruncateLocked(size)
+}
+
+// zeroBufferedGap writes zeroes over what extending the file from size to end
+// exposes in the buffered copy of the block that holds EOF — [size, end),
+// clipped to that block — if the block is buffered: its valid lines past EOF
+// may hold bytes fetched from NVMM or cut off by a truncate. pmfs zeroes the
+// same gap on NVMM before it commits the extension; zeroing the copy first
+// means no write-back can carry those bytes over the zeroes afterwards. The
+// caller holds the inode write lock.
+func (f *File) zeroBufferedGap(size, end int64) {
+	idx, bo := size/BlockSize, size%BlockSize
+	if bo == 0 || end <= size || !f.fb.Buffered(idx) {
+		return
+	}
+	n := min(end-size, BlockSize-bo)
+	f.fb.Write(idx, int(bo), zeroBlock[:n], f.pf.BlockAddrLocked(idx), true)
 }
 
 // Close implements vfs.File. If this close reclaims an unlinked file, its
@@ -549,20 +561,23 @@ func (f *File) Mmap(index int64) ([]byte, error) {
 	if err := f.checkOpen(); err != nil {
 		return nil, err
 	}
-	if index < 0 {
+	if index < 0 || index > pmfs.MaxBlockIndex {
 		return nil, vfs.ErrInvalid
 	}
 	f.pf.Lock()
 	f.fb.Flush()
+	size := f.pf.SizeLocked()
+	f.zeroBufferedGap(size, (index+1)*BlockSize)
 	f.pf.Unlock()
-	size := f.pf.Size()
+	// Mark the blocks the file holds, and the mapped one: the blocks
+	// between them are holes until something writes them.
 	nblocks := (size + BlockSize - 1) / BlockSize
-	if index >= nblocks {
-		nblocks = index + 1
-	}
-	indices := make([]int64, 0, nblocks)
+	indices := make([]int64, 0, nblocks+1)
 	for i := int64(0); i < nblocks; i++ {
 		indices = append(indices, i)
+	}
+	if index >= nblocks {
+		indices = append(indices, index)
 	}
 	f.fs.model.MarkEager(uint64(f.pf.Ino()), indices)
 	f.mapped = true

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"testing"
 	"time"
@@ -513,6 +514,96 @@ func TestMmapDirectAccess(t *testing.T) {
 	}
 	if err := f.Munmap(); err != nil {
 		t.Fatal(err)
+	}
+
+	// An index whose byte offset overflows is rejected before anything
+	// changes; a huge one that fits marks what the file holds, not an
+	// index-long run of blocks (at 1<<46 that slice cannot be allocated).
+	h := mustFile(t, fs, "/huge")
+	defer h.Close()
+	for _, idx := range []int64{1<<52 + 1, pmfs.MaxBlockIndex + 1} {
+		if _, err := h.Mmap(idx); err != vfs.ErrInvalid {
+			t.Fatalf("Mmap(%d) = %v, want ErrInvalid", idx, err)
+		}
+	}
+	if h.mapped || h.Size() != 0 {
+		t.Fatalf("rejected maps left the handle mapped=%v, size %d", h.mapped, h.Size())
+	}
+	if _, err := h.Mmap(1 << 46); err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(1<<46+1) * BlockSize; h.Size() != want {
+		t.Fatalf("Mmap(1<<46) left size %d, want %d", h.Size(), want)
+	}
+
+	// Mapping the block that holds EOF, or a block past it, exposes the
+	// bytes past the old EOF — a fresh block's tail, or what a truncate cut
+	// off, in NVMM and in the buffer. On a poisoned device they must read as
+	// zeroes through the mapping and the file, live and after remount.
+	dev := poisonedDev(t, 16<<20, false)
+	pfs, err := Mkfs(dev, Options{BufferBlocks: 64, PMFS: pmfs.Options{MaxInodes: 64}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		path               string
+		flags              int
+		written, size, idx int64
+	}{
+		{"/tail", 0, 100, 100, 0},                                 // fresh tail, the EOF block mapped
+		{"/direct", vfs.OSync, 100, 100, 0},                       // the same, not buffered
+		{"/cut", 0, 3000, 100, 0},                                 // truncated tail, the EOF block mapped
+		{"/past", 0, 2*BlockSize + 100, 2*BlockSize + 100, 3},     // a block past EOF mapped
+		{"/cutpast", 0, 2*BlockSize + 3000, 2*BlockSize + 100, 3}, // a truncated block, a block past EOF mapped
+	}
+	want := map[string][]byte{}
+	for _, c := range cases {
+		v, err := pfs.Open(c.path, vfs.OCreate|vfs.ORdwr|c.flags)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := v.(*File)
+		data := bytes.Repeat([]byte{0x5A}, int(c.written))
+		if _, err := f.WriteAt(data, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Truncate(c.size); err != nil {
+			t.Fatal(err)
+		}
+		m, err := f.Mmap(c.idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.idx == c.size/BlockSize && !bytes.Equal(m[c.size%BlockSize:], make([]byte, BlockSize-c.size%BlockSize)) {
+			t.Fatalf("%s: the mapping shows nonzero bytes past the old EOF %d", c.path, c.size)
+		}
+		got := make([]byte, (c.idx+1)*BlockSize)
+		if n, err := f.ReadAt(got, 0); n != len(got) || (err != nil && err != io.EOF) {
+			t.Fatalf("%s: read %d of %d bytes: %v", c.path, n, len(got), err)
+		}
+		if tail := got[c.size:]; !bytes.Equal(tail, make([]byte, len(tail))) {
+			t.Fatalf("%s: the bytes past the old EOF %d are not all zero (first poison at %d)", c.path, c.size, firstPoison(tail))
+		}
+		want[c.path] = got
+		f.Close()
+	}
+	if err := pfs.Unmount(); err != nil {
+		t.Fatal(err)
+	}
+	base, err := pmfs.Mount(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for path, w := range want {
+		f, err := base.Open(path, vfs.ORdonly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, len(w))
+		if n, err := f.ReadAt(got, 0); n != len(w) || (err != nil && err != io.EOF) || !bytes.Equal(got, w) {
+			t.Fatalf("%s differs after remount (%d of %d bytes, %v)", path, n, len(w), err)
+		}
+		f.Close()
 	}
 }
 

@@ -17,12 +17,14 @@ import (
 // carries, in its upper bits, a tag of the file it was written to (reuseTag)
 // — the run recycles its own freed blocks far more often than it reaches a
 // poisoned one, and the tag makes another live file's bytes as recognisable
-// as poison. A fresh data block is zeroed only where its allocating write
-// does not cover it (pmfs zeroEdges), and a buffered block that dies before
-// write-back is zeroed on drop (buffer.DropBlock), so the workload leans on
-// both: unaligned and sub-cacheline writes, sparse writes past EOF inside a
-// block, a mix of fsync and no fsync, and unlink, rename-over and truncate
-// of data that was never written back.
+// as poison. A byte of a data block is zeroed when the file's size first
+// covers it and no write does — by the allocating write below EOF (pmfs
+// zeroEdges), or by the extension that exposes it past the old EOF (pmfs
+// zeroGap, and core in the block's buffered copy) — and a buffered block
+// that dies before write-back is zeroed on drop (buffer.DropBlock), so the
+// workload leans on all of them: unaligned and sub-cacheline writes, sparse
+// writes past EOF inside a block, a mix of fsync and no fsync, and unlink,
+// rename-over and truncate of data that was never written back.
 //
 // Three file groups keep the content oracle useful: the "a" files only
 // append (the oracle's prefix model holds for them, gaps included); the

@@ -38,7 +38,9 @@
 //
 // Because deferred transactions stay open for seconds, each lane is managed
 // as two ping-pong halves: entries fill one half while the other drains; a
-// half is zeroed and reused once no open transaction has entries in it.
+// half is reused as it stands once no open transaction has entries in it —
+// every transaction that wrote there has retired, and retiring cleared the
+// valid byte of each of its entries and its commit record, durably.
 // Every transaction reserves its commit slot at Begin, so writing a commit
 // record never blocks — only new undo logging can stall on a full lane, and
 // the registered pressure callback (HiNFS wires it to the write buffer's
@@ -321,10 +323,11 @@ func (j *Journal) allocSlotLocked(ln *lane, t *Tx) int64 {
 			return h.base + int64(s)*EntrySize
 		}
 		// Current half is full: rotate once the other half has no live
-		// transactions.
+		// transactions. Nothing in it is valid any more (writeRecord), so
+		// it is overwritten in place: a slot's old bytes are never read
+		// before a new entry's valid byte is stored after them.
 		other := &ln.halves[1-ln.cur]
 		if other.live == 0 {
-			j.zeroHalfLocked(other)
 			other.next = 0
 			ln.cur = 1 - ln.cur
 			j.checkpoints.Add(1)
@@ -338,18 +341,9 @@ func (j *Journal) allocSlotLocked(ln *lane, t *Tx) int64 {
 	}
 }
 
-// zeroBlock is the shared all-zero source for log-area resets; it is
-// only ever read, so sharing it across lanes and with Recover is safe.
+// zeroBlock is the all-zero source for Recover's reset of the log area; it
+// is only ever read.
 var zeroBlock [cacheline.BlockSize]byte
-
-func (j *Journal) zeroHalfLocked(h *half) {
-	hs := int64(h.count) * EntrySize
-	for off := int64(0); off < hs; off += cacheline.BlockSize {
-		j.dev.Write(zeroBlock[:], h.base+off)
-	}
-	j.dev.Flush(h.base, int(hs))
-	j.dev.Fence()
-}
 
 // writeEntry persists one entry, stamping its global sequence number. The
 // entry is one cacheline and stores within a cacheline are never reordered

@@ -208,3 +208,150 @@ func TestRecoverIdempotent(t *testing.T) {
 		t.Fatalf("state drifted across idempotent recovery: %q", got)
 	}
 }
+
+// TestReusedHalvesRecoverOnlyOpenTxs runs committed, deferred, After-chained
+// and still-open transactions through several rotations of a lane whose
+// halves are one block each, and crashes at every persist event. A half is
+// reused without being cleared, so what keeps a retired transaction's
+// entries out of recovery is writeRecord's invalidation alone: every image
+// must recover each word to the value of its last committed writer — a
+// committed transaction is never rolled back, an open one always is.
+func TestReusedHalvesRecoverOnlyOpenTxs(t *testing.T) {
+	const (
+		base     = 4096
+		size     = 2 * 4096 // one lane, two one-block halves of 64 slots
+		dataBase = base + size
+		steps    = 120
+	)
+	// Each transaction writes one 8-byte word (a chained one the word of
+	// the transaction it follows) from whatever it held to a value of its
+	// own; every fourth logs a two-entry range around its word.
+	type txRec struct {
+		word     int
+		val      uint64
+		from, to int64 // persist events of the call that wrote the record
+	}
+	word := func(w int) int64 { return dataBase + int64(w)*64 }
+	// run replays the scenario with a crash plan armed at event target and
+	// returns each transaction's record window (0, 0 if never written).
+	run := func(target int64) ([]txRec, *nvmm.CrashState, Stats) {
+		dev, err := nvmm.New(nvmm.Config{Size: 64 << 10, TrackPersistence: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := NewLanes(dev, base, size, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dev.SetCrashPlan(func(ev int64, _ nvmm.EventKind) bool { return ev == target })
+		var recs []txRec
+		var txs []*Tx
+		// call runs f and stamps the window on every record f wrote.
+		call := func(f func()) {
+			from := dev.PersistEvents()
+			f()
+			to := dev.PersistEvents()
+			for i, tx := range txs {
+				if tx.recorded && recs[i].to == 0 {
+					recs[i].from, recs[i].to = from, to
+				}
+			}
+		}
+		begin := func(w int, n int) *Tx {
+			tx := j.Begin()
+			val := uint64(len(txs) + 1)
+			tx.LogRange(word(w), n)
+			var b [8]byte
+			binary.LittleEndian.PutUint64(b[:], val)
+			dev.Write(b[:], word(w))
+			dev.Flush(word(w), 8)
+			txs = append(txs, tx)
+			recs = append(recs, txRec{word: w, val: val})
+			return tx
+		}
+		var deferred []*Tx
+		for i := 0; i < steps; i++ {
+			switch i % 4 {
+			case 0: // committed at once
+				tx := begin(i, 8)
+				call(tx.Commit)
+			case 1: // deferred on one pending block, persisted a few steps on
+				tx := begin(i, 8)
+				tx.AddPending(1)
+				call(tx.Seal)
+				deferred = append(deferred, tx)
+			case 2: // chained behind the deferred one, on its word
+				prev := txs[len(txs)-1]
+				tx := begin(recs[len(recs)-1].word, 8)
+				tx.After(prev)
+				call(tx.Commit)
+			case 3: // two entries
+				tx := begin(i, 48)
+				call(tx.Commit)
+			}
+			if len(deferred) > 2 {
+				call(deferred[0].BlockPersisted)
+				deferred = deferred[1:]
+			}
+		}
+		// Left open: the last deferred ones (and the chain behind them),
+		// and transactions that never ask to commit.
+		for i := 0; i < 3; i++ {
+			begin(steps+i, 8)
+		}
+		return recs, dev.TakeCrashState(), j.Stats()
+	}
+	recs, _, st := run(0)
+	if st.Checkpoints < 3 {
+		t.Fatalf("the scenario rotated %d times, want at least 3", st.Checkpoints)
+	}
+	open := 0
+	for _, r := range recs {
+		if r.to == 0 {
+			open++
+		}
+	}
+	if open < 5 {
+		t.Fatalf("only %d transactions left open", open)
+	}
+	for ev := int64(1); ; ev++ {
+		_, state, _ := run(ev)
+		if state == nil {
+			break
+		}
+		for _, seed := range []uint64{0, 0x9E3779B97F4A7C15} {
+			dev, err := state.Materialize(nvmm.Config{}, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Recover(dev, base, size); err != nil {
+				t.Fatalf("event %d seed %#x: %v", ev, seed, err)
+			}
+			// A word may read the value of its last writer whose record was
+			// durable before the crash, or of a later one whose record was
+			// being written at it.
+			allowed := map[int]map[uint64]bool{}
+			for _, r := range recs {
+				m := allowed[r.word]
+				if m == nil {
+					m = map[uint64]bool{0: true}
+					allowed[r.word] = m
+				}
+				switch {
+				case r.to != 0 && r.to < ev: // durable
+					allowed[r.word] = map[uint64]bool{r.val: true}
+				case r.to != 0 && r.from < ev: // in flight
+					m[r.val] = true
+				}
+			}
+			for w, vals := range allowed {
+				var b [8]byte
+				dev.Read(b[:], word(w))
+				if got := binary.LittleEndian.Uint64(b[:]); !vals[got] {
+					t.Fatalf("event %d (%s) seed %#x: word %d recovered as %d, want one of %v",
+						ev, state.Kind(), seed, w, got, vals)
+				}
+			}
+		}
+	}
+}

@@ -144,6 +144,11 @@ func TestPersistBudget(t *testing.T) {
 		}
 		small := v.(*File)
 		defer small.Close()
+		if v, err = fs.Create("/d/small1k"); err != nil {
+			t.Fatal(err)
+		}
+		small1k := v.(*File)
+		defer small1k.Close()
 		if v, err = fs.Create("/d/four"); err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +160,13 @@ func TestPersistBudget(t *testing.T) {
 			ceil cost
 		}{
 			{"append inside a block", write(g, 100, 8*BlockSize+100), cost{6, 512, 6, 2, 1}},
-			{"append allocating a block", write(g, BlockSize, 9*BlockSize), cost{12, 4800, 10, 4, 1}},
+			// Starting past EOF, it zeroes the gap it exposes in block 8 —
+			// [200, 4096), 61 lines — which no earlier write paid for: a
+			// fresh block's tail past EOF is left as it is at allocation.
+			{"append allocating a block", write(g, BlockSize, 9*BlockSize), cost{13, 4096 + 61*64 + 704, 10, 4, 1}},
+			// 16 data lines and 8 metadata lines: the block's 48 lines past
+			// EOF are not stored.
+			{"first write of a 1 KiB file", write(small1k, 1024, 0), cost{9, 1024 + 512, 8, 3, 1}},
 			// A file of up to four blocks keeps its pointers in the inode:
 			// 16 KiB of data and 10 metadata lines, no 4 KiB index block.
 			{"first write of a 4-block file", write(small, 4*BlockSize, 0), cost{14, 4*BlockSize + 640, 9, 4, 1}},

@@ -179,13 +179,15 @@ func (f *File) readAtLocked(p []byte, off int64) (int, error) {
 // Any other write — past EOF, into a hole, the first of a file — allocates
 // and journals: every touched block is made to exist, the size extended and
 // Mtime stored under plan.Tx. A freshly allocated block (Extent.Created)
-// comes back zeroed only outside [off, off+n) (see zeroEdges): the caller
-// must make its data durable over the covered bytes — or zeroes, if it gives
-// the data up — before the transaction's commit record is written, either by
-// writing it (WriteNT, fence) and then calling Commit, or by gating the
-// transaction on its buffered blocks (AddPending, Seal: HiNFS ordered mode,
-// §4.1). A write whose end would pass math.MaxInt64 is rejected, like a
-// negative offset.
+// comes back zeroed only where a read can see what the write does not cover
+// (see zeroEdges): the caller must make its data durable over the covered
+// bytes — or zeroes, if it gives the data up — before the transaction's
+// commit record is written, either by writing it (WriteNT, fence) and then
+// calling Commit, or by gating the transaction on its buffered blocks
+// (AddPending, Seal: HiNFS ordered mode, §4.1). A write that starts past EOF
+// zeroes the gap it exposes in the block that held the old EOF (zeroGap). A
+// write whose end would pass math.MaxInt64 is rejected, like a negative
+// offset.
 func (f *File) PrepareWriteLocked(off int64, n int) (WritePlan, error) {
 	if off < 0 || n < 0 || off > math.MaxInt64-int64(n) {
 		return WritePlan{}, vfs.ErrInvalid
@@ -206,6 +208,9 @@ func (f *File) PrepareWriteLocked(off int64, n int) (WritePlan, error) {
 			return WritePlan{Extents: extents}, nil
 		}
 	}
+	if off > rec.Size {
+		f.fs.zeroGap(rec, off)
+	}
 	tx := f.fs.jnl.Begin()
 	extents, err := f.fs.treeEnsureRange(tx, &rec, first, count, f.extents[:0])
 	f.retainExtents(extents)
@@ -223,7 +228,7 @@ func (f *File) PrepareWriteLocked(off int64, n int) (WritePlan, error) {
 		tx.Commit()
 		return WritePlan{}, err
 	}
-	f.fs.zeroEdges(extents, off, n)
+	f.fs.zeroEdges(extents, off, n, rec.Size)
 	if off+int64(n) > rec.Size {
 		rec.Size = off + int64(n)
 	}
@@ -241,15 +246,18 @@ func (f *File) retainExtents(extents []Extent) {
 }
 
 // zeroEdges zeroes, in the freshly allocated blocks among extents (the plan
-// of a write of n bytes at off), the bytes the write does not cover: the head
-// of the first block below off and the tail of the last block from off+n.
+// of a write of n bytes at off into a file of size bytes), the bytes a read
+// can see that the write does not cover: the head of the first block below
+// off, and the tail of the last block from off+n up to size — a hole filled
+// below EOF. A fresh last block's tail past the new EOF stays as the
+// allocator left it; no read sees it before an extension zeroes it (zeroGap).
 // Covered bytes are not zeroed — every caller persists its data over them
 // before the allocating transaction's commit record (WriteNT then fence on
 // the eager route; the DRAM buffer gates the transaction on the block on the
 // lazy route, and zeroes what it drops unwritten) — so a fresh block is
 // written to NVMM once, not twice. The flushes are ordered before the commit
 // record by the fence storeInode issues next.
-func (fs *FS) zeroEdges(extents []Extent, off int64, n int) {
+func (fs *FS) zeroEdges(extents []Extent, off int64, n int, size int64) {
 	if len(extents) == 0 {
 		return
 	}
@@ -257,8 +265,26 @@ func (fs *FS) zeroEdges(extents []Extent, off int64, n int) {
 		fs.zeroRange(extents[0].Addr, int(head))
 	}
 	last := extents[len(extents)-1]
-	if tail := (off + int64(n)) % BlockSize; tail != 0 && last.Created {
-		fs.zeroRange(last.Addr+tail, int(BlockSize-tail))
+	start := last.Index * BlockSize
+	if tail, lim := off+int64(n)-start, min(size-start, BlockSize); last.Created && tail < lim {
+		fs.zeroRange(last.Addr+tail, int(lim-tail))
+	}
+}
+
+// zeroGap zeroes what extending rec from its size to end exposes in the
+// block that holds the old EOF: [size, end), clipped to that block. Bytes
+// past EOF — a fresh block's tail, or what a truncate cut off — are not the
+// file's, and are zeroed here when the size first covers them, unless a
+// write covers them instead. Blocks past that one are holes, or were zeroed
+// whole when allocated. The caller orders the flush before the extension's
+// commit record.
+func (fs *FS) zeroGap(rec inodeRec, end int64) {
+	bo := rec.Size % BlockSize
+	if bo == 0 || end <= rec.Size {
+		return
+	}
+	if bn := fs.treeLookup(rec, rec.Size/BlockSize); bn != 0 {
+		fs.zeroRange(blockAddr(bn)+bo, int(min(end-rec.Size, BlockSize-bo)))
 	}
 }
 
@@ -364,13 +390,8 @@ func (f *File) truncateLocked(size int64) error {
 			tx.Commit()
 			tx = f.fs.jnl.Begin()
 		}
-		// Zero the tail of the boundary block so later extension reads
-		// zeros, matching POSIX semantics.
-		if size%BlockSize != 0 {
-			if bn := f.fs.treeLookup(rec, size/BlockSize); bn != 0 {
-				f.fs.zeroRange(blockAddr(bn)+size%BlockSize, int(BlockSize-size%BlockSize))
-			}
-		}
+	} else {
+		f.fs.zeroGap(rec, size)
 	}
 	rec.Size = size
 	rec.Mtime = f.fs.now().UnixNano()
@@ -414,16 +435,28 @@ func (f *File) close(pre func()) error {
 	return nil
 }
 
+// MaxBlockIndex is the largest file block index whose end offset fits in an
+// int64; MmapBlock rejects any index past it.
+const MaxBlockIndex = math.MaxInt64/BlockSize - 1
+
 // MmapBlock emulates PMFS direct memory-mapped I/O for one file block: it
-// ensures the block exists and returns a slice aliasing its device memory.
-// Stores through the slice become durable only at the next Flush/Msync,
-// matching §4.2's "mmap writes are not persistent until msync".
+// ensures the block exists, extends the size over it, and returns a slice
+// aliasing its device memory. Stores through the slice become durable only
+// at the next Flush/Msync, matching §4.2's "mmap writes are not persistent
+// until msync".
 func (f *File) MmapBlock(index int64) ([]byte, error) {
 	if err := f.checkOpen(); err != nil {
 		return nil, err
 	}
+	if index < 0 || index > MaxBlockIndex {
+		return nil, vfs.ErrInvalid
+	}
 	f.Lock()
 	defer f.Unlock()
+	if rec := f.fs.loadInode(f.ino); index == rec.Size/BlockSize {
+		// The mapping exposes the tail of the block that holds EOF.
+		f.fs.zeroGap(rec, (index+1)*BlockSize)
+	}
 	plan, err := f.PrepareWriteLocked(index*BlockSize, BlockSize)
 	if err != nil {
 		return nil, err

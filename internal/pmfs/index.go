@@ -73,7 +73,7 @@ func (fs *FS) zeroRange(addr int64, n int) {
 // zeroBlock clears a whole fresh block. Index and directory blocks (garbage
 // tree pointers or dentries otherwise), mmap'ed blocks and blocks a failed
 // write leaves behind take it; a data block a write is about to fill is
-// zeroed only at its edges (see zeroEdges).
+// zeroed only where a read can see what the write leaves (see zeroEdges).
 func (fs *FS) zeroBlock(bn int64) { fs.zeroRange(blockAddr(bn), BlockSize) }
 
 // treeLookup returns the block number holding file block idx, or 0 if the

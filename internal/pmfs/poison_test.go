@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -55,8 +56,8 @@ func payload(rng *rand.Rand, n int) []byte {
 // TestPoisonedDeviceMatchesModel drives random (off, n) writes into fresh and
 // reused blocks through pmfs.File, interleaved with unlink, truncate down and
 // truncate up, and compares each file with a zero-filled in-memory model,
-// live and again after Unmount + Mount. A byte zeroEdges failed to zero — or
-// zeroed although the write covered it — shows as a mismatch.
+// live and again after Unmount + Mount. A byte zeroEdges or zeroGap failed
+// to zero — or zeroed although a write covered it — shows as a mismatch.
 func TestPoisonedDeviceMatchesModel(t *testing.T) {
 	fs, dev := poisonedFS(t, 32<<20, Options{MaxInodes: 256})
 	rng := rand.New(rand.NewSource(20160418))
@@ -143,42 +144,83 @@ func TestPoisonedDeviceMatchesModel(t *testing.T) {
 	check(fs2, "after remount")
 }
 
-// TestFreshBlockZeroedOnlyAtItsEdges pins what zeroEdges costs: a write
-// that covers a fresh block zeroes none of it, one that covers part of it
-// zeroes exactly the rest, and neither writes any byte twice.
+// TestFreshBlockZeroedOnlyAtItsEdges pins the zeroing rule's cost: a byte is
+// zeroed when the file's size first covers it and no write does, and no byte
+// is zeroed twice. A write that covers a fresh block zeroes none of it; one
+// that covers part of it zeroes the head below it and, for a hole filled
+// below EOF, the tail up to the size — but nothing past EOF, which stays as
+// the allocator left it (poison here). A write that starts past EOF, or a
+// truncate up, zeroes exactly the gap it exposes in the block that held EOF.
 func TestFreshBlockZeroedOnlyAtItsEdges(t *testing.T) {
 	fs, dev := poisonedFS(t, 16<<20, Options{MaxInodes: 64})
-	f, err := fs.Create("/f")
+	v, err := fs.Create("/f")
 	if err != nil {
 		t.Fatal(err)
 	}
+	f := v.(*File)
 	defer f.Close()
 	// The first write pays for the file's index block — five blocks are
 	// more than the inode addresses directly; measure after it.
 	if _, err := f.WriteAt(make([]byte, 5*BlockSize), 0); err != nil {
 		t.Fatal(err)
 	}
+	write := func(off, n int64) func() error {
+		return func() error {
+			_, err := f.WriteAt(payload(rand.New(rand.NewSource(off)), int(n)), off)
+			return err
+		}
+	}
+	truncate := func(size int64) func() error { return func() error { return f.Truncate(size) } }
+	const B = BlockSize
 	cases := []struct {
-		off, n int64
-		zeroed int64 // bytes of whole cachelines zeroEdges must flush
+		name      string
+		op        func() error
+		off, n    int64 // the data written, if any
+		zeroed    int64 // bytes of whole cachelines the rule must flush
+		tailStays bool  // the EOF block's bytes past EOF must still read poison
 	}{
-		{5 * BlockSize, 4 * BlockSize, 0},                   // four covered blocks
-		{9*BlockSize + 100, 2*BlockSize - 100, 128},         // head of the first: [0,100) is two lines
-		{11 * BlockSize, BlockSize + 64*3, BlockSize - 192}, // tail of the last
-		{13*BlockSize + 640, 64, BlockSize - 64},            // one line in the middle of one block
+		{"four covered blocks", write(5*B, 4*B), 5 * B, 4 * B, 0, false},
+		// [0,100) of block 9 is two lines; EOF sat on a block boundary.
+		{"head of a fresh block", write(9*B+100, 2*B-100), 9*B + 100, 2*B - 100, 128, false},
+		{"end past EOF in a fresh block", write(11*B, B+192), 11 * B, B + 192, 0, true},
+		// EOF at 12B+192: the gap [192, 1000) of block 12 is lines 3-15.
+		{"start past EOF in its block", write(12*B+1000, 100), 12*B + 1000, 100, 13 * 64, true},
+		// EOF at 12B+1100: the gap [1100, B) of block 12 is lines 17-63,
+		// and the head [0, 640) of block 13 ten more.
+		{"start past EOF in a new block", write(13*B+640, 64), 13*B + 640, 64, 47*64 + 640, true},
+		// EOF at 13B+704: the gap [704, B) of block 13 is lines 11-63.
+		{"truncate up", truncate(16*B + 10), 0, 0, 53 * 64, false},
+		// EOF sits in block 16, a hole: nothing exists to zero.
+		{"truncate up from a hole", truncate(19*B + 2000), 0, 0, 0, false},
+		// Block 17 is a hole below EOF: its head [0,100) and tail [300, B).
+		{"hole below EOF", write(17*B+100, 200), 17*B + 100, 200, 2*64 + 60*64, false},
+		// Block 19 holds EOF at 2000: the tail is zeroed up to it — [164,
+		// 2000) is lines 2-31 — and no further.
+		{"hole holding EOF", write(19*B+100, 64), 19*B + 100, 64, 2*64 + 30*64, false},
 	}
 	for _, c := range cases {
 		before := dev.Stats()
-		if _, err := f.WriteAt(payload(rand.New(rand.NewSource(c.off)), int(c.n)), c.off); err != nil {
+		if err := c.op(); err != nil {
 			t.Fatal(err)
 		}
 		after := dev.Stats()
 		// NT stores carry the data, cached stores the zeroes and metadata.
-		dataLines := (c.off+c.n+63)/64 - c.off/64
+		dataLines := int64(0)
+		if c.n > 0 {
+			dataLines = (c.off+c.n+63)/64 - c.off/64
+		}
 		metadata := after.BytesFlushed - before.BytesFlushed - dataLines*64 - c.zeroed
 		if metadata < 0 || metadata > 16*64 {
-			t.Errorf("write [%d,+%d): flushed %d bytes = %d data + %d zeroes + %d metadata; want at most 16 metadata lines",
-				c.off, c.n, after.BytesFlushed-before.BytesFlushed, dataLines*64, c.zeroed, metadata)
+			t.Errorf("%s: flushed %d bytes = %d data + %d zeroes + %d metadata; want at most 16 metadata lines",
+				c.name, after.BytesFlushed-before.BytesFlushed, dataLines*64, c.zeroed, metadata)
+		}
+		if c.tailStays {
+			size := f.Size()
+			tail := make([]byte, B-size%B)
+			dev.Read(tail, f.BlockAddrLocked(size/B)+size%B)
+			if !bytes.Equal(tail, bytes.Repeat([]byte{0xEE}, len(tail))) {
+				t.Errorf("%s: a byte past EOF %d was stored", c.name, size)
+			}
 		}
 	}
 	got := readAll(t, fs, "/f")
@@ -192,7 +234,7 @@ func TestFreshBlockZeroedOnlyAtItsEdges(t *testing.T) {
 // TestMmapBlockOfReusedBlockIsZero: an mmap'ed block is written by nobody
 // before its transaction commits, so it keeps the whole-block zeroing.
 func TestMmapBlockOfReusedBlockIsZero(t *testing.T) {
-	fs, _ := poisonedFS(t, 16<<20, Options{MaxInodes: 64})
+	fs, dev := poisonedFS(t, 16<<20, Options{MaxInodes: 64})
 	// Give the allocator reused blocks too, full of payload.
 	g, _ := fs.Create("/old")
 	g.WriteAt(bytes.Repeat([]byte{0x55}, 8*BlockSize), 0)
@@ -214,6 +256,78 @@ func TestMmapBlockOfReusedBlockIsZero(t *testing.T) {
 		if !bytes.Equal(m, make([]byte, BlockSize)) {
 			t.Fatalf("mmap of fresh block %d is not all zeroes", idx)
 		}
+	}
+
+	// A block that holds EOF exposes its bytes past EOF to the mapping: a
+	// fresh block's tail (poison), or what a truncate cut off (payload).
+	// Mapping it, or a block past it, must show them as zeroes.
+	cases := []struct {
+		path               string
+		written, size, idx int64
+	}{
+		{"/tail", 100, 100, 0},                             // fresh tail, the EOF block mapped
+		{"/cut", 3000, 100, 0},                             // truncated tail, the EOF block mapped
+		{"/past", 2*BlockSize + 100, 2*BlockSize + 100, 3}, // a block past EOF mapped
+	}
+	want := map[string][]byte{}
+	for _, c := range cases {
+		v, err := fs.Create(c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := v.(*File)
+		if _, err := g.WriteAt(payload(rand.New(rand.NewSource(c.written)), int(c.written)), 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Truncate(c.size); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := g.MmapBlock(c.idx); err != nil {
+			t.Fatal(err)
+		}
+		g.Close()
+		got := readAll(t, fs, c.path)
+		if int64(len(got)) != (c.idx+1)*BlockSize {
+			t.Fatalf("%s: size %d after mapping block %d", c.path, len(got), c.idx)
+		}
+		if tail := got[c.size:]; !bytes.Equal(tail, make([]byte, len(tail))) {
+			t.Fatalf("%s: the bytes past the old EOF %d are not all zero", c.path, c.size)
+		}
+		want[c.path] = got
+	}
+	f.Close()
+	if err := fs.Unmount(); err != nil {
+		t.Fatal(err)
+	}
+	fs2, err := Mount(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for path, w := range want {
+		if got := readAll(t, fs2, path); !bytes.Equal(got, w) {
+			t.Fatalf("%s differs after remount", path)
+		}
+	}
+}
+
+// TestMmapBlockRejectsOverflowingIndex: an index whose byte offset does not
+// fit in an int64 used to wrap onto a real block — 1<<52+1 times BlockSize is
+// 4096 — and map it. It is rejected before anything changes.
+func TestMmapBlockRejectsOverflowingIndex(t *testing.T) {
+	fs, _ := testFS(t)
+	v, err := fs.Create("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := v.(*File)
+	defer f.Close()
+	for _, idx := range []int64{1<<52 + 1, MaxBlockIndex + 1, math.MaxInt64, -1} {
+		if _, err := f.MmapBlock(idx); err != vfs.ErrInvalid {
+			t.Fatalf("MmapBlock(%d) = %v, want ErrInvalid", idx, err)
+		}
+	}
+	if fi, _ := fs.Stat("/f"); fi.Size != 0 || fi.Blocks != 0 {
+		t.Fatalf("rejected maps left size %d, %d blocks", fi.Size, fi.Blocks)
 	}
 }
 
@@ -351,9 +465,8 @@ func TestFreeOfLargeFileIsChunked(t *testing.T) {
 // and of an unlink that each take ten chunk transactions. Every image must
 // recover to a consistent file system; the truncated file must be a longer
 // truncation of itself (its old content up to a size between the old and the
-// new one — except that the last transaction zeroes the tail of the block the
-// new EOF sits in before it commits, as an unchunked truncate always has),
-// the unlinked file must be gone whole, its blocks not leaked.
+// new one: a truncate stores nothing into the block the new EOF sits in), the
+// unlinked file must be gone whole, its blocks not leaked.
 func TestChunkedFreeCrashImages(t *testing.T) {
 	const blocks = 24
 	want := payload(rand.New(rand.NewSource(7)), blocks*BlockSize)
@@ -429,13 +542,7 @@ func TestChunkedFreeCrashImages(t *testing.T) {
 					t.Fatalf("event %d seed %#x: recovered size %d is no chunk boundary of a truncate from %d to %d", ev, seed, size, blocks*BlockSize, newSize)
 				}
 				if !unlink && !bytes.Equal(got, want[:size]) {
-					// Only [newSize, end of its block) may differ, and only by
-					// reading zero (possibly line by line, on a torn image).
-					for i := range got {
-						if got[i] != want[i] && (got[i] != 0 || i < newSize || i >= 2*BlockSize) {
-							t.Fatalf("event %d seed %#x: byte %d of the recovered %d differs from the file's", ev, seed, i, size)
-						}
-					}
+					t.Fatalf("event %d seed %#x: the recovered %d bytes differ from the file's", ev, seed, size)
 				}
 			}
 		}
