@@ -432,3 +432,59 @@ func TestTruncateIndirectRanges(t *testing.T) {
 		}
 	}
 }
+
+// TestRenameNoSpaceKeepsBothNames: a rename into a full directory on a
+// full device fails with ErrNoSpace before it removes anything.
+func TestRenameNoSpaceKeepsBothNames(t *testing.T) {
+	dev, err := nvmm.New(nvmm.Config{Size: 8 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := Mkfs(dev, Options{MaxInodes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Unmount()
+	for _, d := range []string{"/a", "/b", "/fill"} {
+		if err := fs.Mkdir(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	create := func(p string) vfs.File {
+		t.Helper()
+		f, err := fs.Create(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	create("/a/src").Close()
+	for i := 0; i < dentriesPerBl; i++ {
+		create(fmt.Sprintf("/b/f%d", i)).Close()
+	}
+	buf := make([]byte, BlockSize)
+	for i := 0; fs.FreeBlocks() > 0; i++ {
+		f := create(fmt.Sprintf("/fill/%d", i))
+		for off := int64(0); ; off += BlockSize {
+			if _, err := f.WriteAt(buf, off); err != nil {
+				break
+			}
+		}
+		f.Close()
+	}
+	if err := fs.Rename("/a/src", "/b/dst"); err != vfs.ErrNoSpace {
+		t.Fatalf("rename into a full directory on a full device: %v, want ErrNoSpace", err)
+	}
+	if _, err := fs.Stat("/a/src"); err != nil {
+		t.Fatalf("source after the failed rename: %v", err)
+	}
+	if _, err := fs.Stat("/b/dst"); err != vfs.ErrNotExist {
+		t.Fatalf("target after the failed rename: %v, want ErrNotExist", err)
+	}
+	if err := fs.Rename("/a/src", "/b/f7"); err != nil {
+		t.Fatalf("rename over an entry of the full directory: %v", err)
+	}
+	if ents, _ := fs.ReadDir("/b"); len(ents) != dentriesPerBl {
+		t.Fatalf("/b holds %d entries, want %d", len(ents), dentriesPerBl)
+	}
+}

@@ -216,11 +216,20 @@ func (fs *FS) dirAddEntry(dirIno int64, rec *inodeRec, d dentry) error {
 	if len(d.name) > maxNameLen {
 		return vfs.ErrNameTooLon
 	}
+	bn, off, err := fs.dirFreeSlot(rec)
+	if err != nil {
+		return err
+	}
+	fs.dirPutEntry(bn, off, d)
+	return nil
+}
+
+// dirFreeSlot returns the first free dentry slot, extending the directory
+// by one zeroed block when every slot is taken (rec's size grows with it).
+func (fs *FS) dirFreeSlot(rec *inodeRec) (bn int64, off int, err error) {
 	blocks := (rec.Size + BlockSize - 1) / BlockSize
-	var slotBn int64 = -1
-	slotOff := 0
 	var probe [8]byte
-	for bi := int64(0); bi < blocks && slotBn < 0; bi++ {
+	for bi := int64(0); bi < blocks; bi++ {
 		bn := fs.lookupBlock(*rec, bi)
 		if bn == 0 {
 			continue
@@ -228,27 +237,26 @@ func (fs *FS) dirAddEntry(dirIno int64, rec *inodeRec, d dentry) error {
 		for s := 0; s < dentriesPerBl; s++ {
 			fs.cache.Read(probe[:], bn, s*dentrySize)
 			if binary.LittleEndian.Uint64(probe[:]) == 0 {
-				slotBn, slotOff = bn, s*dentrySize
-				break
+				return bn, s * dentrySize, nil
 			}
 		}
 	}
-	if slotBn < 0 {
-		bn, _, err := fs.ensureBlock(rec, blocks)
-		if err != nil {
-			return err
-		}
-		fs.cache.Write(fs.zero[:], bn, 0, true)
-		rec.Size = (blocks + 1) * BlockSize
-		slotBn, slotOff = bn, 0
+	bn, _, err = fs.ensureBlock(rec, blocks)
+	if err != nil {
+		return 0, 0, err
 	}
+	fs.cache.Write(fs.zero[:], bn, 0, true)
+	rec.Size = (blocks + 1) * BlockSize
+	return bn, 0, nil
+}
+
+func (fs *FS) dirPutEntry(slotBn int64, slotOff int, d dentry) {
 	var e [dentrySize]byte
 	binary.LittleEndian.PutUint64(e[0:], uint64(d.ino))
 	e[8] = d.typ
 	e[9] = byte(len(d.name))
 	copy(e[10:], d.name)
 	fs.cache.Write(e[:], slotBn, slotOff, false)
-	return nil
 }
 
 func (fs *FS) dirRemoveEntry(bn int64, off int) {
@@ -316,7 +324,8 @@ func (fs *FS) Open(path string, flags int) (vfs.File, error) {
 	if err := fs.checkMounted(); err != nil {
 		return nil, err
 	}
-	dirParts, base, err := vfs.SplitDirBase(path)
+	var buf [16]string
+	dirParts, base, err := vfs.SplitDirBase(buf[:0], path)
 	if err != nil {
 		return nil, err
 	}
@@ -368,7 +377,8 @@ func (fs *FS) Mkdir(path string) error {
 	if err := fs.checkMounted(); err != nil {
 		return err
 	}
-	dirParts, base, err := vfs.SplitDirBase(path)
+	var buf [16]string
+	dirParts, base, err := vfs.SplitDirBase(buf[:0], path)
 	if err != nil {
 		return err
 	}
@@ -399,7 +409,8 @@ func (fs *FS) Rmdir(path string) error {
 	if err := fs.checkMounted(); err != nil {
 		return err
 	}
-	dirParts, base, err := vfs.SplitDirBase(path)
+	var buf [16]string
+	dirParts, base, err := vfs.SplitDirBase(buf[:0], path)
 	if err != nil {
 		return err
 	}
@@ -431,7 +442,8 @@ func (fs *FS) Unlink(path string) error {
 	if err := fs.checkMounted(); err != nil {
 		return err
 	}
-	dirParts, base, err := vfs.SplitDirBase(path)
+	var buf [16]string
+	dirParts, base, err := vfs.SplitDirBase(buf[:0], path)
 	if err != nil {
 		return err
 	}
@@ -479,13 +491,17 @@ func (fs *FS) Rename(oldpath, newpath string) error {
 	if err := fs.checkMounted(); err != nil {
 		return err
 	}
-	oldDirParts, oldBase, err := vfs.SplitDirBase(oldpath)
+	var oldBuf, newBuf [16]string
+	oldDirParts, oldBase, err := vfs.SplitDirBase(oldBuf[:0], oldpath)
 	if err != nil {
 		return err
 	}
-	newDirParts, newBase, err := vfs.SplitDirBase(newpath)
+	newDirParts, newBase, err := vfs.SplitDirBase(newBuf[:0], newpath)
 	if err != nil {
 		return err
+	}
+	if len(newBase) > maxNameLen {
+		return vfs.ErrNameTooLon
 	}
 	fs.nsMu.Lock()
 	defer fs.nsMu.Unlock()
@@ -509,17 +525,30 @@ func (fs *FS) Rename(oldpath, newpath string) error {
 	if newDir == oldDir {
 		newDirRec = oldDirRec
 	}
-	if dbn, doff, destD, exists := fs.dirLookup(newDirRec, newBase); exists {
-		if destD.typ == typeDir {
-			return vfs.ErrIsDir
+	dbn, doff, destD, exists := fs.dirLookup(newDirRec, newBase)
+	if exists && destD.typ == typeDir {
+		return vfs.ErrIsDir
+	}
+	// Take the new slot before removing anything, so that a full
+	// directory on a full device fails the rename with both names intact.
+	// A rename that frees a slot in the new directory cannot need one, and
+	// takes it after the removals, as first fit would.
+	slotBn := int64(-1)
+	var slotOff int
+	if !exists && oldDir != newDir {
+		if slotBn, slotOff, err = fs.dirFreeSlot(&newDirRec); err != nil {
+			return err
 		}
+	}
+	if exists {
 		fs.dirRemoveEntry(dbn, doff)
 		fs.dropOrDefer(destD.ino)
 	}
 	fs.dirRemoveEntry(obn, ooff)
-	if err := fs.dirAddEntry(newDir, &newDirRec, dentry{ino: d.ino, typ: d.typ, name: newBase}); err != nil {
-		return err
+	if slotBn < 0 {
+		slotBn, slotOff, _ = fs.dirFreeSlot(&newDirRec) // a removal freed a slot: no extension
 	}
+	fs.dirPutEntry(slotBn, slotOff, dentry{ino: d.ino, typ: d.typ, name: newBase})
 	fs.writeInode(newDir, newDirRec)
 	return nil
 }

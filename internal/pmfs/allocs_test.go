@@ -6,8 +6,8 @@ import (
 )
 
 // TestLookupAllocatesNothing: dirLookup runs for every component of every
-// path over every entry in front of the match; it used to build a string
-// per entry scanned.
+// path; a map lookup keyed by the caller's name and one dentry read must
+// not reach the heap.
 func TestLookupAllocatesNothing(t *testing.T) {
 	fs, _ := testFS(t)
 	if err := fs.Mkdir("/d"); err != nil {
@@ -24,12 +24,12 @@ func TestLookupAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := fs.loadInode(ino)
+	ix := fs.dirIndexOf(fs.state(ino), fs.loadInode(ino))
 	if n := testing.AllocsPerRun(200, func() {
-		if _, d, ok := fs.dirLookup(rec, "file-63"); !ok || d.name != "file-63" {
+		if _, d, ok := fs.dirLookup(ix, "file-63"); !ok || d.name != "file-63" {
 			t.Fatal("lookup of the last of 64 entries failed")
 		}
-		if _, _, ok := fs.dirLookup(rec, "file-64"); ok {
+		if _, _, ok := fs.dirLookup(ix, "file-64"); ok {
 			t.Fatal("lookup of a missing name succeeded")
 		}
 	}); n != 0 {
@@ -85,5 +85,51 @@ func TestOverwriteAllocatesNothing(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("4-block overwrite: %.0f allocs, want 0", n)
+	}
+}
+
+// TestNamespaceOpAllocs pins the heap objects of a create, a
+// cross-directory rename and an unlink. Paths split into stack arrays; what
+// is left is each op's journal.Tx, the name a create or rename indexes, the
+// create's handle and inode state, and the unlink's deferred reclaim and
+// its transaction.
+func TestNamespaceOpAllocs(t *testing.T) {
+	fs, _ := testFS(t)
+	for _, d := range []string{"/d", "/e"} {
+		if err := fs.Mkdir(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const runs = 200
+	var src, dst [runs + 1]string
+	for i := range src {
+		src[i] = fmt.Sprintf("/d/file-%03d", i)
+		dst[i] = fmt.Sprintf("/e/file-%03d", i)
+	}
+	for _, c := range []struct {
+		name string
+		want float64
+		op   func(i int) error
+	}{
+		{"create", 5, func(i int) error {
+			f, err := fs.Create(src[i])
+			if err != nil {
+				return err
+			}
+			return f.Close()
+		}},
+		{"rename", 2, func(i int) error { return fs.Rename(src[i], dst[i]) }},
+		{"unlink", 4, func(i int) error { return fs.Unlink(dst[i]) }},
+	} {
+		i := 0
+		n := testing.AllocsPerRun(runs, func() {
+			if err := c.op(i); err != nil {
+				t.Fatalf("%s %d: %v", c.name, i, err)
+			}
+			i++
+		})
+		if n > c.want {
+			t.Errorf("%s: %.0f allocs, want at most %.0f", c.name, n, c.want)
+		}
 	}
 }

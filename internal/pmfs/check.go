@@ -24,6 +24,8 @@ var ErrStalePointer = errors.New("stale pointer")
 //     allocated in the bitmap, and referenced exactly once;
 //   - inode Blocks counters must match the tree contents;
 //   - an inode of height >= 1 must have zero direct words;
+//   - a directory's DRAM index, where one is built, must match its
+//     dentries;
 //   - every allocated block must be reachable (no leaks).
 //
 // The file system must be quiescent while Check runs (no in-flight
@@ -95,7 +97,14 @@ func (fs *FS) Check() []error {
 	var walkDir func(ino Ino)
 	walkDir = func(ino Ino) {
 		rec := checkInode(ino, typeDir)
-		fs.dirScan(rec, func(_ int64, d dentry) bool {
+		if v, ok := fs.states.Load(ino); ok {
+			if ix := v.(*inodeState).dirIdx.Load(); ix != nil {
+				if m := ix.mismatch(fs.buildDirIndex(rec)); m != "" {
+					addErr("dir %d: index differs from its dentries: %s", ino, m)
+				}
+			}
+		}
+		fs.dirScan(rec, func(_ int, d dentry) bool {
 			if d.ino == 0 || int64(d.ino) >= fs.l.maxInodes {
 				addErr("dir %d: dentry %q has bad ino %d", ino, d.name, d.ino)
 				return false

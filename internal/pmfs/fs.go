@@ -281,7 +281,7 @@ func (fs *FS) lockDirPath(parts []string, write bool) (Ino, *inodeState, error) 
 			fs.dirUnlock(curSt, curWrite)
 			return 0, nil, vfs.ErrNotDir
 		}
-		_, d, ok := fs.dirLookup(rec, name)
+		_, d, ok := fs.dirLookup(fs.dirIndexOf(curSt, rec), name)
 		if !ok {
 			fs.dirUnlock(curSt, curWrite)
 			return 0, nil, vfs.ErrNotExist
@@ -319,8 +319,7 @@ func (fs *FS) resolveParts(parts []string) (Ino, error) {
 		return 0, err
 	}
 	defer fs.dirUnlock(dirSt, false)
-	rec := fs.loadInode(dir)
-	_, d, ok := fs.dirLookup(rec, parts[len(parts)-1])
+	_, d, ok := fs.dirLookup(fs.dirIndexOf(dirSt, fs.loadInode(dir)), parts[len(parts)-1])
 	if !ok {
 		return 0, vfs.ErrNotExist
 	}
@@ -351,7 +350,8 @@ func (fs *FS) OpenFile(path string, flags int) (*File, error) {
 	if err := fs.checkMounted(); err != nil {
 		return nil, err
 	}
-	dirParts, base, err := vfs.SplitDirBase(path)
+	var buf [16]string
+	dirParts, base, err := vfs.SplitDirBase(buf[:0], path)
 	if err != nil {
 		return nil, err
 	}
@@ -362,7 +362,8 @@ func (fs *FS) OpenFile(path string, flags int) (*File, error) {
 		return nil, err
 	}
 	dirRec := fs.loadInode(dirIno)
-	_, d, ok := fs.dirLookup(dirRec, base)
+	ix := fs.dirIndexOf(dirSt, dirRec)
+	_, d, ok := fs.dirLookup(ix, base)
 	var f *File
 	switch {
 	case ok && d.typ == typeDir:
@@ -388,7 +389,7 @@ func (fs *FS) OpenFile(path string, flags int) (*File, error) {
 			fs.dirUnlock(dirSt, write)
 			return nil, err
 		}
-		if err := fs.dirAddEntry(tx, dirIno, &dirRec, dentry{ino: ino, typ: typeFile, name: base}); err != nil {
+		if err := fs.dirAddEntry(tx, dirIno, ix, &dirRec, dentry{ino: ino, typ: typeFile, name: base}); err != nil {
 			fs.freeInode(tx, ino)
 			tx.Commit()
 			fs.dirUnlock(dirSt, write)
@@ -418,7 +419,8 @@ func (fs *FS) Mkdir(path string) error {
 	if err := fs.checkMounted(); err != nil {
 		return err
 	}
-	dirParts, base, err := vfs.SplitDirBase(path)
+	var buf [16]string
+	dirParts, base, err := vfs.SplitDirBase(buf[:0], path)
 	if err != nil {
 		return err
 	}
@@ -429,7 +431,8 @@ func (fs *FS) Mkdir(path string) error {
 	}
 	defer fs.dirUnlock(dirSt, true)
 	dirRec := fs.loadInode(dirIno)
-	if _, _, ok := fs.dirLookup(dirRec, base); ok {
+	ix := fs.dirIndexOf(dirSt, dirRec)
+	if _, _, ok := fs.dirLookup(ix, base); ok {
 		return vfs.ErrExist
 	}
 	tx := fs.jnl.Begin()
@@ -438,7 +441,7 @@ func (fs *FS) Mkdir(path string) error {
 		tx.Commit()
 		return err
 	}
-	if err := fs.dirAddEntry(tx, dirIno, &dirRec, dentry{ino: ino, typ: typeDir, name: base}); err != nil {
+	if err := fs.dirAddEntry(tx, dirIno, ix, &dirRec, dentry{ino: ino, typ: typeDir, name: base}); err != nil {
 		fs.freeInode(tx, ino)
 		tx.Commit()
 		return err
@@ -456,7 +459,8 @@ func (fs *FS) Rmdir(path string) error {
 	if err := fs.checkMounted(); err != nil {
 		return err
 	}
-	dirParts, base, err := vfs.SplitDirBase(path)
+	var buf [16]string
+	dirParts, base, err := vfs.SplitDirBase(buf[:0], path)
 	if err != nil {
 		return err
 	}
@@ -466,8 +470,8 @@ func (fs *FS) Rmdir(path string) error {
 		return err
 	}
 	defer fs.dirUnlock(dirSt, true)
-	dirRec := fs.loadInode(dirIno)
-	addr, d, ok := fs.dirLookup(dirRec, base)
+	ix := fs.dirIndexOf(dirSt, fs.loadInode(dirIno))
+	slot, d, ok := fs.dirLookup(ix, base)
 	if !ok {
 		return vfs.ErrNotExist
 	}
@@ -477,12 +481,11 @@ func (fs *FS) Rmdir(path string) error {
 	childSt := fs.state(d.ino)
 	fs.dirLock(childSt, true)
 	defer fs.dirUnlock(childSt, true)
-	rec := fs.loadInode(d.ino)
-	if !fs.dirEmpty(rec) {
+	if len(fs.dirIndexOf(childSt, fs.loadInode(d.ino)).names) != 0 {
 		return vfs.ErrNotEmpty
 	}
 	tx := fs.jnl.Begin()
-	fs.dirRemoveEntry(tx, addr)
+	fs.dirRemoveEntry(tx, ix, slot, base)
 	fs.reclaimInode(tx, d.ino)
 	return nil
 }
@@ -509,7 +512,8 @@ func (fs *FS) UnlinkKeepStorage(path string) (Ino, func(), error) {
 	if err := fs.checkMounted(); err != nil {
 		return 0, nil, err
 	}
-	dirParts, base, err := vfs.SplitDirBase(path)
+	var buf [16]string
+	dirParts, base, err := vfs.SplitDirBase(buf[:0], path)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -519,8 +523,8 @@ func (fs *FS) UnlinkKeepStorage(path string) (Ino, func(), error) {
 		return 0, nil, err
 	}
 	defer fs.dirUnlock(dirSt, true)
-	dirRec := fs.loadInode(dirIno)
-	addr, d, ok := fs.dirLookup(dirRec, base)
+	ix := fs.dirIndexOf(dirSt, fs.loadInode(dirIno))
+	slot, d, ok := fs.dirLookup(ix, base)
 	if !ok {
 		return 0, nil, vfs.ErrNotExist
 	}
@@ -528,7 +532,7 @@ func (fs *FS) UnlinkKeepStorage(path string) (Ino, func(), error) {
 		return 0, nil, vfs.ErrIsDir
 	}
 	tx := fs.jnl.Begin()
-	fs.dirRemoveEntry(tx, addr)
+	fs.dirRemoveEntry(tx, ix, slot, base)
 	reclaim := fs.deferredReclaim(d.ino)
 	tx.Commit()
 	return d.ino, reclaim, nil
@@ -640,16 +644,21 @@ func (fs *FS) RenameKeepStorage(oldpath, newpath string) (Ino, func(), error) {
 	if err := fs.checkMounted(); err != nil {
 		return 0, nil, err
 	}
-	oldDirParts, oldBase, err := vfs.SplitDirBase(oldpath)
+	var oldBuf, newBuf [16]string
+	oldDirParts, oldBase, err := vfs.SplitDirBase(oldBuf[:0], oldpath)
 	if err != nil {
 		return 0, nil, err
 	}
-	newDirParts, newBase, err := vfs.SplitDirBase(newpath)
+	newDirParts, newBase, err := vfs.SplitDirBase(newBuf[:0], newpath)
 	if err != nil {
 		return 0, nil, err
 	}
-	oldAll := append(append([]string{}, oldDirParts...), oldBase)
-	newAll := append(append([]string{}, newDirParts...), newBase)
+	if len(newBase) > MaxNameLen {
+		return 0, nil, vfs.ErrNameTooLon
+	}
+	// SplitDirBase leaves the base right after the parent parts.
+	oldAll := oldDirParts[:len(oldDirParts)+1]
+	newAll := newDirParts[:len(newDirParts)+1]
 	if partsEqual(oldAll, newAll) {
 		return 0, nil, nil // rename to self is a no-op
 	}
@@ -721,32 +730,42 @@ func (fs *FS) RenameKeepStorage(oldpath, newpath string) (Ino, func(), error) {
 	}
 	defer unlockBoth()
 
-	oldDirRec := fs.loadInode(oldDir)
-	oldAddr, d, ok := fs.dirLookup(oldDirRec, oldBase)
+	oldIx := fs.dirIndexOf(oldSt, fs.loadInode(oldDir))
+	oldSlot, d, ok := fs.dirLookup(oldIx, oldBase)
 	if !ok {
 		return 0, nil, vfs.ErrNotExist
 	}
 	newDirRec := fs.loadInode(newDir)
-	if newDir == oldDir {
-		newDirRec = oldDirRec
+	newIx := fs.dirIndexOf(newSt, newDirRec)
+	destSlot, destD, exists := fs.dirLookup(newIx, newBase)
+	if exists && destD.typ == typeDir {
+		return 0, nil, vfs.ErrIsDir
+	}
+	tx := fs.jnl.Begin()
+	// Take the new slot before removing anything, so that a full
+	// directory on a full device fails the rename with both names intact.
+	// When the rename frees a slot in the new directory (the replaced
+	// target's, or the source's own) it cannot need one, and the slot is
+	// taken after the removals: first fit then sees the freed slots too.
+	slot := -1
+	if !exists && oldDir != newDir {
+		if slot, err = fs.dirFreeSlot(tx, newDir, newIx, &newDirRec); err != nil {
+			tx.Commit()
+			return 0, nil, err
+		}
 	}
 	var replaced Ino
 	var reclaim func()
-	tx := fs.jnl.Begin()
-	if destAddr, destD, exists := fs.dirLookup(newDirRec, newBase); exists {
-		if destD.typ == typeDir {
-			tx.Commit()
-			return 0, nil, vfs.ErrIsDir
-		}
-		fs.dirRemoveEntry(tx, destAddr)
+	if exists {
+		fs.dirRemoveEntry(tx, newIx, destSlot, newBase)
 		replaced = destD.ino
 		reclaim = fs.deferredReclaim(destD.ino)
 	}
-	fs.dirRemoveEntry(tx, oldAddr)
-	if err := fs.dirAddEntry(tx, newDir, &newDirRec, dentry{ino: d.ino, typ: d.typ, name: newBase}); err != nil {
-		tx.Commit()
-		return 0, nil, err
+	fs.dirRemoveEntry(tx, oldIx, oldSlot, oldBase)
+	if slot < 0 {
+		slot = newIx.freeSlot()
 	}
+	fs.dirPutEntry(tx, newIx, slot, dentry{ino: d.ino, typ: d.typ, name: newBase})
 	fs.storeInode(tx, newDir, newDirRec)
 	tx.Commit()
 	return replaced, reclaim, nil
@@ -797,7 +816,7 @@ func (fs *FS) ReadDir(path string) ([]vfs.DirEntry, error) {
 		return nil, vfs.ErrNotDir
 	}
 	var out []vfs.DirEntry
-	fs.dirScan(rec, func(_ int64, d dentry) bool {
+	fs.dirScan(rec, func(_ int, d dentry) bool {
 		out = append(out, vfs.DirEntry{Name: d.name, IsDir: d.typ == typeDir})
 		return false
 	})

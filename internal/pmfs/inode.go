@@ -3,6 +3,7 @@ package pmfs
 import (
 	"encoding/binary"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hinfs/internal/journal"
@@ -157,6 +158,10 @@ type inodeState struct {
 	// inode's metadata; storeInode chains each new transaction's commit
 	// record behind it (see storeInode).
 	lastTx *journal.Tx
+	// dirIdx is a directory's DRAM index over its dentries, nil until the
+	// first lookup builds it (dirIndexOf). freeInode's state delete drops
+	// it with the directory.
+	dirIdx atomic.Pointer[dirIndex]
 }
 
 func (fs *FS) state(ino Ino) *inodeState {

@@ -44,7 +44,7 @@ func (fs *FS) recoverRebuild() (wordsFixed, inosFreed int) {
 	walkDir = func(ino Ino) {
 		rec := fs.loadInode(ino)
 		rec.roots(walkTree)
-		fs.dirScan(rec, func(_ int64, d dentry) bool {
+		fs.dirScan(rec, func(_ int, d dentry) bool {
 			if d.ino == 0 || int64(d.ino) >= fs.l.maxInodes || live[d.ino] {
 				return false
 			}

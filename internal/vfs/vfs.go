@@ -271,13 +271,17 @@ func isCanonical(path string, parts []string) bool {
 	return path[0] == '/' && len(path) == n
 }
 
-// SplitDirBase splits path into its parent components and final name.
-func SplitDirBase(path string) (dir []string, base string, err error) {
-	parts, err := SplitPath(nil, path)
+// SplitDirBase splits path into its parent components and final name. It
+// appends the components to dst as SplitPath does, so a caller's stack
+// array keeps the split off the heap; dir is dst extended by the parent
+// components, and the base stays in place after them (dir[:len(dir)+1]
+// ends with it).
+func SplitDirBase(dst []string, path string) (dir []string, base string, err error) {
+	parts, err := SplitPath(dst, path)
 	if err != nil {
 		return nil, "", err
 	}
-	if len(parts) == 0 {
+	if len(parts) == len(dst) {
 		return nil, "", ErrInvalid
 	}
 	return parts[:len(parts)-1], parts[len(parts)-1], nil

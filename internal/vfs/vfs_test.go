@@ -113,16 +113,31 @@ func TestIsCanonical(t *testing.T) {
 }
 
 func TestSplitDirBase(t *testing.T) {
-	dir, base, err := SplitDirBase("/a/b/c")
+	dir, base, err := SplitDirBase(nil, "/a/b/c")
 	if err != nil || base != "c" || len(dir) != 2 || dir[0] != "a" || dir[1] != "b" {
 		t.Fatalf("got %v %q %v", dir, base, err)
 	}
-	if _, _, err := SplitDirBase("/"); err != ErrInvalid {
+	if all := dir[:len(dir)+1]; all[2] != "c" {
+		t.Fatalf("base not in place after the parent parts: %v", all)
+	}
+	if _, _, err := SplitDirBase(nil, "/"); err != ErrInvalid {
 		t.Fatalf("root SplitDirBase err = %v", err)
 	}
-	dir, base, err = SplitDirBase("/top")
+	if _, _, err := SplitDirBase([]string{"x"}, "/"); err != ErrInvalid {
+		t.Fatalf("root SplitDirBase onto [x] err = %v", err)
+	}
+	dir, base, err = SplitDirBase(nil, "/top")
 	if err != nil || base != "top" || len(dir) != 0 {
 		t.Fatalf("got %v %q %v", dir, base, err)
+	}
+	// Into a stack array, the split reaches the heap not at all.
+	var buf [16]string
+	if n := testing.AllocsPerRun(100, func() {
+		if _, base, err := SplitDirBase(buf[:0], "/a/b/c"); err != nil || base != "c" {
+			t.Fatal("split failed")
+		}
+	}); n != 0 {
+		t.Fatalf("SplitDirBase into a stack array allocates %.0f objects", n)
 	}
 }
 
