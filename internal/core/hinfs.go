@@ -159,6 +159,11 @@ func wrap(base *pmfs.FS, dev *nvmm.Device, opts Options) *FS {
 	// Under journal space pressure, drain deferred (ordered-mode) commits
 	// by flushing the write buffer.
 	base.Journal().SetPressure(func() { fs.pool.FlushAll() })
+	// A removed file's buffered dirty blocks are discarded after its dentry
+	// removal commits and before its NVMM storage is freed — at unlink,
+	// rename-over or last close: writes to short-lived files never pay NVMM
+	// cost (§1), and background writeback can never touch freed blocks.
+	base.SetReclaimHook(fs.dropFile)
 	return fs
 }
 
@@ -185,7 +190,8 @@ func (fs *FS) fileBuf(ino pmfs.Ino) *buffer.FileBuf {
 	return fb
 }
 
-// dropFile discards all buffered and model state for ino.
+// dropFile discards all buffered and model state for ino. It is the
+// substrate's reclaim hook (see wrap).
 func (fs *FS) dropFile(ino pmfs.Ino) {
 	fs.mu.Lock()
 	fb := fs.files[ino]
@@ -218,36 +224,6 @@ func (fs *FS) Open(path string, flags int) (vfs.File, error) {
 		}
 	}
 	return f, nil
-}
-
-// Unlink implements vfs.FileSystem. The dentry is removed first; then the
-// file's buffered dirty blocks are discarded (writes to short-lived files
-// never pay NVMM cost, §1), and only then is the NVMM storage freed —
-// background writeback can never touch freed blocks.
-func (fs *FS) Unlink(path string) error {
-	ino, reclaim, err := fs.FS.UnlinkKeepStorage(path)
-	if err != nil {
-		return err
-	}
-	if reclaim != nil {
-		fs.dropFile(ino)
-		reclaim()
-	}
-	return nil
-}
-
-// Rename implements vfs.FileSystem. A replaced target's buffered blocks
-// are discarded before its storage is freed.
-func (fs *FS) Rename(oldpath, newpath string) error {
-	replaced, reclaim, err := fs.FS.RenameKeepStorage(oldpath, newpath)
-	if err != nil {
-		return err
-	}
-	if reclaim != nil {
-		fs.dropFile(replaced)
-		reclaim()
-	}
-	return nil
 }
 
 // Sync implements vfs.FileSystem: flush the whole DRAM buffer to NVMM.
@@ -542,16 +518,12 @@ func (f *File) zeroBufferedGap(size, end int64) {
 	f.fb.Write(idx, int(bo), zeroBlock[:n], f.pf.BlockAddrLocked(idx), true)
 }
 
-// Close implements vfs.File. If this close reclaims an unlinked file, its
-// buffered blocks are discarded first — the hook runs iff this close is
-// the reclaiming one, decided atomically under the substrate's refcount
-// lock (two racing closes of the last handles must not both skip the
-// drop). A second Close returns ErrClosed.
+// Close implements vfs.File. A second Close returns ErrClosed. The last
+// close of a removed file drops its buffered blocks through the reclaim
+// hook (see wrap).
 func (f *File) Close() error {
-	if f.closed.Swap(true) {
-		return vfs.ErrClosed
-	}
-	return f.pf.CloseWithHook(func() { f.fs.dropFile(f.pf.Ino()) })
+	f.closed.Store(true)
+	return f.pf.Close()
 }
 
 // Mmap emulates direct memory-mapped I/O for one file block (§4.2): the

@@ -133,30 +133,75 @@ func TestUnmountFlushesEverything(t *testing.T) {
 	}
 }
 
-// TestUnlinkDropsDirtyBuffers: a short-lived file's data never reaches NVMM.
-// Measured from before the create: its fresh blocks cost one pass of NVMM
-// writes — the zeroes the buffer lays over what it drops, where pmfs used
-// to zero every block at allocation — and never a second one for the data.
+// TestUnlinkDropsDirtyBuffers: a short-lived file's data never reaches
+// NVMM, whichever of the four routes into the reclaim hook frees it: unlink
+// or rename-over, with the file closed first or still open until after the
+// removal. Measured from before the create, its fresh blocks cost one pass
+// of NVMM writes — the zeroes the buffer lays over what it drops, where pmfs
+// used to zero every block at allocation — and never a second one for the
+// data, no line of which is on the device afterwards. While a handle is
+// open the blocks stay buffered; its last close drops them.
 func TestUnlinkDropsDirtyBuffers(t *testing.T) {
-	fs, dev := testFS(t, Options{})
 	const blocks = 16
-	before := dev.Stats().BytesFlushed
-	f, _ := fs.Create("/shortlived")
-	f.WriteAt(bytes.Repeat([]byte{9}, blocks*BlockSize), 0)
-	f.Close()
-	if err := fs.Unlink("/shortlived"); err != nil {
-		t.Fatal(err)
-	}
-	if got := fs.Pool().Stats().Drops; got != blocks {
-		t.Fatalf("unlink dropped %d dirty blocks, want %d", got, blocks)
-	}
-	// The dropped data must not be flushed afterwards.
-	fs.Sync()
-	// One pass over the blocks plus metadata (index and directory block,
-	// journal entries, bitmap words: 14656 bytes, the same total as before
-	// zeroing moved from allocation to drop) — not two passes.
-	if delta := dev.Stats().BytesFlushed - before; delta > (blocks+4)*BlockSize {
-		t.Fatalf("create + lazy write + unlink flushed %d bytes for %d blocks: zeroes and data both reached NVMM", delta, blocks)
+	for _, c := range []struct {
+		name   string
+		rename bool // rename /src over the file instead of unlinking it
+		open   bool // close the file's handle only after the removal
+	}{
+		{"unlink-closed", false, false},
+		{"unlink-open", false, true},
+		{"rename-over-closed", true, false},
+		{"rename-over-open", true, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			fs, dev := testFS(t, Options{})
+			if c.rename {
+				mustFile(t, fs, "/src").Close()
+			}
+			before := dev.Stats().BytesFlushed
+			f := mustFile(t, fs, "/shortlived")
+			if _, err := f.WriteAt(bytes.Repeat([]byte{9}, blocks*BlockSize), 0); err != nil {
+				t.Fatal(err)
+			}
+			if !c.open {
+				f.Close()
+			}
+			var err error
+			if c.rename {
+				err = fs.Rename("/src", "/shortlived")
+			} else {
+				err = fs.Unlink("/shortlived")
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.open {
+				if got := fs.Pool().Stats().Drops; got != 0 {
+					t.Fatalf("removal dropped %d blocks while a handle was open", got)
+				}
+				f.Close()
+			}
+			if got := fs.Pool().Stats().Drops; got != blocks {
+				t.Fatalf("dropped %d dirty blocks, want %d", got, blocks)
+			}
+			// The dropped data must not be flushed afterwards.
+			fs.Sync()
+			// One pass over the blocks plus metadata (index and directory
+			// block, journal entries, bitmap words: 14656 bytes for an
+			// unlink, the same total as before zeroing moved from allocation
+			// to drop) — not two passes.
+			if delta := dev.Stats().BytesFlushed - before; delta > (blocks+4)*BlockSize {
+				t.Fatalf("create + lazy write + removal flushed %d bytes for %d blocks: zeroes and data both reached NVMM", delta, blocks)
+			}
+			line := bytes.Repeat([]byte{9}, 64)
+			chunk := make([]byte, 1<<20)
+			for off := int64(0); off < dev.Size(); off += int64(len(chunk)) {
+				dev.Read(chunk, off)
+				if i := bytes.Index(chunk, line); i >= 0 {
+					t.Fatalf("a line of the dropped data is on the device at %d", off+int64(i))
+				}
+			}
+		})
 	}
 }
 

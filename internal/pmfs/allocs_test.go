@@ -24,7 +24,7 @@ func TestLookupAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := fs.dirIndexOf(fs.state(ino), fs.loadInode(ino))
+	ix := fs.dirIndexOf(ino, fs.state(ino))
 	if n := testing.AllocsPerRun(200, func() {
 		if _, d, ok := fs.dirLookup(ix, "file-63"); !ok || d.name != "file-63" {
 			t.Fatal("lookup of the last of 64 entries failed")

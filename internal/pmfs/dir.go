@@ -80,15 +80,15 @@ type dirIndex struct {
 	used   []uint64         // bit s of used[b] set iff slot b*dentriesPerBlock+s is in use
 }
 
-// dirIndexOf returns the index of the directory whose state is st and
-// record rec, building it when the directory has none. The caller holds
-// the directory lock in either mode; readers that race to build each
-// make a copy and the first CompareAndSwap wins.
-func (fs *FS) dirIndexOf(st *inodeState, rec inodeRec) *dirIndex {
+// dirIndexOf returns the index of directory dir, whose state is st. Only
+// when the directory has none does it read the directory's record, to
+// build one. The caller holds the directory lock in either mode; readers
+// that race to build each make a copy and the first CompareAndSwap wins.
+func (fs *FS) dirIndexOf(dir Ino, st *inodeState) *dirIndex {
 	if ix := st.dirIdx.Load(); ix != nil {
 		return ix
 	}
-	ix := fs.buildDirIndex(rec)
+	ix := fs.buildDirIndex(fs.loadInode(dir))
 	if !st.dirIdx.CompareAndSwap(nil, ix) {
 		return st.dirIdx.Load()
 	}

@@ -315,8 +315,11 @@ func lookupDirs(tb testing.TB) (*FS, *nvmm.Device) {
 }
 
 // TestDirLookupCostIgnoresDirSize: resolving a name costs the same NVMM
-// reads in a 4096-entry directory as in a 32-entry one, hit or miss. A
-// scan reads every dentry ahead of the match, and all of them to miss.
+// reads in a 4096-entry directory as in a 32-entry one, hit or miss — a
+// scan reads every dentry ahead of the match, and all of them to miss. With
+// the indexes built, a two-component Resolve reads exactly the ino and type
+// head of each dentry it finds and no inode record: a hit reads two heads,
+// a miss the directory's alone.
 func TestDirLookupCostIgnoresDirSize(t *testing.T) {
 	fs, dev := lookupDirs(t)
 	cost := func(p string, want error) int64 {
@@ -330,15 +333,17 @@ func TestDirLookupCostIgnoresDirSize(t *testing.T) {
 	for _, c := range []struct {
 		small, big string
 		err        error
+		heads      int64
 	}{
-		{"/small/f31", "/big/f4095", nil},
-		{"/small/none", "/big/none", vfs.ErrNotExist},
+		{"/small/f31", "/big/f4095", nil, 2},
+		{"/small/none", "/big/none", vfs.ErrNotExist, 1},
 	} {
 		cost(c.small, c.err) // the first lookup builds the index
 		cost(c.big, c.err)
-		small, big := cost(c.small, c.err), cost(c.big, c.err)
-		if big > 4*small {
-			t.Errorf("%s reads %d B, %s reads %d B: lookup cost grows with the directory", c.big, big, c.small, small)
+		for _, p := range []string{c.small, c.big} {
+			if got, want := cost(p, c.err), c.heads*deName; got != want {
+				t.Errorf("resolve %s reads %d B, want %d (%d dentry heads)", p, got, want, c.heads)
+			}
 		}
 	}
 }

@@ -402,35 +402,20 @@ func (f *File) truncateLocked(size int64) error {
 
 // Close implements vfs.File. Closing an already-closed handle returns
 // ErrClosed without touching the refcount (a double Close must not
-// release another handle's reference).
-func (f *File) Close() error { return f.close(nil) }
-
-// CloseWithHook is Close, additionally invoking pre just before this
-// close frees an unlinked inode's storage. The reclaim decision is made
-// under the refcount lock, so exactly one of N racing closes runs the
-// hook — the HiNFS layer uses it to discard the inode's buffered DRAM
-// blocks before their NVMM blocks are released.
-func (f *File) CloseWithHook(pre func()) error { return f.close(pre) }
-
-func (f *File) close(pre func()) error {
+// release another handle's reference). The last close of a removed file
+// reclaims it; the decision is made under the refcount lock, so exactly
+// one of N racing closes does.
+func (f *File) Close() error {
 	if f.closed.Swap(true) {
 		return vfs.ErrClosed
 	}
 	st := f.fs.state(f.ino)
 	st.meta.Lock()
 	st.refs--
-	reclaim := st.refs == 0 && st.unlinked
+	last := st.refs == 0 && st.unlinked
 	st.meta.Unlock()
-	if reclaim {
-		if pre != nil {
-			pre()
-		}
-		// Free the storage under the inode lock: a ReadAt that raced Close
-		// and passed its closed-check still holds the read lock, and must
-		// finish before the blocks it is copying from are reused.
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		f.fs.reclaimInode(f.fs.jnl.Begin(), f.ino)
+	if last {
+		f.fs.reclaim(f.ino, st)
 	}
 	return nil
 }

@@ -29,9 +29,9 @@ func putLE64(b []byte, v uint64) { binary.LittleEndian.PutUint64(b, v) }
 // child's write lock to free it, and both conflict with the walker's read
 // locks. All lock edges therefore point parent→child, which is what makes
 // the scheme deadlock-free; the one operation needing two unrelated
-// directory locks (rename) is serialized against other renames by renameMu
-// and orders its pair ancestor-first (ino-order for disjoint subtrees).
-// See DESIGN.md "Lock hierarchy & multicore metadata scaling".
+// directory locks (rename) is serialized against other renames and rmdir
+// by renameMu and orders its pair ancestor-first (ino-order for disjoint
+// subtrees). See DESIGN.md "Lock hierarchy & multicore metadata scaling".
 type FS struct {
 	dev   *nvmm.Device
 	l     layout
@@ -45,10 +45,13 @@ type FS struct {
 	serial   bool
 	serialMu sync.RWMutex
 
-	// renameMu serializes renames against each other so that the ancestry
-	// relation between any rename's two parent directories is stable while
-	// it decides its lock order.
+	// renameMu serializes renames against each other and against Rmdir, so
+	// that a rename's two parent directories stay live, and their ancestry
+	// stable, while it decides its lock order.
 	renameMu sync.Mutex
+
+	// onReclaim is the reclaim hook (SetReclaimHook), nil when none is set.
+	onReclaim func(Ino)
 
 	states sync.Map // Ino → *inodeState
 
@@ -265,23 +268,19 @@ func (fs *FS) dirUnlock(st *inodeState, write bool) {
 	}
 }
 
-// lockDirPath walks parts from the root with lock crabbing and returns the
+// lockDir walks parts from the root with lock crabbing and returns the
 // final directory's inode with its dir lock held — in write mode when
 // write is set, read mode otherwise; intermediate directories are only
 // ever read-locked, and each child's lock is acquired before its parent's
-// is released. The caller must release the returned lock via dirUnlock.
-func (fs *FS) lockDirPath(parts []string, write bool) (Ino, *inodeState, error) {
-	cur := RootIno
-	curSt := fs.state(cur)
+// is released. It reads no inode record: the root is a directory, and
+// every other component's type is the one its parent's dentry names. The
+// caller must release the returned lock via dirUnlock.
+func (fs *FS) lockDir(parts []string, write bool) (Ino, *inodeState, error) {
+	cur, curSt := RootIno, fs.state(RootIno)
 	curWrite := write && len(parts) == 0
 	fs.dirLock(curSt, curWrite)
 	for i, name := range parts {
-		rec := fs.loadInode(cur)
-		if rec.Type != typeDir {
-			fs.dirUnlock(curSt, curWrite)
-			return 0, nil, vfs.ErrNotDir
-		}
-		_, d, ok := fs.dirLookup(fs.dirIndexOf(curSt, rec), name)
+		_, d, ok := fs.dirLookup(fs.dirIndexOf(cur, curSt), name)
 		if !ok {
 			fs.dirUnlock(curSt, curWrite)
 			return 0, nil, vfs.ErrNotExist
@@ -299,31 +298,71 @@ func (fs *FS) lockDirPath(parts []string, write bool) (Ino, *inodeState, error) 
 	return cur, curSt, nil
 }
 
-// Resolve returns the inode at path.
-func (fs *FS) Resolve(path string) (Ino, error) {
+// nsPath is a path walked to its parent directory, whose lock is held.
+type nsPath struct {
+	dir          Ino
+	st           *inodeState
+	write        bool      // whether st's dir lock is held in write mode
+	unlockSerial func()    // releases the serial baseline's lock
+	ix           *dirIndex // the parent's index; nil for the root
+	base         string    // the last component, "/" for the root
+	slot         int       // base's slot in the parent; -1 for the root
+	d            dentry    // base's dentry; d.ino is 0 when the parent has no such name
+}
+
+// walk takes path to its locked parent directory, the one preamble of every
+// namespace operation but rename: it checks the mount, splits path into a
+// stack array, takes the serial baseline's lock, crabs down to the parent
+// (write-locked when write is set) and looks the base name up in the
+// parent's index. The root has no parent: a read walk returns it as its own
+// entry, its lock held in read mode, and a write walk — whose caller adds or
+// removes a name — rejects it. The caller releases the locks with unwalk.
+func (fs *FS) walk(path string, write bool) (nsPath, error) {
+	p := nsPath{write: write}
+	if err := fs.checkMounted(); err != nil {
+		return p, err
+	}
 	var buf [16]string
 	parts, err := vfs.SplitPath(buf[:0], path)
 	if err != nil {
-		return 0, err
+		return p, err
 	}
-	return fs.resolveParts(parts)
+	n := len(parts)
+	if n == 0 && write {
+		return p, vfs.ErrInvalid
+	}
+	p.unlockSerial = fs.nsSerial(write)
+	if p.dir, p.st, err = fs.lockDir(parts[:max(n-1, 0)], write); err != nil {
+		p.unlockSerial()
+		return p, err
+	}
+	if n == 0 {
+		p.base, p.slot, p.d = "/", -1, dentry{ino: RootIno, typ: typeDir}
+		return p, nil
+	}
+	p.ix = fs.dirIndexOf(p.dir, p.st)
+	p.base = parts[n-1]
+	p.slot, p.d, _ = fs.dirLookup(p.ix, p.base)
+	return p, nil
 }
 
-func (fs *FS) resolveParts(parts []string) (Ino, error) {
-	defer fs.nsSerial(false)()
-	if len(parts) == 0 {
-		return RootIno, nil
-	}
-	dir, dirSt, err := fs.lockDirPath(parts[:len(parts)-1], false)
+// unwalk releases the locks walk took.
+func (fs *FS) unwalk(p nsPath) {
+	fs.dirUnlock(p.st, p.write)
+	p.unlockSerial()
+}
+
+// Resolve returns the inode at path.
+func (fs *FS) Resolve(path string) (Ino, error) {
+	p, err := fs.walk(path, false)
 	if err != nil {
 		return 0, err
 	}
-	defer fs.dirUnlock(dirSt, false)
-	_, d, ok := fs.dirLookup(fs.dirIndexOf(dirSt, fs.loadInode(dir)), parts[len(parts)-1])
-	if !ok {
+	fs.unwalk(p)
+	if p.d.ino == 0 {
 		return 0, vfs.ErrNotExist
 	}
-	return d.ino, nil
+	return p.d.ino, nil
 }
 
 // Create implements vfs.FileSystem.
@@ -347,61 +386,35 @@ func (fs *FS) Open(path string, flags int) (vfs.File, error) {
 // under the parent lock) keeps concurrent unlink from freeing the storage
 // underneath it.
 func (fs *FS) OpenFile(path string, flags int) (*File, error) {
-	if err := fs.checkMounted(); err != nil {
-		return nil, err
-	}
-	var buf [16]string
-	dirParts, base, err := vfs.SplitDirBase(buf[:0], path)
+	p, err := fs.walk(path, flags&vfs.OCreate != 0)
 	if err != nil {
 		return nil, err
 	}
-	write := flags&vfs.OCreate != 0
-	defer fs.nsSerial(true)()
-	dirIno, dirSt, err := fs.lockDirPath(dirParts, write)
-	if err != nil {
-		return nil, err
-	}
-	dirRec := fs.loadInode(dirIno)
-	ix := fs.dirIndexOf(dirSt, dirRec)
-	_, d, ok := fs.dirLookup(ix, base)
-	var f *File
+	ino := p.d.ino
 	switch {
-	case ok && d.typ == typeDir:
-		fs.dirUnlock(dirSt, write)
-		return nil, vfs.ErrIsDir
-	case ok:
-		f = fs.fileHandle(d.ino, flags)
-		fs.dirUnlock(dirSt, write)
-		if flags&vfs.OTrunc != 0 {
-			f.Lock()
-			err := f.truncateLocked(0)
-			f.Unlock()
-			if err != nil {
-				f.Close()
-				return nil, err
-			}
-		}
-	case flags&vfs.OCreate != 0:
-		tx := fs.jnl.Begin()
-		ino, err := fs.allocInode(tx, typeFile)
-		if err != nil {
-			tx.Commit()
-			fs.dirUnlock(dirSt, write)
-			return nil, err
-		}
-		if err := fs.dirAddEntry(tx, dirIno, ix, &dirRec, dentry{ino: ino, typ: typeFile, name: base}); err != nil {
-			fs.freeInode(tx, ino)
-			tx.Commit()
-			fs.dirUnlock(dirSt, write)
-			return nil, err
-		}
-		fs.storeInode(tx, dirIno, dirRec)
-		tx.Commit()
+	case p.d.typ == typeDir:
+		err = vfs.ErrIsDir
+	case ino == 0 && flags&vfs.OCreate != 0:
+		ino, err = fs.create(p, typeFile)
+	case ino == 0:
+		err = vfs.ErrNotExist
+	}
+	var f *File
+	if err == nil {
 		f = fs.fileHandle(ino, flags)
-		fs.dirUnlock(dirSt, write)
-	default:
-		fs.dirUnlock(dirSt, write)
-		return nil, vfs.ErrNotExist
+	}
+	fs.unwalk(p)
+	if err != nil {
+		return nil, err
+	}
+	if p.d.ino != 0 && flags&vfs.OTrunc != 0 {
+		f.Lock()
+		err := f.truncateLocked(0)
+		f.Unlock()
+		if err != nil {
+			f.Close()
+			return nil, err
+		}
 	}
 	return f, nil
 }
@@ -414,150 +427,128 @@ func (fs *FS) fileHandle(ino Ino, flags int) *File {
 	return &File{fs: fs, ino: ino, st: st, flags: flags}
 }
 
-// Mkdir implements vfs.FileSystem.
-func (fs *FS) Mkdir(path string) error {
-	if err := fs.checkMounted(); err != nil {
-		return err
-	}
-	var buf [16]string
-	dirParts, base, err := vfs.SplitDirBase(buf[:0], path)
-	if err != nil {
-		return err
-	}
-	defer fs.nsSerial(true)()
-	dirIno, dirSt, err := fs.lockDirPath(dirParts, true)
-	if err != nil {
-		return err
-	}
-	defer fs.dirUnlock(dirSt, true)
-	dirRec := fs.loadInode(dirIno)
-	ix := fs.dirIndexOf(dirSt, dirRec)
-	if _, _, ok := fs.dirLookup(ix, base); ok {
-		return vfs.ErrExist
-	}
+// create allocates an inode of type typ and links it as p.base into p's
+// write-locked parent, whose record it stores in the same transaction.
+func (fs *FS) create(p nsPath, typ byte) (Ino, error) {
+	dirRec := fs.loadInode(p.dir)
 	tx := fs.jnl.Begin()
-	ino, err := fs.allocInode(tx, typeDir)
+	defer tx.Commit()
+	ino, err := fs.allocInode(tx, typ)
 	if err != nil {
-		tx.Commit()
-		return err
+		return 0, err
 	}
-	if err := fs.dirAddEntry(tx, dirIno, ix, &dirRec, dentry{ino: ino, typ: typeDir, name: base}); err != nil {
+	if err := fs.dirAddEntry(tx, p.dir, p.ix, &dirRec, dentry{ino: ino, typ: typ, name: p.base}); err != nil {
 		fs.freeInode(tx, ino)
-		tx.Commit()
-		return err
+		return 0, err
 	}
-	fs.storeInode(tx, dirIno, dirRec)
-	tx.Commit()
-	return nil
+	fs.storeInode(tx, p.dir, dirRec)
+	return ino, nil
 }
 
-// Rmdir implements vfs.FileSystem. The victim's own write lock is taken
-// (parent first, then child) before it is freed, so walkers that crabbed
-// into it are excluded, and walkers that have not reached the parent yet
-// can never find its dentry again.
+// Mkdir implements vfs.FileSystem.
+func (fs *FS) Mkdir(path string) error {
+	p, err := fs.walk(path, true)
+	if err != nil {
+		return err
+	}
+	defer fs.unwalk(p)
+	if p.d.ino != 0 {
+		return vfs.ErrExist
+	}
+	_, err = fs.create(p, typeDir)
+	return err
+}
+
+// Rmdir implements vfs.FileSystem. It is the only operation that frees a
+// directory, and it holds renameMu while it does (see rename). The victim's
+// own write lock is taken (parent first, then child) before it is freed, so
+// walkers that crabbed into it are excluded, and walkers that have not
+// reached the parent yet can never find its dentry again.
 func (fs *FS) Rmdir(path string) error {
-	if err := fs.checkMounted(); err != nil {
-		return err
-	}
-	var buf [16]string
-	dirParts, base, err := vfs.SplitDirBase(buf[:0], path)
+	fs.renameMu.Lock()
+	defer fs.renameMu.Unlock()
+	p, err := fs.walk(path, true)
 	if err != nil {
 		return err
 	}
-	defer fs.nsSerial(true)()
-	dirIno, dirSt, err := fs.lockDirPath(dirParts, true)
-	if err != nil {
-		return err
-	}
-	defer fs.dirUnlock(dirSt, true)
-	ix := fs.dirIndexOf(dirSt, fs.loadInode(dirIno))
-	slot, d, ok := fs.dirLookup(ix, base)
-	if !ok {
+	defer fs.unwalk(p)
+	switch {
+	case p.d.ino == 0:
 		return vfs.ErrNotExist
-	}
-	if d.typ != typeDir {
+	case p.d.typ != typeDir:
 		return vfs.ErrNotDir
 	}
-	childSt := fs.state(d.ino)
-	fs.dirLock(childSt, true)
-	defer fs.dirUnlock(childSt, true)
-	if len(fs.dirIndexOf(childSt, fs.loadInode(d.ino)).names) != 0 {
+	st := fs.state(p.d.ino)
+	fs.dirLock(st, true)
+	defer fs.dirUnlock(st, true)
+	if len(fs.dirIndexOf(p.d.ino, st).names) != 0 {
 		return vfs.ErrNotEmpty
 	}
 	tx := fs.jnl.Begin()
-	fs.dirRemoveEntry(tx, ix, slot, base)
-	fs.reclaimInode(tx, d.ino)
+	fs.dirRemoveEntry(tx, p.ix, p.slot, p.base)
+	fs.reclaimInode(tx, p.d.ino)
 	return nil
 }
 
-// Unlink implements vfs.FileSystem.
+// Unlink implements vfs.FileSystem. The file's storage is reclaimed once
+// the namespace locks are released (see orphaned).
 func (fs *FS) Unlink(path string) error {
-	_, reclaim, err := fs.UnlinkKeepStorage(path)
+	p, err := fs.walk(path, true)
 	if err != nil {
 		return err
 	}
-	if reclaim != nil {
-		reclaim()
+	switch {
+	case p.d.ino == 0:
+		err = vfs.ErrNotExist
+	case p.d.typ == typeDir:
+		err = vfs.ErrIsDir
+	default:
+		tx := fs.jnl.Begin()
+		fs.dirRemoveEntry(tx, p.ix, p.slot, p.base)
+		tx.Commit()
 	}
+	fs.unwalk(p)
+	if err != nil {
+		return err
+	}
+	fs.orphaned(p.d.ino)
 	return nil
 }
 
-// UnlinkKeepStorage removes path's directory entry but defers freeing the
-// inode's storage: if no handle is open it returns a reclaim closure the
-// caller invokes after discarding any cached state for the inode (HiNFS
-// drops its DRAM buffer blocks first, so background writeback can never
-// touch freed NVMM blocks). A nil reclaim means open handles exist and the
-// last Close frees the storage instead.
-func (fs *FS) UnlinkKeepStorage(path string) (Ino, func(), error) {
-	if err := fs.checkMounted(); err != nil {
-		return 0, nil, err
-	}
-	var buf [16]string
-	dirParts, base, err := vfs.SplitDirBase(buf[:0], path)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer fs.nsSerial(true)()
-	dirIno, dirSt, err := fs.lockDirPath(dirParts, true)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer fs.dirUnlock(dirSt, true)
-	ix := fs.dirIndexOf(dirSt, fs.loadInode(dirIno))
-	slot, d, ok := fs.dirLookup(ix, base)
-	if !ok {
-		return 0, nil, vfs.ErrNotExist
-	}
-	if d.typ == typeDir {
-		return 0, nil, vfs.ErrIsDir
-	}
-	tx := fs.jnl.Begin()
-	fs.dirRemoveEntry(tx, ix, slot, base)
-	reclaim := fs.deferredReclaim(d.ino)
-	tx.Commit()
-	return d.ino, reclaim, nil
-}
+// SetReclaimHook installs fn, which is called with the inode number of a
+// removed file after its dentry removal commits and before its storage is
+// freed — once per file, whether unlink, rename-over or the last close
+// frees it. Install it before the first operation.
+func (fs *FS) SetReclaimHook(fn func(Ino)) { fs.onReclaim = fn }
 
-// deferredReclaim marks ino for reclamation. If handles are open it
-// arranges last-close reclamation and returns nil; otherwise it returns a
-// closure freeing the storage in its own transaction. The closure takes
-// the inode lock, so in-flight reads through surviving paths are excluded.
-func (fs *FS) deferredReclaim(ino Ino) func() {
+// orphaned is called, with no namespace lock held, for a file whose last
+// name is gone. With no handle open it reclaims the file now; otherwise the
+// last Close does. No handle can be opened once the name is gone, so the
+// count only falls.
+func (fs *FS) orphaned(ino Ino) {
 	st := fs.state(ino)
 	st.meta.Lock()
 	open := st.refs > 0
-	if open {
-		st.unlinked = true
-	}
+	st.unlinked = open
 	st.meta.Unlock()
-	if open {
-		return nil
+	if !open {
+		fs.reclaim(ino, st)
 	}
-	return func() {
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		fs.reclaimInode(fs.jnl.Begin(), ino)
+}
+
+// reclaim frees an orphaned file: the one path unlink, rename-over and the
+// last close share. The reclaim hook runs first — HiNFS drops the file's
+// buffered DRAM blocks there, so background writeback can never touch freed
+// NVMM blocks — and the storage is then freed under the inode lock: a read
+// that raced the last Close and passed its closed-check still holds the
+// read lock, and must finish before the blocks it copies from are reused.
+func (fs *FS) reclaim(ino Ino, st *inodeState) {
+	if fs.onReclaim != nil {
+		fs.onReclaim(ino)
 	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	fs.reclaimInode(fs.jnl.Begin(), ino)
 }
 
 // reclaimInode frees ino's index tree and then its record, and commits tx
@@ -580,16 +571,14 @@ func (fs *FS) reclaimInode(tx *journal.Tx, ino Ino) {
 	tx.Commit()
 }
 
-// Rename implements vfs.FileSystem. A regular file at newpath is replaced.
+// Rename implements vfs.FileSystem. A regular file at newpath is replaced,
+// and reclaimed as an unlinked one is once every lock is released.
 func (fs *FS) Rename(oldpath, newpath string) error {
-	_, reclaim, err := fs.RenameKeepStorage(oldpath, newpath)
-	if err != nil {
-		return err
+	replaced, err := fs.rename(oldpath, newpath)
+	if replaced != 0 {
+		fs.orphaned(replaced)
 	}
-	if reclaim != nil {
-		reclaim()
-	}
-	return nil
+	return err
 }
 
 func partsEqual(a, b []string) bool {
@@ -613,14 +602,10 @@ func partsPrefix(a, b []string) bool {
 	return partsEqual(a, b[:len(a)])
 }
 
-// peekDir resolves parts to a directory with read crabbing and returns the
-// ino plus its state pointer with no locks held. The pointer is the
-// validity token for the later re-lock: freeInode deletes the state entry,
-// so if fs.state(ino) still returns the same pointer the directory was
-// never freed (and renames are excluded by renameMu, so it is also still
-// at this path).
+// peekDir resolves parts to a directory with read crabbing and returns it
+// with no locks held.
 func (fs *FS) peekDir(parts []string) (Ino, *inodeState, error) {
-	ino, st, err := fs.lockDirPath(parts, false)
+	ino, st, err := fs.lockDir(parts, false)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -628,118 +613,76 @@ func (fs *FS) peekDir(parts []string) (Ino, *inodeState, error) {
 	return ino, st, nil
 }
 
-// RenameKeepStorage is Rename with the replaced target's storage
-// reclamation deferred to the returned closure (see UnlinkKeepStorage).
-// The returned ino is the replaced file's inode (0 if none was replaced).
+// rename moves oldpath to newpath and returns the inode it replaced, 0 if
+// none.
 //
-// Locking protocol: renames hold renameMu (stabilizing directory
-// ancestry), resolve both parent directories with plain read crabbing
-// releasing all locks, then write-lock the two parents ancestor-first
-// (path-prefix order; ino order when the subtrees are disjoint) and
-// validate both via state-pointer identity before trusting the snapshot.
-// Holding the first parent's lock while walking to the second would
-// deadlock against walkers queued behind the pending write lock, which is
-// why the resolve and lock phases are separate.
-func (fs *FS) RenameKeepStorage(oldpath, newpath string) (Ino, func(), error) {
+// Locking protocol: rename holds renameMu, which Rmdir — the only operation
+// that frees a directory — holds too, so directory ancestry is stable and
+// both parents stay live and in place after it resolves them with plain
+// read crabbing and releases every lock. It then write-locks the two
+// parents ancestor-first (path-prefix order; ino order when the subtrees
+// are disjoint). Holding the first parent's lock while walking to the
+// second would deadlock against walkers queued behind the pending write
+// lock, which is why the resolve and lock phases are separate.
+func (fs *FS) rename(oldpath, newpath string) (Ino, error) {
 	if err := fs.checkMounted(); err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	var oldBuf, newBuf [16]string
 	oldDirParts, oldBase, err := vfs.SplitDirBase(oldBuf[:0], oldpath)
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	newDirParts, newBase, err := vfs.SplitDirBase(newBuf[:0], newpath)
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	if len(newBase) > MaxNameLen {
-		return 0, nil, vfs.ErrNameTooLon
+		return 0, vfs.ErrNameTooLon
 	}
 	// SplitDirBase leaves the base right after the parent parts.
 	oldAll := oldDirParts[:len(oldDirParts)+1]
 	newAll := newDirParts[:len(newDirParts)+1]
 	if partsEqual(oldAll, newAll) {
-		return 0, nil, nil // rename to self is a no-op
+		return 0, nil // rename to self is a no-op
 	}
 	if partsPrefix(oldAll, newAll) {
 		// Moving a directory into its own subtree would detach the subtree
 		// as an unreachable cycle.
-		return 0, nil, vfs.ErrInvalid
+		return 0, vfs.ErrInvalid
 	}
-	defer fs.nsSerial(true)()
 	fs.renameMu.Lock()
 	defer fs.renameMu.Unlock()
-
-	var (
-		oldDir, newDir     Ino
-		oldSt, newSt       *inodeState
-		oldWrite, newWrite bool // whether each lock is held separately
-	)
-	unlockBoth := func() {
-		if newWrite {
-			fs.dirUnlock(newSt, true)
-		}
-		if oldWrite {
-			fs.dirUnlock(oldSt, true)
-		}
-		oldWrite, newWrite = false, false
+	defer fs.nsSerial(true)()
+	oldDir, oldSt, err := fs.peekDir(oldDirParts)
+	if err != nil {
+		return 0, err
 	}
-	for attempt := 0; ; attempt++ {
-		oldDir, oldSt, err = fs.peekDir(oldDirParts)
-		if err != nil {
-			return 0, nil, err
-		}
-		newDir, newSt, err = fs.peekDir(newDirParts)
-		if err != nil {
-			return 0, nil, err
-		}
-		switch {
-		case oldDir == newDir:
-			fs.dirLock(oldSt, true)
-			oldWrite = true
-			newSt = oldSt
-		case partsPrefix(oldDirParts, newDirParts):
-			fs.dirLock(oldSt, true)
-			fs.dirLock(newSt, true)
-			oldWrite, newWrite = true, true
-		case partsPrefix(newDirParts, oldDirParts):
-			fs.dirLock(newSt, true)
-			fs.dirLock(oldSt, true)
-			oldWrite, newWrite = true, true
-		case oldDir < newDir:
-			fs.dirLock(oldSt, true)
-			fs.dirLock(newSt, true)
-			oldWrite, newWrite = true, true
-		default:
-			fs.dirLock(newSt, true)
-			fs.dirLock(oldSt, true)
-			oldWrite, newWrite = true, true
-		}
-		// Both directories may have been removed (and their inos reused)
-		// between the unlocked resolve and the locks landing; a stale state
-		// pointer or record proves it.
-		if fs.state(oldDir) == oldSt && fs.loadInode(oldDir).Type == typeDir &&
-			fs.state(newDir) == newSt && fs.loadInode(newDir).Type == typeDir {
-			break
-		}
-		unlockBoth()
-		if attempt >= 16 {
-			return 0, nil, vfs.ErrNotExist
-		}
+	newDir, newSt, err := fs.peekDir(newDirParts)
+	if err != nil {
+		return 0, err
 	}
-	defer unlockBoth()
+	first, second := oldSt, newSt
+	if partsPrefix(newDirParts, oldDirParts) || !partsPrefix(oldDirParts, newDirParts) && newDir < oldDir {
+		first, second = newSt, oldSt
+	}
+	fs.dirLock(first, true)
+	defer fs.dirUnlock(first, true)
+	if second != first {
+		fs.dirLock(second, true)
+		defer fs.dirUnlock(second, true)
+	}
 
-	oldIx := fs.dirIndexOf(oldSt, fs.loadInode(oldDir))
+	oldIx := fs.dirIndexOf(oldDir, oldSt)
 	oldSlot, d, ok := fs.dirLookup(oldIx, oldBase)
 	if !ok {
-		return 0, nil, vfs.ErrNotExist
+		return 0, vfs.ErrNotExist
 	}
 	newDirRec := fs.loadInode(newDir)
-	newIx := fs.dirIndexOf(newSt, newDirRec)
-	destSlot, destD, exists := fs.dirLookup(newIx, newBase)
-	if exists && destD.typ == typeDir {
-		return 0, nil, vfs.ErrIsDir
+	newIx := fs.dirIndexOf(newDir, newSt)
+	destSlot, dest, exists := fs.dirLookup(newIx, newBase)
+	if exists && dest.typ == typeDir {
+		return 0, vfs.ErrIsDir
 	}
 	tx := fs.jnl.Begin()
 	// Take the new slot before removing anything, so that a full
@@ -751,15 +694,11 @@ func (fs *FS) RenameKeepStorage(oldpath, newpath string) (Ino, func(), error) {
 	if !exists && oldDir != newDir {
 		if slot, err = fs.dirFreeSlot(tx, newDir, newIx, &newDirRec); err != nil {
 			tx.Commit()
-			return 0, nil, err
+			return 0, err
 		}
 	}
-	var replaced Ino
-	var reclaim func()
 	if exists {
 		fs.dirRemoveEntry(tx, newIx, destSlot, newBase)
-		replaced = destD.ino
-		reclaim = fs.deferredReclaim(destD.ino)
 	}
 	fs.dirRemoveEntry(tx, oldIx, oldSlot, oldBase)
 	if slot < 0 {
@@ -768,55 +707,49 @@ func (fs *FS) RenameKeepStorage(oldpath, newpath string) (Ino, func(), error) {
 	fs.dirPutEntry(tx, newIx, slot, dentry{ino: d.ino, typ: d.typ, name: newBase})
 	fs.storeInode(tx, newDir, newDirRec)
 	tx.Commit()
-	return replaced, reclaim, nil
+	return dest.ino, nil
 }
 
-// Stat implements vfs.FileSystem.
+// Stat implements vfs.FileSystem. The record is read under the parent's
+// read lock, so no unlink can remove the name and reclaim the inode between
+// the lookup and the read.
 func (fs *FS) Stat(path string) (vfs.FileInfo, error) {
-	if err := fs.checkMounted(); err != nil {
-		return vfs.FileInfo{}, err
-	}
-	var buf [16]string
-	parts, err := vfs.SplitPath(buf[:0], path)
+	p, err := fs.walk(path, false)
 	if err != nil {
 		return vfs.FileInfo{}, err
 	}
-	ino, err := fs.resolveParts(parts)
-	if err != nil {
-		return vfs.FileInfo{}, err
+	defer fs.unwalk(p)
+	if p.d.ino == 0 {
+		return vfs.FileInfo{}, vfs.ErrNotExist
 	}
-	name := "/"
-	if len(parts) > 0 {
-		name = parts[len(parts)-1]
-	}
-	st := fs.state(ino)
+	st := fs.state(p.d.ino)
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	rec := fs.loadInode(ino)
-	return vfs.FileInfo{Name: name, Size: rec.Size, IsDir: rec.Type == typeDir, Blocks: rec.Blocks}, nil
+	rec := fs.loadInode(p.d.ino)
+	return vfs.FileInfo{Name: p.base, Size: rec.Size, IsDir: rec.Type == typeDir, Blocks: rec.Blocks}, nil
 }
 
-// ReadDir implements vfs.FileSystem.
+// ReadDir implements vfs.FileSystem. The directory's read lock is taken
+// inside its parent's, which the walk holds until the listing is done.
 func (fs *FS) ReadDir(path string) ([]vfs.DirEntry, error) {
-	if err := fs.checkMounted(); err != nil {
-		return nil, err
-	}
-	parts, err := vfs.SplitPath(nil, path)
+	p, err := fs.walk(path, false)
 	if err != nil {
 		return nil, err
 	}
-	defer fs.nsSerial(false)()
-	ino, st, err := fs.lockDirPath(parts, false)
-	if err != nil {
-		return nil, err
-	}
-	defer fs.dirUnlock(st, false)
-	rec := fs.loadInode(ino)
-	if rec.Type != typeDir {
+	defer fs.unwalk(p)
+	switch {
+	case p.d.ino == 0:
+		return nil, vfs.ErrNotExist
+	case p.d.typ != typeDir:
 		return nil, vfs.ErrNotDir
 	}
+	if p.slot >= 0 { // the root's own lock is the one the walk holds
+		st := fs.state(p.d.ino)
+		fs.dirLock(st, false)
+		defer fs.dirUnlock(st, false)
+	}
 	var out []vfs.DirEntry
-	fs.dirScan(rec, func(_ int, d dentry) bool {
+	fs.dirScan(fs.loadInode(p.d.ino), func(_ int, d dentry) bool {
 		out = append(out, vfs.DirEntry{Name: d.name, IsDir: d.typ == typeDir})
 		return false
 	})

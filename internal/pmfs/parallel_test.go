@@ -2,7 +2,9 @@ package pmfs
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"hinfs/internal/vfs"
@@ -259,5 +261,115 @@ func TestRenameCycleRejected(t *testing.T) {
 	}
 	if errs := fs.Check(); len(errs) != 0 {
 		t.Fatalf("check after rejected renames: %v", errs)
+	}
+}
+
+// TestRenameRacesRmdir: renames from /p/a to /q race mkdir/rmdir of both
+// parents, which frees their inode numbers for the other's next mkdir to
+// take. Rmdir shares renameMu with rename, so a parent a rename resolved
+// cannot be removed, and its number reused, before the rename locks it.
+// Every call returns nil or the sentinel its race explains, each file is
+// at exactly one of its names until its unlink, and the image checks clean
+// live and after a remount.
+func TestRenameRacesRmdir(t *testing.T) {
+	fs, dev := testFS(t)
+	if err := fs.Mkdir("/p"); err != nil {
+		t.Fatal(err)
+	}
+	const movers, cycles = 3, 150
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	errc := make(chan error, movers+2)
+	for _, dir := range []string{"/p/a", "/q"} {
+		wg.Add(1)
+		go func(dir string) {
+			defer wg.Done()
+			for !stop.Load() {
+				if err := fs.Mkdir(dir); err != nil && err != vfs.ErrExist {
+					errc <- fmt.Errorf("mkdir %s: %w", dir, err)
+					return
+				}
+				runtime.Gosched()
+				if err := fs.Rmdir(dir); err != nil && err != vfs.ErrNotEmpty && err != vfs.ErrNotExist {
+					errc <- fmt.Errorf("rmdir %s: %w", dir, err)
+					return
+				}
+			}
+		}(dir)
+	}
+	// Each mover owns its two names. A parent that holds one of them is not
+	// empty, so only the create and the rename can meet a missing parent.
+	mover := func(g int) error {
+		src, dst := fmt.Sprintf("/p/a/x%d", g), fmt.Sprintf("/q/y%d", g)
+		for done := 0; done < cycles; {
+			f, err := fs.Create(src)
+			if err == vfs.ErrNotExist {
+				runtime.Gosched()
+				continue
+			}
+			if err != nil {
+				return fmt.Errorf("create %s: %w", src, err)
+			}
+			ino := f.(*File).Ino()
+			f.Close()
+			at := src
+			switch err := fs.Rename(src, dst); err {
+			case nil:
+				at = dst
+				if _, err := fs.Resolve(src); err != vfs.ErrNotExist {
+					return fmt.Errorf("%s still resolves (%v) after its rename to %s", src, err, dst)
+				}
+			case vfs.ErrNotExist:
+			default:
+				return fmt.Errorf("rename %s -> %s: %w", src, dst, err)
+			}
+			if got, err := fs.Resolve(at); err != nil || got != ino {
+				return fmt.Errorf("%s resolves to %d (%v), want %d", at, got, err, ino)
+			}
+			if err := fs.Unlink(at); err != nil {
+				return fmt.Errorf("unlink %s: %w", at, err)
+			}
+			done++
+		}
+		return nil
+	}
+	var movWG sync.WaitGroup
+	for g := 0; g < movers; g++ {
+		movWG.Add(1)
+		go func(g int) {
+			defer movWG.Done()
+			if err := mover(g); err != nil {
+				errc <- err
+			}
+		}(g)
+	}
+	movWG.Wait()
+	stop.Store(true)
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Error(err)
+	}
+	if t.Failed() {
+		return
+	}
+	for _, dir := range []string{"/p/a", "/q"} {
+		if ents, err := fs.ReadDir(dir); err != nil && err != vfs.ErrNotExist || len(ents) != 0 {
+			t.Fatalf("%s after every unlink: %v, %v", dir, ents, err)
+		}
+	}
+	checkIndexes(t, fs, "after the race")
+	if errs := fs.Check(); len(errs) != 0 {
+		t.Fatalf("live check: %v", errs)
+	}
+	if err := fs.Unmount(); err != nil {
+		t.Fatal(err)
+	}
+	fs2, err := Mount(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if errs := fs2.Check(); len(errs) != 0 {
+		t.Fatalf("check after remount: %v", errs)
 	}
 }
