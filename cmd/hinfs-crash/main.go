@@ -42,6 +42,7 @@ func run() int {
 		to        = flag.Int64("to", 0, "restrict crash window to persist events <= this (0 = end of run)")
 		device    = flag.Int64("device", 24, "device size (MiB)")
 		buffer    = flag.Int("buffer", 512, "DRAM buffer (4 KiB blocks)")
+		jblocks   = flag.Int64("journal-blocks", 512, "journal area (4 KiB blocks; deterministic workloads); a small one makes every lane rotate")
 		clients   = flag.Int("clients", 2, "clients per tenant (traffic workload)")
 		flight    = flag.Bool("flight", true, "record a flight ring in the image and verify the flight-* invariants")
 		forensics = flag.Bool("forensics", false, "dump the recovered flight ring as JSON lines (violating cases; with a clean report, the end-of-run image)")
@@ -64,8 +65,9 @@ func run() int {
 		LastEvent:  *to,
 		DeviceSize: *device << 20,
 
-		BufferBlocks: *buffer,
-		Flight:       *flight,
+		BufferBlocks:  *buffer,
+		JournalBlocks: *jblocks,
+		Flight:        *flight,
 	}
 	if *verbose {
 		cfg.Log = os.Stderr
@@ -99,6 +101,9 @@ func reproPrefix(cfg crashtest.Config) string {
 		cfg.Workload, cfg.Ops, cfg.Seed, cfg.Perms)
 	if !cfg.Flight {
 		s += " -flight=false"
+	}
+	if cfg.JournalBlocks != 512 {
+		s += fmt.Sprintf(" -journal-blocks %d", cfg.JournalBlocks)
 	}
 	return s
 }

@@ -7,6 +7,7 @@ import (
 
 	"hinfs/internal/cacheline"
 	"hinfs/internal/clock"
+	"hinfs/internal/journal"
 	"hinfs/internal/nvmm"
 )
 
@@ -208,6 +209,39 @@ func TestDropDiscardsDirtyData(t *testing.T) {
 		if !bytes.Equal(nvmmBlock(), want) {
 			t.Errorf("%s: NVMM block after drop is not stale bytes with zeroed dirty lines", c.name)
 		}
+	}
+}
+
+// TestDropZeroesGatedLines: a block over an existing NVMM block that gates
+// an uncommitted transaction holds an append past the tail pmfs left as
+// allocated. Dropping it releases the transaction, which commits the
+// extension before the truncate that dropped the block does, so its dirty
+// lines are zeroed on NVMM first: the window shows zeroes past the old EOF,
+// never the block's previous owner.
+func TestDropZeroesGatedLines(t *testing.T) {
+	p, dev := testPool(t, 8, true)
+	const addr, jbase = 1 << 20, 2 << 20
+	j, err := journal.NewLanes(dev, jbase, 2*BlockSize, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := bytes.Repeat([]byte{0xEE}, BlockSize)
+	dev.Write(stale, addr)
+	tx := j.Begin()
+	tx.AddPending(1)
+	tx.Seal()
+	fb := p.NewFile()
+	fb.Write(0, 3*cacheline.Size+7, bytes.Repeat([]byte{0x2D}, 2*cacheline.Size), addr, true, tx)
+	fb.Drop()
+	if !tx.Committed() {
+		t.Fatal("the drop did not release the gated transaction")
+	}
+	want := append([]byte(nil), stale...)
+	zero(want[3*cacheline.Size : 6*cacheline.Size])
+	got := make([]byte, BlockSize)
+	dev.Read(got, addr)
+	if !bytes.Equal(got, want) {
+		t.Fatal("NVMM block after the drop is not stale bytes with zeroed dirty lines")
 	}
 }
 

@@ -216,11 +216,14 @@ func (fb *FileBuf) ReadMerge(idx int64, blkOff int, dst []byte, addr int64) bool
 
 // DropBlock discards block idx without writeback (truncate: the NVMM
 // block is about to be freed, so its buffered data must never be flushed).
-// Gated transactions are released, which lets the transaction that allocated
-// a fresh block commit before the one that frees it does; in that window a
-// crash image shows the block in the file, so a fresh block's dirty lines —
-// the only ones pmfs did not zero — are zeroed on NVMM first: the window
-// shows zeroes, never the block's previous owner.
+// Gated transactions are released, which lets a transaction that extended
+// the file into this block commit before the one that frees it does; in
+// that window a crash image shows the block in the file up to the extended
+// size. pmfs zeroed neither a fresh block's written lines nor, in a block
+// that already existed, the lines an append wrote past a tail it left as
+// allocated, so the dirty lines of a fresh block or of one that gates a
+// transaction are zeroed on NVMM first: the window shows zeroes, never the
+// block's previous owner.
 func (fb *FileBuf) DropBlock(idx int64) {
 	p := fb.pool
 	sh := p.shardFor(fb, idx)
@@ -244,7 +247,7 @@ func (fb *FileBuf) DropBlock(idx int64) {
 		b.fmu.Lock()
 		if dirty := b.dirtyMap(); dirty.Any() {
 			p.drops.Add(1)
-			if b.fresh {
+			if b.fresh || len(b.txs) > 0 {
 				p.zeroLinesLocked(b, dirty)
 			}
 		}

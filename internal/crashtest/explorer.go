@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"hinfs/internal/buffer"
@@ -48,6 +49,11 @@ type Config struct {
 	DeviceSize int64
 	// BufferBlocks is the DRAM write-buffer size (default 512).
 	BufferBlocks int
+	// JournalBlocks is the journal area size (default 512 blocks: eight
+	// lanes of two 32-block halves, which a run of a few hundred ops never
+	// fills). A small area makes the lanes rotate, so crash points fall
+	// inside and across generation stamps.
+	JournalBlocks int64
 	// UnsafeSkipOrderedCommit mounts with the deliberately seeded §4.1
 	// ordering bug; the self-test uses it to prove the explorer detects
 	// real ordering violations.
@@ -87,6 +93,9 @@ func (cfg *Config) fill() {
 	if cfg.BufferBlocks == 0 {
 		cfg.BufferBlocks = 512
 	}
+	if cfg.JournalBlocks == 0 {
+		cfg.JournalBlocks = 512
+	}
 }
 
 // fsOpts builds the deterministic mount used for every run: one shard,
@@ -101,7 +110,7 @@ func (cfg *Config) fsOpts() core.Options {
 		BufferBlocks:            cfg.BufferBlocks,
 		Clock:                   clock.NewFake(time.Unix(0, 0)),
 		Buffer:                  buffer.Config{Shards: 1, WritebackThreads: -1},
-		PMFS:                    pmfs.Options{JournalBlocks: 512, MaxInodes: 2048, FlightBlocks: flightBlocks},
+		PMFS:                    pmfs.Options{JournalBlocks: cfg.JournalBlocks, MaxInodes: 2048, FlightBlocks: flightBlocks},
 		UnsafeSkipOrderedCommit: cfg.UnsafeSkipOrderedCommit,
 	}
 }
@@ -173,6 +182,8 @@ type Report struct {
 	Recovered   int   // cases that remounted successfully
 	RolledBack  int   // journal transactions rolled back across all cases
 	FsckErrors  int   // metadata-checker failures
+	Lanes       int   // journal lanes
+	Rotations   int64 // journal half rotations in the workload phase
 	Violations  []Violation
 	// Suppressed counts violations beyond the reporting cap (a seeded
 	// bug can fail thousands of cases; the first maxViolations carry
@@ -195,8 +206,8 @@ func (r *Report) add(v Violation, log io.Writer) {
 
 // Summary renders a one-paragraph result.
 func (r *Report) Summary() string {
-	s := fmt.Sprintf("workload %s: %d events (%d setup), %d crash points × %d perms = %d cases, %d recovered, %d txs rolled back",
-		r.Workload, r.TotalEvents, r.SetupEvents, r.Points, r.Cases/max(r.Points, 1), r.Cases, r.Recovered, r.RolledBack)
+	s := fmt.Sprintf("workload %s: %d events (%d setup), %d journal rotations over %d lanes, %d crash points × %d perms = %d cases, %d recovered, %d txs rolled back",
+		r.Workload, r.TotalEvents, r.SetupEvents, r.Rotations, r.Lanes, r.Points, r.Cases/max(r.Points, 1), r.Cases, r.Recovered, r.RolledBack)
 	if n := len(r.Violations) + r.Suppressed; n > 0 {
 		s += fmt.Sprintf(", %d VIOLATIONS", n)
 	} else {
@@ -214,10 +225,12 @@ func max(a, b int) int {
 
 // runResult is one full workload execution.
 type runResult struct {
-	recs    []opRecord
-	setupEv int64
-	totalEv int64
-	state   *nvmm.CrashState
+	recs      []opRecord
+	setupEv   int64
+	totalEv   int64
+	state     *nvmm.CrashState
+	lanes     int
+	rotations int64 // journal half rotations after Setup
 }
 
 // runOnce executes the workload start to finish on a fresh device. With
@@ -234,7 +247,9 @@ func (cfg *Config) runOnce(target int64, keep bool) (*runResult, error) {
 		return nil, err
 	}
 	defer fs.Abandon()
-	rec := &recorder{fs: fs, dev: dev, keep: keep, flt: fs.Flight()}
+	p := &pressure{fs: fs}
+	fs.Journal().SetPressure(p.stalled)
+	rec := &recorder{fs: fs, dev: dev, keep: keep, flt: fs.Flight(), between: p.between}
 	w, err := cfg.newWorkload()
 	if err != nil {
 		return nil, err
@@ -246,18 +261,48 @@ func (cfg *Config) runOnce(target int64, keep bool) (*runResult, error) {
 		return nil, fmt.Errorf("crashtest: %s setup: %w", w.Name(), err)
 	}
 	setupEv := dev.PersistEvents()
+	rot := fs.Journal().Stats().Checkpoints
 	if target > 0 {
 		dev.SetCrashPlan(func(ev int64, _ nvmm.EventKind) bool { return ev == target })
 	}
 	if _, err := w.Run(rec, 1, cfg.Ops); err != nil {
 		return nil, fmt.Errorf("crashtest: %s run: %w", w.Name(), err)
 	}
+	st := fs.Journal().Stats()
 	return &runResult{
-		recs:    rec.recs,
-		setupEv: setupEv,
-		totalEv: dev.PersistEvents(),
-		state:   dev.TakeCrashState(),
+		recs:      rec.recs,
+		setupEv:   setupEv,
+		totalEv:   dev.PersistEvents(),
+		state:     dev.TakeCrashState(),
+		lanes:     st.Lanes,
+		rotations: st.Checkpoints - rot,
 	}, nil
+}
+
+// pressure drains journal pressure on the workload goroutine, so the
+// persist schedule stays a function of the op stream once a small journal
+// makes the lanes rotate. The journal's early nudge runs its callback on a
+// goroutine of its own, whose buffer flush would interleave with the
+// workload; here that callback acts only for an op stalled on a full lane
+// (which calls it itself), and each nudge is served between ops instead —
+// a flush there is an unrecorded Sync, which the oracle already admits.
+type pressure struct {
+	fs     *core.FS
+	nudges int64        // nudges served (workload goroutine only)
+	stalls atomic.Int64 // stalls served
+}
+
+func (p *pressure) stalled() {
+	if s := p.fs.Journal().Stats().Stalls; p.stalls.Swap(s) != s {
+		p.fs.Pool().FlushAll()
+	}
+}
+
+func (p *pressure) between() {
+	if n := p.fs.Journal().Stats().Nudges; n != p.nudges {
+		p.nudges = n
+		p.fs.Pool().FlushAll()
+	}
 }
 
 // pickPoints chooses n distinct crash events in (lo, hi]: half on a
@@ -338,6 +383,8 @@ func Explore(cfg Config) (*Report, error) {
 		Ops:         cfg.Ops,
 		SetupEvents: base.setupEv,
 		TotalEvents: base.totalEv,
+		Lanes:       base.lanes,
+		Rotations:   base.rotations,
 	}
 	for _, pt := range points {
 		run, err := cfg.runOnce(pt, false)

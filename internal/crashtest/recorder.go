@@ -95,6 +95,9 @@ type recorder struct {
 	// flt, when set, appends one flight record per mutating op — the
 	// persisted black box the chaos invariants cross-check after a crash.
 	flt *flight.Recorder
+	// between, when set, runs after every recorded op, in replays too:
+	// add is called for every op in both modes.
+	between func()
 
 	mu   sync.Mutex
 	recs []opRecord
@@ -120,6 +123,9 @@ func (r *recorder) flightNote(op vfs.Op, ino uint64, off int64, n int) (uint64, 
 }
 
 func (r *recorder) add(rec opRecord) {
+	if r.between != nil {
+		r.between()
+	}
 	if !r.keep {
 		return
 	}
@@ -260,12 +266,13 @@ func (f *recFile) WriteAt(p []byte, off int64) (int, error) {
 			at = f.f.Size() - int64(n)
 		}
 		seq, fev := f.r.flightNote(vfs.OpWrite, f.ino, at, n)
+		var data []byte
 		if f.r.keep {
-			data := make([]byte, n)
+			data = make([]byte, n)
 			copy(data, p[:n])
-			f.r.add(opRecord{kind: opWrite, path: f.path, off: at, data: data, startEv: start, ev: f.r.events(), osync: f.osync,
-				flightSeq: seq, flightOp: vfs.OpWrite, flightEv: fev})
 		}
+		f.r.add(opRecord{kind: opWrite, path: f.path, off: at, data: data, startEv: start, ev: f.r.events(), osync: f.osync,
+			flightSeq: seq, flightOp: vfs.OpWrite, flightEv: fev})
 	}
 	return n, err
 }

@@ -11,9 +11,8 @@ import (
 // Begin/LogRange/LogBitmap/Commit cycle heap-allocates at most once —
 // the Tx itself, which is deliberately not pooled (deferred commits and
 // After chains hold *Tx pointers for unbounded time, so reuse would
-// alias a live chain). The undo slot list rides in the Tx's inline
-// array and log-area zeroing uses the shared zero block, both of which
-// this test guards against regression.
+// alias a live chain). Retiring a transaction writes nothing and
+// allocates nothing, which this test guards against regression.
 func TestTxAllocBudget(t *testing.T) {
 	dev, err := nvmm.New(nvmm.Config{Size: 8 << 20})
 	if err != nil {
@@ -41,12 +40,12 @@ func TestTxAllocBudget(t *testing.T) {
 	}
 }
 
-// TestTxSizeClass keeps the Tx at 128 bytes. The Tx is all an eager write
-// allocates, and on a mount whose device image sits on the Go heap the
-// collector rarely runs, so its size is resident memory per write
+// TestTxSizeClass keeps the Tx in the 80-byte size class. The Tx is all an
+// eager write allocates, and on a mount whose device image sits on the Go
+// heap the collector rarely runs, so its size is resident memory per write
 // (sync-small's mem_peak_mib).
 func TestTxSizeClass(t *testing.T) {
-	if sz := unsafe.Sizeof(Tx{}); sz > 128 {
-		t.Fatalf("journal.Tx is %d bytes, want <= 128", sz)
+	if sz := unsafe.Sizeof(Tx{}); sz > 80 {
+		t.Fatalf("journal.Tx is %d bytes, want <= 80", sz)
 	}
 }

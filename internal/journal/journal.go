@@ -30,21 +30,26 @@
 // block (fsync or the background writeback threads). Deferred commits can
 // finish out of begin order; when two transactions touch the same inode's
 // metadata that would make rollback unsound, so Tx.After chains a
-// transaction's commit record behind its predecessor's. Once a commit
-// record is durable the transaction's entries are stale; they are
-// invalidated eagerly (entries first, then the commit record, fenced in
-// that order) so that outside a crash window the log contains entries only
-// for open transactions — an invariant pmfs.Check verifies via Residue.
+// transaction's commit record behind its predecessor's.
 //
 // Because deferred transactions stay open for seconds, each lane is managed
-// as two ping-pong halves: entries fill one half while the other drains; a
-// half is reused as it stands once no open transaction has entries in it —
-// every transaction that wrote there has retired, and retiring cleared the
-// valid byte of each of its entries and its commit record, durably.
-// Every transaction reserves its commit slot at Begin, so writing a commit
-// record never blocks — only new undo logging can stall on a full lane, and
-// the registered pressure callback (HiNFS wires it to the write buffer's
-// flusher) accelerates draining.
+// as two ping-pong halves of whole 4 KiB blocks: entries fill one half while
+// the other drains, and a half is reused once no open transaction has
+// entries in it. Retiring a committed transaction writes nothing: its
+// entries stay in the log, still valid, until their half is reused. Line 0
+// of every block is a header holding the global sequence value at which the
+// block's current generation began; the other 63 lines are entries, and an
+// entry is live only when its valid byte is set and its sequence is above
+// its block's header. Rotating into a half stamps every header of that half
+// with the current sequence (one line per 63 entries, one fence) before any
+// slot there is handed out, which retires everything the half held in bulk.
+// A commit record must never die before its entries, so a transaction whose
+// entries spill into the other half takes a fresh commit slot there: its
+// record lives in the half of its last entry, which is reused last.
+// Every transaction reserves its commit slot before it logs into a half, so
+// writing a commit record never blocks — only new undo logging can stall on
+// a full lane, and the registered pressure callback (HiNFS wires it to the
+// write buffer's flusher) accelerates draining.
 package journal
 
 import (
@@ -98,12 +103,39 @@ const (
 	offValid = 63
 )
 
-// half is one ping-pong region of a lane.
+// Block header layout: line 0 of every log block.
+//
+//	[0:8)   generation stamp (uint64): the global sequence value when the
+//	        block's current generation began; an entry is live only above it
+//	[8:64)  zero (the valid byte stays clear, so an unstamped reading of
+//	        the area sees no entry here)
+const offGen = 0
+
+// linesPerBlock is the number of cachelines in one log block, the header
+// included; entriesPerBlock is how many of them hold entries.
+const (
+	linesPerBlock   = cacheline.BlockSize / EntrySize
+	entriesPerBlock = linesPerBlock - 1
+)
+
+// half is one ping-pong region of a lane: whole blocks, each a header line
+// and entriesPerBlock entry slots.
 type half struct {
 	base  int64 // device offset
 	count int   // entry capacity
 	next  int   // next free slot
-	live  int   // open transactions with entries here
+	live  int   // open transactions with entries or a commit slot here
+}
+
+// slot returns the device address of entry slot s: slots skip line 0 of
+// every block, the block's header.
+func (h *half) slot(s int) int64 {
+	return h.base + int64(s/entriesPerBlock)*cacheline.BlockSize + int64(1+s%entriesPerBlock)*EntrySize
+}
+
+// end returns the device offset just past the half.
+func (h *half) end() int64 {
+	return h.base + int64(h.count/entriesPerBlock)*cacheline.BlockSize
 }
 
 // lane is one independent slice of the log area with its own lock, its own
@@ -147,6 +179,7 @@ type Journal struct {
 	commits       atomic.Int64
 	checkpoints   atomic.Int64
 	stalls        atomic.Int64
+	nudges        atomic.Int64
 	laneContended atomic.Int64
 	pressureCalls atomic.Int64
 }
@@ -155,19 +188,22 @@ type Journal struct {
 // via LogRange/LogBitmap, and finishes with Commit or with deferred commit
 // via AddPending/Seal/BlockPersisted. After chains the commit record behind
 // another transaction's.
+//
+// The Tx is the one allocation on the journal hot path, and with the device
+// image on the Go heap the collector rarely runs, so bytes allocated per op
+// are resident memory: its fields are grouped to fit the 80-byte size class.
+// It is not pooled, deliberately: deferred commits and After-chains hold
+// *Tx pointers for unbounded time, so reuse would alias a live chain.
 type Tx struct {
 	j          *Journal
 	ln         *lane
-	commitSlot int64 // device address reserved at Begin
-	// Small fields are grouped (and slotsArr sized) so the struct is 128
-	// bytes: an eager write's Tx is all the write path allocates, and with
-	// the device image on the Go heap the collector rarely runs, so bytes
-	// allocated per op are resident memory.
-	id      uint32
-	touched [2]bool // lane halves containing this tx's entries
+	commitSlot int64 // device address reserved for the commit record
+	id         uint32
+	touched    [2]bool // lane halves holding this tx's entries or commit slot
+	commitHalf uint8   // the lane half of commitSlot
 	// ready and recorded are commit-chaining state, guarded by j.depMu.
 	ready    bool // commit requested while predecessors were outstanding
-	recorded bool // commit record written and entries invalidated
+	recorded bool // commit record written and the tx retired
 
 	pending   atomic.Int32 // blocks that must persist before commit
 	sealed    atomic.Bool  // no more pending blocks will be added
@@ -175,15 +211,6 @@ type Tx struct {
 	// waiting counts predecessors whose records are not yet written
 	// (guarded by j.depMu).
 	waiting int32
-
-	slots []int64 // addresses of this tx's undo entries (for invalidation)
-	// slotsArr backs slots inline: a data write logs one entry (its
-	// inode) and a typical metadata transaction a handful, so the common
-	// case never heap-allocates the slot list. (The Tx itself is the one
-	// remaining allocation on the journal hot path — it is not pooled,
-	// deliberately: deferred commits and After-chains hold *Tx pointers
-	// for unbounded time, so reuse would alias a live chain.)
-	slotsArr [4]int64
 
 	waiters []*Tx // transactions chained behind this one (under j.depMu)
 }
@@ -220,8 +247,8 @@ func NewLanes(dev *nvmm.Device, base, size int64, lanes int) (*Journal, error) {
 		}
 		halfBytes := hb * cacheline.BlockSize
 		ln := &lane{open: make(map[uint32]struct{})}
-		ln.halves[0] = half{base: off, count: int(halfBytes / EntrySize)}
-		ln.halves[1] = half{base: off + halfBytes, count: int(halfBytes / EntrySize)}
+		ln.halves[0] = half{base: off, count: int(hb) * entriesPerBlock}
+		ln.halves[1] = half{base: off + halfBytes, count: int(hb) * entriesPerBlock}
 		off += 2 * halfBytes
 		j.lanes = append(j.lanes, ln)
 	}
@@ -232,12 +259,14 @@ func NewLanes(dev *nvmm.Device, base, size int64, lanes int) (*Journal, error) {
 func (j *Journal) Lanes() int { return len(j.lanes) }
 
 // TxCapacity returns the number of entries one transaction may log without
-// deadlocking on itself: the capacity of the smallest lane half. A
-// transaction that fills the half it started in rotates into the other one,
-// which it can always drain into (it waits only for other transactions);
-// one that outgrows that half too would wait for the first to drain while
-// itself live in it — forever. Callers with unbounded work (freeing a large
-// file's tree) split it into transactions sized from this.
+// deadlocking on itself: the capacity of the smallest lane half, less the
+// commit slot a transaction takes beside its entries when they spill into
+// the other half. A transaction that fills the half it started in rotates
+// into the other one, which it can always drain into (it waits only for
+// other transactions); one that outgrows that half too would wait for the
+// first to drain while itself live in it — forever. Callers with unbounded
+// work (freeing a large file's tree) split it into transactions sized from
+// this.
 func (j *Journal) TxCapacity() int {
 	c := j.lanes[0].halves[0].count
 	for _, ln := range j.lanes[1:] {
@@ -245,7 +274,7 @@ func (j *Journal) TxCapacity() int {
 			c = n
 		}
 	}
-	return c
+	return c - 1
 }
 
 // SetPressure registers a callback invoked when the log is under space
@@ -291,43 +320,56 @@ func (j *Journal) lock(ln *lane) {
 func (j *Journal) Begin() *Tx {
 	ln := j.lanes[j.nextLane.Add(1)%uint64(len(j.lanes))]
 	t := &Tx{j: j, ln: ln, id: j.nextID.Add(1)}
-	t.slots = t.slotsArr[:0]
 	j.lock(ln)
 	ln.open[t.id] = struct{}{}
-	t.commitSlot = j.allocSlotLocked(ln, t)
+	j.allocSlotLocked(ln, t, false) // sets t.commitSlot
 	ln.mu.Unlock()
 	return t
 }
 
-// allocSlotLocked reserves one entry slot for t in ln's current half,
-// rotating halves when full. Called with ln.mu held; may drop and reacquire
-// it while waiting for the other half to drain.
-func (j *Journal) allocSlotLocked(ln *lane, t *Tx) int64 {
+// allocSlotLocked reserves one slot for t in ln's current half, rotating
+// halves when full: the commit slot at Begin (entry false), or an entry
+// slot. An entry that lands in a half other than the one holding t's commit
+// slot takes a fresh commit slot beside it, so t's record lives in the half
+// of its last entry and never dies before them. Called with ln.mu held; may
+// drop and reacquire it while waiting for the other half to drain.
+func (j *Journal) allocSlotLocked(ln *lane, t *Tx, entry bool) int64 {
 	for {
 		h := &ln.halves[ln.cur]
-		if h.next < h.count {
-			s := h.next
-			h.next++
+		move := entry && int(t.commitHalf) != ln.cur
+		need := 1
+		if move {
+			need = 2
+		}
+		if h.next+need <= h.count {
 			if !t.touched[ln.cur] {
 				t.touched[ln.cur] = true
 				h.live++
 			}
+			first := h.next
+			h.next += need
+			if !entry || move {
+				t.commitSlot, t.commitHalf = h.slot(first), uint8(ln.cur)
+			}
 			// Nudge the drainers early when a half passes 3/4 full, unless
 			// a nudge is already running.
-			if h.next == h.count*3/4 && j.nudging.CompareAndSwap(false, true) {
-				go func() {
-					defer j.nudging.Store(false)
-					j.callPressure()
-				}()
+			if mark := h.count * 3 / 4; first < mark && h.next >= mark {
+				j.nudges.Add(1)
+				if j.nudging.CompareAndSwap(false, true) {
+					go func() {
+						defer j.nudging.Store(false)
+						j.callPressure()
+					}()
+				}
 			}
-			return h.base + int64(s)*EntrySize
+			return h.slot(h.next - 1)
 		}
 		// Current half is full: rotate once the other half has no live
-		// transactions. Nothing in it is valid any more (writeRecord), so
-		// it is overwritten in place: a slot's old bytes are never read
-		// before a new entry's valid byte is stored after them.
+		// transactions. Every entry in it belongs to a retired transaction;
+		// stamping its headers makes them all stale at once.
 		other := &ln.halves[1-ln.cur]
 		if other.live == 0 {
+			j.stamp(other)
 			other.next = 0
 			ln.cur = 1 - ln.cur
 			j.checkpoints.Add(1)
@@ -339,6 +381,23 @@ func (j *Journal) allocSlotLocked(ln *lane, t *Tx) int64 {
 		time.Sleep(50 * time.Microsecond)
 		j.lock(ln)
 	}
+}
+
+// stamp opens a new generation in h: every block header takes the current
+// sequence value, so every entry the half held reads as stale and every
+// entry written from now on, whose sequence is drawn after this, reads as
+// live. The headers are durable before any slot of h is handed out. A torn
+// stamp (some headers new, some old) leaves stale entries of retired
+// transactions live, each beside its commit record, which nothing has
+// overwritten yet.
+func (j *Journal) stamp(h *half) {
+	var hdr [8]byte
+	binary.LittleEndian.PutUint64(hdr[:], j.seq.Load())
+	for b := h.base; b < h.end(); b += cacheline.BlockSize {
+		j.dev.Write(hdr[:], b+offGen)
+		j.dev.Flush(b, EntrySize)
+	}
+	j.dev.Fence()
 }
 
 // zeroBlock is the all-zero source for Recover's reset of the log area; it
@@ -366,10 +425,9 @@ func (j *Journal) writeEntry(addr int64, e [EntrySize]byte) {
 // reserved, so only the slot cursor needs mutual exclusion.
 func (t *Tx) logEntry(e [EntrySize]byte) {
 	t.j.lock(t.ln)
-	slot := t.j.allocSlotLocked(t.ln, t)
+	slot := t.j.allocSlotLocked(t.ln, t, true)
 	t.ln.mu.Unlock()
 	t.j.writeEntry(slot, e)
-	t.slots = append(t.slots, slot)
 }
 
 // LogRange records the current contents of [addr, addr+n) on the device as
@@ -510,32 +568,17 @@ func (j *Journal) writeRecordChain(t *Tx) {
 	}
 }
 
-// writeRecord makes cur's commit durable and then eagerly retires its log
-// entries. Ordering is crash-critical and relies on flushes completing
-// before later stores are issued:
-//
-//  1. commit record written, flushed, fenced — the transaction is
-//     committed; a crash after this never rolls it back;
-//  2. every undo/bitmap entry's valid byte cleared and flushed, fence —
-//     entries of a committed transaction can no longer resurface;
-//  3. the commit record's valid byte cleared, flushed, fenced — only after
-//     step 2 is durable, so no crash state shows live undo entries without
-//     their commit record.
+// writeRecord makes cur's commit durable — a crash after its fence never
+// rolls cur back — and then retires it in DRAM: its lane halves stop
+// counting it, so the half its entries and record sit in can be reused,
+// which is what makes them stale (see stamp). Nothing is written to retire
+// them.
 func (j *Journal) writeRecord(cur *Tx) {
 	var e [EntrySize]byte
 	binary.LittleEndian.PutUint32(e[offTxid:], cur.id)
 	e[offKind] = kindCommit
 	j.writeEntry(cur.commitSlot, e)
 	j.commits.Add(1)
-
-	for _, slot := range cur.slots {
-		j.dev.Write([]byte{0}, slot+offValid)
-		j.dev.Flush(slot, EntrySize)
-	}
-	j.dev.Fence()
-	j.dev.Write([]byte{0}, cur.commitSlot+offValid)
-	j.dev.Flush(cur.commitSlot, EntrySize)
-	j.dev.Fence()
 
 	ln := cur.ln
 	j.lock(ln)
@@ -548,38 +591,37 @@ func (j *Journal) writeRecord(cur *Tx) {
 	ln.mu.Unlock()
 }
 
-// ResidueEntry describes a valid journal entry that does not belong to any
-// open transaction — residue that eager invalidation should have retired.
+// ResidueEntry describes a live undo or bitmap entry whose transaction is
+// neither open nor committed: one that recovery would roll back although no
+// transaction is in flight.
 type ResidueEntry struct {
-	// Slot is the entry index within the journal area.
+	// Slot is the line index within the journal area.
 	Slot int
 	// Lane is the lane whose region holds the slot.
 	Lane int
 	// TxID is the owning transaction.
 	TxID uint32
-	// Kind is the entry kind byte (1 undo, 2 commit, 3 bitmap).
+	// Kind is the entry kind byte (1 undo, 3 bitmap).
 	Kind byte
 }
 
 // laneOf returns the index of the lane whose region contains addr, or -1
-// for addresses outside every lane (the unused tail when the area does not
-// divide evenly).
+// for addresses outside every lane.
 func (j *Journal) laneOf(addr int64) int {
 	for i, ln := range j.lanes {
-		lo := ln.halves[0].base
-		hi := ln.halves[1].base + int64(ln.halves[1].count)*EntrySize
-		if addr >= lo && addr < hi {
+		if addr >= ln.halves[0].base && addr < ln.halves[1].end() {
 			return i
 		}
 	}
 	return -1
 }
 
-// Residue scans every lane's region and returns each valid entry whose
-// transaction is not open on any lane. The caller must guarantee
-// quiescence (no transactions begun or committed during the scan);
-// pmfs.Check runs it after recovery or sync to verify the log retired
-// committed transactions.
+// Residue scans the log area and returns each live undo or bitmap entry
+// whose transaction is not open on any lane and has no live commit record.
+// The caller must guarantee quiescence (no transactions begun or committed
+// during the scan); pmfs.Check runs it after recovery or sync to verify that
+// a committed transaction's record outlives its entries and that rotation
+// fenced out every retired one.
 func (j *Journal) Residue() []ResidueEntry {
 	open := make(map[uint32]struct{})
 	for _, ln := range j.lanes {
@@ -590,22 +632,53 @@ func (j *Journal) Residue() []ResidueEntry {
 		ln.mu.Unlock()
 	}
 
-	var out []ResidueEntry
-	count := int(j.size / EntrySize)
-	var e [EntrySize]byte
-	for s := 0; s < count; s++ {
-		addr := j.base + int64(s)*EntrySize
-		j.dev.Read(e[:], addr)
-		if e[offValid] != 1 {
-			continue
+	committed := make(map[uint32]bool)
+	var cand []ResidueEntry
+	scan(j.dev, j.base, j.size, true, func(line int, e *[EntrySize]byte, live bool) {
+		if !live {
+			return
 		}
 		txid := binary.LittleEndian.Uint32(e[offTxid:])
-		if _, ok := open[txid]; ok {
-			continue
+		switch e[offKind] {
+		case kindCommit:
+			committed[txid] = true
+		case kindUndo, kindBitmap:
+			if _, ok := open[txid]; !ok {
+				cand = append(cand, ResidueEntry{Slot: line, Lane: j.laneOf(j.base + int64(line)*EntrySize), TxID: txid, Kind: e[offKind]})
+			}
 		}
-		out = append(out, ResidueEntry{Slot: s, Lane: j.laneOf(addr), TxID: txid, Kind: e[offKind]})
+	})
+	var out []ResidueEntry
+	for _, r := range cand {
+		if !committed[r.TxID] {
+			out = append(out, r)
+		}
 	}
 	return out
+}
+
+// scan calls fn for every line of the area [base, base+size) whose valid
+// byte is set, with whether the entry is live. With stamped, line 0 of each
+// block is its header and an entry is live only when its sequence is above
+// the header's stamp; without, the area is read as images formatted before
+// block headers wrote it — every line an entry, live while valid.
+func scan(dev *nvmm.Device, base, size int64, stamped bool, fn func(line int, e *[EntrySize]byte, live bool)) {
+	var blk [cacheline.BlockSize]byte
+	for off := int64(0); off < size; off += cacheline.BlockSize {
+		dev.Read(blk[:], base+off)
+		first, gen := 0, uint64(0)
+		if stamped {
+			first, gen = 1, binary.LittleEndian.Uint64(blk[offGen:])
+		}
+		for l := first; l < linesPerBlock; l++ {
+			e := (*[EntrySize]byte)(blk[l*EntrySize:])
+			if e[offValid] != 1 {
+				continue
+			}
+			live := !stamped || binary.LittleEndian.Uint64(e[offSeq:]) > gen
+			fn(int(off/EntrySize)+l, e, live)
+		}
+	}
 }
 
 // Stats reports journal activity counters.
@@ -616,6 +689,11 @@ type Stats struct {
 	Checkpoints int64
 	// Stalls counts waits for a lane's opposite half to drain.
 	Stalls int64
+	// Nudges counts halves that passed 3/4 full, each asking for an early
+	// drain; it is counted on the allocating goroutine, so it is a function
+	// of the transaction stream even when the nudge itself is skipped
+	// because one is still running.
+	Nudges int64
 	// Lanes is the number of independent journal lanes.
 	Lanes int
 	// LaneContended counts lane-lock acquisitions that found the lock held.
@@ -632,6 +710,7 @@ func (j *Journal) Stats() Stats {
 		Commits:       j.commits.Load(),
 		Checkpoints:   j.checkpoints.Load(),
 		Stalls:        j.stalls.Load(),
+		Nudges:        j.nudges.Load(),
 		Lanes:         len(j.lanes),
 		LaneContended: j.laneContended.Load(),
 		PressureCalls: j.pressureCalls.Load(),
@@ -640,51 +719,66 @@ func (j *Journal) Stats() Stats {
 
 // Recover scans the whole journal area, rolls back every transaction
 // without a commit record, and resets the area. The scan is lane-agnostic
-// by construction: every entry carries its txid and a globally unique
-// sequence number, so entries from all lanes merge into one rollback
-// stream. Physical undo entries are applied in reverse global-sequence
-// order across all uncommitted transactions (not merely per transaction or
-// per lane), so interleaved writers to overlapping ranges unwind to the
-// oldest pre-image; bitmap entries apply their XOR mask, which commutes.
-// It returns the number of transactions rolled back.
+// by construction: halves are whole blocks, and every entry carries its
+// txid and a globally unique sequence number, so entries from all lanes
+// merge into one rollback stream. Only live entries (above their block's
+// generation stamp) are rolled back; a commit record counts whether or not
+// it is live — txids are unique within a mount and the area is zeroed at
+// mount, so any commit record names a committed transaction, and a torn
+// stamp cannot make a committed transaction's stale entries roll back.
+// Physical undo entries are applied in reverse global-sequence order across
+// all uncommitted transactions (not merely per transaction or per lane), so
+// interleaved writers to overlapping ranges unwind to the oldest pre-image;
+// bitmap entries apply their XOR mask, which commutes. It returns the number
+// of transactions rolled back.
+//
+// An entry that would be rolled back but is malformed — a length over the
+// undo capacity, a bitmap entry not 8 bytes long, a range outside the
+// device or overlapping the log area — makes Recover return an error before
+// it writes anything.
 func Recover(dev *nvmm.Device, base, size int64) (rolledBack int, err error) {
+	return recoverArea(dev, base, size, true)
+}
+
+// RecoverUnstamped is Recover for an area written before log blocks carried
+// generation headers: every line is an entry, live while its valid byte is
+// set (committed transactions cleared theirs when they retired). It leaves
+// the area zeroed, which is a valid stamped log.
+func RecoverUnstamped(dev *nvmm.Device, base, size int64) (rolledBack int, err error) {
+	return recoverArea(dev, base, size, false)
+}
+
+func recoverArea(dev *nvmm.Device, base, size int64, stamped bool) (rolledBack int, err error) {
 	if size < 2*cacheline.BlockSize || size%(2*cacheline.BlockSize) != 0 {
 		return 0, fmt.Errorf("journal: bad area size %d", size)
 	}
-	count := int(size / EntrySize)
-	type undo struct {
-		seq  uint64
-		txid uint32
-		kind byte
-		addr int64
-		data []byte
-	}
-	var undos []undo
+	var undos []undoEntry
 	committed := make(map[uint32]bool)
-	var e [EntrySize]byte
-	for s := 0; s < count; s++ {
-		dev.Read(e[:], base+int64(s)*EntrySize)
-		if e[offValid] != 1 {
-			continue
-		}
+	scan(dev, base, size, stamped, func(line int, e *[EntrySize]byte, live bool) {
 		txid := binary.LittleEndian.Uint32(e[offTxid:])
 		switch e[offKind] {
 		case kindCommit:
 			committed[txid] = true
 		case kindUndo, kindBitmap:
-			n := int(e[offLen])
-			if n > MaxUndoBytes || (e[offKind] == kindBitmap && n != 8) {
-				return 0, fmt.Errorf("journal: corrupt entry %d: kind %d length %d", s, e[offKind], n)
+			if live {
+				u := undoEntry{
+					line: line,
+					seq:  binary.LittleEndian.Uint64(e[offSeq:]),
+					txid: txid,
+					kind: e[offKind],
+					addr: binary.LittleEndian.Uint64(e[offAddr:]),
+					n:    int(e[offLen]),
+				}
+				copy(u.data[:], e[offData:])
+				undos = append(undos, u)
 			}
-			data := make([]byte, n)
-			copy(data, e[offData:offData+n])
-			undos = append(undos, undo{
-				seq:  binary.LittleEndian.Uint64(e[offSeq:]),
-				txid: txid,
-				kind: e[offKind],
-				addr: int64(binary.LittleEndian.Uint64(e[offAddr:])),
-				data: data,
-			})
+		}
+	})
+	for i := range undos {
+		if u := &undos[i]; !committed[u.txid] {
+			if err := u.check(dev.Size(), base, size); err != nil {
+				return 0, err
+			}
 		}
 	}
 	// Newest first: later modifications must be undone before earlier
@@ -695,16 +789,17 @@ func Recover(dev *nvmm.Device, base, size int64) (rolledBack int, err error) {
 		if committed[u.txid] {
 			continue
 		}
+		addr := int64(u.addr)
 		if u.kind == kindBitmap {
 			var w [8]byte
-			dev.Read(w[:], u.addr)
-			v := binary.LittleEndian.Uint64(w[:]) ^ binary.LittleEndian.Uint64(u.data)
+			dev.Read(w[:], addr)
+			v := binary.LittleEndian.Uint64(w[:]) ^ binary.LittleEndian.Uint64(u.data[:8])
 			binary.LittleEndian.PutUint64(w[:], v)
-			dev.Write(w[:], u.addr)
-			dev.Flush(u.addr, 8)
+			dev.Write(w[:], addr)
+			dev.Flush(addr, 8)
 		} else {
-			dev.Write(u.data, u.addr)
-			dev.Flush(u.addr, len(u.data))
+			dev.Write(u.data[:u.n], addr)
+			dev.Flush(addr, u.n)
 		}
 		rolled[u.txid] = true
 	}
@@ -719,4 +814,31 @@ func Recover(dev *nvmm.Device, base, size int64) (rolledBack int, err error) {
 	dev.Flush(base, int(size))
 	dev.Fence()
 	return rolledBack, nil
+}
+
+// undoEntry is a live undo or bitmap entry as Recover read it.
+type undoEntry struct {
+	line int // line index within the area
+	seq  uint64
+	txid uint32
+	kind byte
+	addr uint64
+	n    int
+	data [MaxUndoBytes]byte
+}
+
+// check rejects an entry recovery must not apply: a length the entry kind
+// cannot hold, or a range that leaves the device or overlaps the log area
+// [base, base+size).
+func (u *undoEntry) check(devSize, base, size int64) error {
+	end := u.addr + uint64(u.n)
+	switch {
+	case u.n > MaxUndoBytes || (u.kind == kindBitmap && u.n != 8):
+		return fmt.Errorf("journal: corrupt entry %d: kind %d length %d", u.line, u.kind, u.n)
+	case u.addr > uint64(devSize) || end > uint64(devSize):
+		return fmt.Errorf("journal: corrupt entry %d: range [%d, %d) outside the %d-byte device", u.line, u.addr, end, devSize)
+	case u.addr < uint64(base+size) && end > uint64(base):
+		return fmt.Errorf("journal: corrupt entry %d: range [%d, %d) overlaps the log area", u.line, u.addr, end)
+	}
+	return nil
 }

@@ -43,11 +43,17 @@ func TestNewLanesGeometry(t *testing.T) {
 					t.Fatalf("%d blocks/%d lanes: lane %d half %d base = %d, want %d",
 						c.blocks, c.lanes, i, h, ln.halves[h].base, off)
 				}
-				if ln.halves[h].count < int(cacheline.BlockSize/EntrySize) {
-					t.Fatalf("%d blocks/%d lanes: lane %d half %d holds %d entries, below one block",
-						c.blocks, c.lanes, i, h, ln.halves[h].count)
+				// Whole blocks, each a header line and 63 entries.
+				n := ln.halves[h].count
+				if n < entriesPerBlock || n%entriesPerBlock != 0 {
+					t.Fatalf("%d blocks/%d lanes: lane %d half %d holds %d entries, not a positive multiple of %d",
+						c.blocks, c.lanes, i, h, n, entriesPerBlock)
 				}
-				off += int64(ln.halves[h].count) * EntrySize
+				off += int64(n/entriesPerBlock) * cacheline.BlockSize
+				if ln.halves[h].end() != off {
+					t.Fatalf("%d blocks/%d lanes: lane %d half %d ends at %d, want %d",
+						c.blocks, c.lanes, i, h, ln.halves[h].end(), off)
+				}
 			}
 		}
 		if off != areaBase+size {
@@ -106,8 +112,7 @@ func TestResidueLaneAttribution(t *testing.T) {
 			t.Fatalf("entry at %#x attributed to lane %d (journal has %d)", e.Slot, e.Lane, j.Lanes())
 		}
 		ln := j.lanes[e.Lane]
-		lo := ln.halves[0].base
-		hi := ln.halves[1].base + int64(ln.halves[1].count)*EntrySize
+		lo, hi := ln.halves[0].base, ln.halves[1].end()
 		slotAddr := int64(areaBase) + int64(e.Slot)*EntrySize
 		if slotAddr < lo || slotAddr >= hi {
 			t.Fatalf("entry %d (addr %#x) attributed to lane %d spanning [%#x, %#x)",
@@ -182,7 +187,7 @@ func TestEarlyNudgeIsSingleFlight(t *testing.T) {
 	if j.Lanes() != DefaultLanes {
 		t.Fatalf("%d lanes, want %d", j.Lanes(), DefaultLanes)
 	}
-	half := j.TxCapacity()
+	half := j.lanes[0].halves[0].count
 	for i := 0; i < j.Lanes()*half*3/4; i++ {
 		j.Begin().Commit() // one slot each: the reserved commit record
 	}

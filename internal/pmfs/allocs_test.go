@@ -91,8 +91,8 @@ func TestOverwriteAllocatesNothing(t *testing.T) {
 // TestNamespaceOpAllocs pins the heap objects of a create, a
 // cross-directory rename and an unlink. Paths split into stack arrays; what
 // is left is each op's journal.Tx, the name a create or rename indexes, the
-// create's handle and inode state, and the unlink's deferred reclaim and
-// its transaction.
+// create's handle and inode state, and the unlink's second transaction (its
+// reclaim's) and the inode record that reclaim frees the tree of.
 func TestNamespaceOpAllocs(t *testing.T) {
 	fs, _ := testFS(t)
 	for _, d := range []string{"/d", "/e"} {
@@ -119,7 +119,7 @@ func TestNamespaceOpAllocs(t *testing.T) {
 			return f.Close()
 		}},
 		{"rename", 2, func(i int) error { return fs.Rename(src[i], dst[i]) }},
-		{"unlink", 4, func(i int) error { return fs.Unlink(dst[i]) }},
+		{"unlink", 3, func(i int) error { return fs.Unlink(dst[i]) }},
 	} {
 		i := 0
 		n := testing.AllocsPerRun(runs, func() {

@@ -159,42 +159,42 @@ func TestPersistBudget(t *testing.T) {
 			op   func()
 			ceil cost
 		}{
-			{"append inside a block", write(g, 100, 8*BlockSize+100), cost{6, 512, 6, 2, 1}},
+			{"append inside a block", write(g, 100, 8*BlockSize+100), cost{4, 384, 4, 2, 1}},
 			// Starting past EOF, it zeroes the gap it exposes in block 8 —
 			// [200, 4096), 61 lines — which no earlier write paid for: a
 			// fresh block's tail past EOF is left as it is at allocation.
-			{"append allocating a block", write(g, BlockSize, 9*BlockSize), cost{13, 4096 + 61*64 + 704, 10, 4, 1}},
-			// 16 data lines and 8 metadata lines: the block's 48 lines past
+			{"append allocating a block", write(g, BlockSize, 9*BlockSize), cost{9, 4096 + 61*64 + 448, 8, 4, 1}},
+			// 16 data lines and 5 metadata lines: the block's 48 lines past
 			// EOF are not stored.
-			{"first write of a 1 KiB file", write(small1k, 1024, 0), cost{9, 1024 + 512, 8, 3, 1}},
+			{"first write of a 1 KiB file", write(small1k, 1024, 0), cost{6, 1024 + 320, 6, 3, 1}},
 			// A file of up to four blocks keeps its pointers in the inode:
-			// 16 KiB of data and 10 metadata lines, no 4 KiB index block.
-			{"first write of a 4-block file", write(small, 4*BlockSize, 0), cost{14, 4*BlockSize + 640, 9, 4, 1}},
+			// 16 KiB of data and 6 metadata lines, no 4 KiB index block.
+			{"first write of a 4-block file", write(small, 4*BlockSize, 0), cost{10, 4*BlockSize + 384, 7, 4, 1}},
 			// The fifth block promotes it: its data, the index block (paid
-			// once, here) and 16 metadata lines.
-			{"append promoting 4 to 5 blocks", write(small, BlockSize, 4*BlockSize), cost{18, 2*BlockSize + 1024, 13, 6, 1}},
+			// once, here) and 10 metadata lines.
+			{"append promoting 4 to 5 blocks", write(small, BlockSize, 4*BlockSize), cost{12, 2*BlockSize + 640, 11, 6, 1}},
 			{"unlink of a 4-block file", func() {
 				if err := fs.Unlink("/d/four"); err != nil {
 					t.Fatal(err)
 				}
-			}, cost{15, 960, 13, 6, 2}},
+			}, cost{9, 576, 9, 6, 2}},
 			{"create", func() {
 				h, err := fs.Create("/d/new")
 				if err != nil {
 					t.Fatal(err)
 				}
 				h.Close()
-			}, cost{13, 832, 10, 5, 1}},
+			}, cost{8, 512, 8, 5, 1}},
 			{"rename", func() {
 				if err := fs.Rename("/d/new", "/d/newer"); err != nil {
 					t.Fatal(err)
 				}
-			}, cost{13, 832, 10, 5, 1}},
+			}, cost{8, 512, 8, 5, 1}},
 			{"unlink", func() {
 				if err := fs.Unlink("/d/newer"); err != nil { // the dentry's transaction, then the inode's
 					t.Fatal(err)
 				}
-			}, cost{10, 640, 10, 4, 2}},
+			}, cost{6, 384, 6, 4, 2}},
 			{"fsync", func() {
 				if err := g.Fsync(); err != nil {
 					t.Fatal(err)

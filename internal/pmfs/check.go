@@ -163,12 +163,13 @@ func (fs *FS) Check() []error {
 		}
 	}
 
-	// Journal-region scan: the log must hold entries only for open
-	// transactions. Committed transactions retire their entries eagerly
-	// and recovery zeroes the area, so anything else is residue that
-	// could replay a stale undo image after the next crash.
+	// Journal-region scan: every live undo or bitmap entry must belong to
+	// an open transaction or sit beside its transaction's live commit
+	// record. A committed transaction's entries die with their lane half's
+	// next generation stamp and recovery zeroes the area, so anything else
+	// is residue that would replay a stale undo image after the next crash.
 	for _, r := range fs.jnl.Residue() {
-		errs = append(errs, fmt.Errorf("journal lane %d slot %d: valid entry (kind %d) for non-open tx %d: %w",
+		errs = append(errs, fmt.Errorf("journal lane %d slot %d: live entry (kind %d) for non-open, uncommitted tx %d: %w",
 			r.Lane, r.Slot, r.Kind, r.TxID, ErrJournalResidue))
 	}
 	return errs

@@ -27,8 +27,8 @@ func TestMkfsWritesFormatWords(t *testing.T) {
 	if v := binary.LittleEndian.Uint64(b[sbVersion:]); v != formatVersion {
 		t.Errorf("format version %d, want %d", v, formatVersion)
 	}
-	if f := binary.LittleEndian.Uint64(b[sbIncompat:]); f != incompatDirectPtrs {
-		t.Errorf("incompat features %#x, want %#x", f, incompatDirectPtrs)
+	if f := binary.LittleEndian.Uint64(b[sbIncompat:]); f != incompatDirectPtrs|incompatJournalGen {
+		t.Errorf("incompat features %#x, want %#x", f, incompatDirectPtrs|incompatJournalGen)
 	}
 }
 
@@ -43,7 +43,7 @@ func TestMountRefusesUnknownIncompatFeature(t *testing.T) {
 	if err := fs.Unmount(); err != nil {
 		t.Fatal(err)
 	}
-	for _, bit := range []uint64{1 << 1, 1 << 63} {
+	for _, bit := range []uint64{1 << 2, 1 << 63} {
 		putSuperWord(dev, sbIncompat, incompatKnown|bit)
 		before := dev.Stats()
 		fs2, _, err := MountRecover(dev)
@@ -136,5 +136,73 @@ func TestFormatZeroImageMounts(t *testing.T) {
 	got := readAll(t, fs2, "/three")
 	if !bytes.Equal(got[:len(want["/three"])], want["/three"]) || !bytes.Equal(got[3*BlockSize:], more) {
 		t.Fatal("/three: extended content differs")
+	}
+}
+
+// TestFormatOneCrashImageRollsBack: a format-1 journal had no block headers,
+// so its first entry slot was line 0 of a block. An image that crashed with
+// a transaction open there mounts, rolls it back under that format's rule —
+// every line an entry, live while valid — and reads back the pre-image. The
+// mount then marks the image with the current version and feature bits.
+func TestFormatOneCrashImageRollsBack(t *testing.T) {
+	fs, dev := testFS(t)
+	f, _ := fs.Create("/f")
+	f.WriteAt([]byte("kept"), 0)
+	f.Close()
+	ino, _ := fs.Resolve("/f")
+	addr := blockAddr(fs.loadInode(ino).Root)
+	// A format-1 log held no entries of committed transactions: each
+	// cleared its lines when it retired.
+	var blk [BlockSize]byte
+	for off := fs.l.journalStart; off < fs.l.journalStart+fs.l.journalSize; off += BlockSize {
+		dev.Write(blk[:], off)
+	}
+	dev.Flush(fs.l.journalStart, int(fs.l.journalSize))
+	tx := fs.Journal().Begin() // left open
+	tx.LogRange(addr, 4)
+	dev.Write([]byte("lost"), addr)
+	dev.Flush(addr, 4)
+	dev.Fence()
+	// Its undo entry is the only valid line in the log (the commit slot is
+	// reserved, not written). Move it to line 0 of its block, where a
+	// format-1 log put the first slot and this format puts the header.
+	moved := 0
+	for off := fs.l.journalStart; off < fs.l.journalStart+fs.l.journalSize; off += BlockSize {
+		dev.Read(blk[:], off)
+		for line := 1; line < BlockSize/DentrySize; line++ {
+			if e := blk[line*DentrySize : (line+1)*DentrySize]; e[DentrySize-1] == 1 {
+				copy(blk[:DentrySize], e)
+				clear(e)
+				dev.Write(blk[:], off)
+				dev.Flush(off, BlockSize)
+				dev.Fence()
+				moved++
+			}
+		}
+	}
+	if moved != 1 {
+		t.Fatalf("moved %d valid log lines, want the open transaction's one", moved)
+	}
+	putSuperWord(dev, sbVersion, 1)
+	putSuperWord(dev, sbIncompat, incompatDirectPtrs)
+
+	fs2, rolled, err := MountRecover(dev) // never unmounted: a crash
+
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rolled != 1 {
+		t.Fatalf("rolled back %d transactions, want 1", rolled)
+	}
+	if got := readAll(t, fs2, "/f"); string(got) != "kept" {
+		t.Fatalf("read back %q, want the pre-image", got)
+	}
+	if errs := fs2.Check(); len(errs) != 0 {
+		t.Fatalf("check: %v", errs)
+	}
+	var b [sbHeaderEnd]byte
+	dev.Read(b[:], 0)
+	if v, f := binary.LittleEndian.Uint64(b[sbVersion:]), binary.LittleEndian.Uint64(b[sbIncompat:]); v != formatVersion || f != incompatKnown {
+		t.Fatalf("after mount: version %d features %#x, want %d and %#x", v, f, formatVersion, incompatKnown)
 	}
 }

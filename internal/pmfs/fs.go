@@ -134,9 +134,16 @@ func MountRecoverOpts(dev *nvmm.Device, opts Options) (*FS, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	rolled, err := journal.Recover(dev, l.journalStart, l.journalSize)
+	recoverLog := journal.Recover
+	if l.incompat&incompatJournalGen == 0 {
+		recoverLog = journal.RecoverUnstamped
+	}
+	rolled, err := recoverLog(dev, l.journalStart, l.journalSize)
 	if err != nil {
 		return nil, 0, err
+	}
+	if l.incompat != incompatKnown {
+		markFormat(dev)
 	}
 	fs := &FS{dev: dev, l: l, clk: clock.Real{}, serial: opts.SerialNamespace}
 	fs.alloc = newAllocator(dev, l, opts.AllocShards)

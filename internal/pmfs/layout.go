@@ -39,8 +39,9 @@ const BlockSize = cacheline.BlockSize
 const Magic = 0x48694e4653_2016 // "HiNFS" 2016
 
 // formatVersion is the format version Mkfs writes. Images formatted before
-// the superblock carried one read back version 0 and no feature bits.
-const formatVersion = 1
+// the superblock carried one read back version 0 and no feature bits;
+// version 1 added incompatDirectPtrs, version 2 incompatJournalGen.
+const formatVersion = 2
 
 // Incompatible format features: a mount that does not know a set bit
 // refuses the image, since it would misread it.
@@ -49,8 +50,14 @@ const (
 	// its root pointer and three direct words. A version-0 image never set
 	// the direct words, so its single-block inodes are valid under it.
 	incompatDirectPtrs = 1 << 0
+	// incompatJournalGen: line 0 of every journal block is a generation
+	// header, and a committed transaction's entries stay valid in the log
+	// until a rotation stamps their half (internal/journal). An image
+	// without it is recovered under the old rule — every line an entry,
+	// live while its valid byte is set — and gets the bit at mount.
+	incompatJournalGen = 1 << 1
 
-	incompatKnown = incompatDirectPtrs
+	incompatKnown = incompatDirectPtrs | incompatJournalGen
 )
 
 // ErrIncompatFormat is returned by Mount for an image that sets an
@@ -176,6 +183,7 @@ type layout struct {
 	flightSize   int64 // bytes
 	dataStart    int64 // first data block number
 	totalBlocks  int64
+	incompat     uint64 // incompatible feature bits the image carries
 }
 
 func computeLayout(size int64, opts Options) (layout, error) {
@@ -225,6 +233,18 @@ func (l layout) writeSuper(dev *nvmm.Device) {
 	dev.Fence()
 }
 
+// markFormat stamps the superblock with this code's format version and
+// feature bits. Mount calls it on an older image once recovery has zeroed
+// the journal, before the first transaction logs under the new rules.
+func markFormat(dev *nvmm.Device) {
+	var b [sbHeaderEnd - sbVersion]byte
+	binary.LittleEndian.PutUint64(b[:], formatVersion)
+	binary.LittleEndian.PutUint64(b[sbIncompat-sbVersion:], incompatKnown)
+	dev.Write(b[:], sbVersion)
+	dev.Flush(sbVersion, len(b))
+	dev.Fence()
+}
+
 func readLayout(dev *nvmm.Device) (layout, error) {
 	var b [sbHeaderEnd]byte
 	dev.Read(b[:], 0)
@@ -247,6 +267,7 @@ func readLayout(dev *nvmm.Device) (layout, error) {
 		totalBlocks:  int64(get(b[sbTotalBlocks:])),
 		flightStart:  int64(get(b[sbFlightStart:])),
 		flightSize:   int64(get(b[sbFlightSize:])),
+		incompat:     get(b[sbIncompat:]),
 	}
 	if l.size != dev.Size() {
 		return layout{}, fmt.Errorf("pmfs: superblock size %d != device size %d", l.size, dev.Size())

@@ -478,14 +478,14 @@ func TestChunkedFreeCrashImages(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The smallest journal — one lane of two one-block halves — frees
-		// four blocks a chunk.
+		// The smallest journal — one lane of two one-block halves of 63
+		// entries — frees three blocks a chunk.
 		fs, err := Mkfs(dev, Options{MaxInodes: 64, JournalBlocks: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fs.freeChunk() != 4 {
-			t.Fatalf("freeChunk = %d at the smallest journal, want 4", fs.freeChunk())
+		if fs.freeChunk() != 3 {
+			t.Fatalf("freeChunk = %d at the smallest journal, want 3", fs.freeChunk())
 		}
 		f, _ := fs.Create("/f")
 		if _, err := f.WriteAt(want, 0); err != nil {
