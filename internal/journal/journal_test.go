@@ -11,6 +11,8 @@ import (
 const (
 	areaBase = 4096
 	areaSize = 16 * 4096
+	// areaSlots is the area's entry capacity: 63 entries per block.
+	areaSlots = areaSize / 4096 * entriesPerBlock
 )
 
 func testDev(t *testing.T) *nvmm.Device {
@@ -166,7 +168,7 @@ func TestCheckpointWrapsWhenFull(t *testing.T) {
 	dev.WriteNT(make([]byte, 4096), addr)
 	// Each LogRange(8) uses one entry + one commit entry; fill the area
 	// several times over.
-	slots := int(areaSize / EntrySize)
+	slots := areaSlots
 	for i := 0; i < slots*3; i++ {
 		tx := j.Begin()
 		tx.LogRange(addr, 8)
@@ -225,7 +227,7 @@ func TestHalfRotationWithDeferredCommits(t *testing.T) {
 	// Each tx consumes two slots (reserved commit + one undo entry), so
 	// this crosses one half boundary without filling the whole area (the
 	// open tx pins its own half).
-	half := int(areaSize / EntrySize / 2)
+	half := areaSlots / 2
 	for i := 0; i < half*3/5; i++ {
 		tx := j.Begin()
 		tx.LogRange(addr+64, 8)
@@ -266,7 +268,7 @@ func TestPressureCallbackDrainsStall(t *testing.T) {
 	j.SetPressure(release)
 	// Open deferred transactions faster than they commit; the journal
 	// must invoke the pressure callback rather than deadlock.
-	slots := int(areaSize / EntrySize)
+	slots := areaSlots
 	for i := 0; i < slots*2; i++ {
 		tx := j.Begin()
 		tx.LogRange(addr, 8)
