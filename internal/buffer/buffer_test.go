@@ -2,6 +2,7 @@ package buffer
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -157,12 +158,12 @@ func TestEvictionWritesBackAndFrees(t *testing.T) {
 	}
 }
 
-// TestDropDiscardsDirtyData: dropping a dirty block never writes its data
-// back. A block buffered over an existing NVMM block is dropped for free; a
-// fresh one (its NVMM block was allocated by the buffered write, so pmfs
-// left the covered bytes un-zeroed) costs one pass of zeroes over exactly
-// its dirty lines — what pmfs's whole-block zeroing used to cost before the
-// write — and nothing else.
+// TestDropDiscardsDirtyData: dropping a dirty block on truncate (DropBlock)
+// never writes its data back. A block buffered over an existing NVMM block
+// is dropped for free; a fresh one (its NVMM block was allocated by the
+// buffered write, so pmfs left the covered bytes un-zeroed) costs one pass
+// of zeroes over exactly its dirty lines — what pmfs's whole-block zeroing
+// used to cost before the write — and nothing else.
 func TestDropDiscardsDirtyData(t *testing.T) {
 	p, dev := testPool(t, 8, true)
 	const addr = 1 << 20
@@ -188,7 +189,7 @@ func TestDropDiscardsDirtyData(t *testing.T) {
 		drops := p.Stats().Drops
 		dev.ResetStats() // measured from before the write
 		fb.Write(0, c.off, bytes.Repeat([]byte{0x2D}, c.n), addr, c.blockExists)
-		fb.Drop()
+		fb.DropBlock(0)
 		if got := dev.Stats().BytesFlushed; got != c.wantFlushed {
 			t.Errorf("%s: write + drop flushed %d bytes, want %d", c.name, got, c.wantFlushed)
 		}
@@ -214,10 +215,10 @@ func TestDropDiscardsDirtyData(t *testing.T) {
 
 // TestDropZeroesGatedLines: a block over an existing NVMM block that gates
 // an uncommitted transaction holds an append past the tail pmfs left as
-// allocated. Dropping it releases the transaction, which commits the
-// extension before the truncate that dropped the block does, so its dirty
-// lines are zeroed on NVMM first: the window shows zeroes past the old EOF,
-// never the block's previous owner.
+// allocated. Dropping it on truncate releases the transaction, which
+// commits the extension before the truncate that dropped the block does, so
+// its dirty lines are zeroed on NVMM first: the window shows zeroes past the
+// old EOF, never the block's previous owner.
 func TestDropZeroesGatedLines(t *testing.T) {
 	p, dev := testPool(t, 8, true)
 	const addr, jbase = 1 << 20, 2 << 20
@@ -232,7 +233,7 @@ func TestDropZeroesGatedLines(t *testing.T) {
 	tx.Seal()
 	fb := p.NewFile()
 	fb.Write(0, 3*cacheline.Size+7, bytes.Repeat([]byte{0x2D}, 2*cacheline.Size), addr, true, tx)
-	fb.Drop()
+	fb.DropBlock(0)
 	if !tx.Committed() {
 		t.Fatal("the drop did not release the gated transaction")
 	}
@@ -245,9 +246,9 @@ func TestDropZeroesGatedLines(t *testing.T) {
 	}
 }
 
-// TestFreshBitClearsOnSuccessfulFlushOnly: the zero-on-drop obligation ends
-// when the block's data has reached NVMM, and not before — a block dropped
-// before any flush still owes its zeroes.
+// TestFreshBitClearsOnSuccessfulFlushOnly: the zero-on-truncate obligation
+// ends when the block's data has reached NVMM, and not before — a block
+// DropBlock discards before any flush still owes its zeroes.
 func TestFreshBitClearsOnSuccessfulFlushOnly(t *testing.T) {
 	dev, err := nvmm.New(nvmm.Config{Size: 16 << 20})
 	if err != nil {
@@ -263,7 +264,7 @@ func TestFreshBitClearsOnSuccessfulFlushOnly(t *testing.T) {
 	fb := p.NewFile()
 	fb.Write(0, 0, payload, addr, false)
 	dev.ResetStats()
-	fb.Drop()
+	fb.DropBlock(0)
 	if got := dev.Stats().BytesFlushed; got != BlockSize {
 		t.Fatalf("drop of an unflushed fresh block flushed %d bytes, want one block of zeroes", got)
 	}
@@ -282,13 +283,115 @@ func TestFreshBitClearsOnSuccessfulFlushOnly(t *testing.T) {
 	}
 	fb.Write(0, 0, bytes.Repeat([]byte{0x3C}, BlockSize), addr, true)
 	dev.ResetStats()
-	fb.Drop()
+	fb.DropBlock(0)
 	if got := dev.Stats().BytesFlushed; got != 0 {
 		t.Fatalf("drop of a written-back block flushed %d bytes", got)
 	}
 	dev.Read(got, addr)
 	if !bytes.Equal(got, payload) {
 		t.Fatal("drop disturbed data that had been written back")
+	}
+}
+
+// TestDropWritesNothing: the reclaim hook's Drop runs after the file's
+// dentry removal committed, so neither a fresh block nor one gating a
+// transaction owes zeroes: the drop flushes no block line, leaves every
+// NVMM byte as it was and still releases the transaction, whose commit
+// record is the one line that reaches the device.
+func TestDropWritesNothing(t *testing.T) {
+	p, dev := testPool(t, 8, true)
+	const addr, jbase = 1 << 20, 2 << 20
+	j, err := journal.NewLanes(dev, jbase, 2*BlockSize, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := bytes.Repeat([]byte{0xEE}, 2*BlockSize)
+	dev.Write(stale, addr)
+	tx := j.Begin()
+	tx.AddPending(1)
+	tx.Seal()
+	fb := p.NewFile()
+	data := bytes.Repeat([]byte{0x2D}, BlockSize)
+	fb.Write(0, 0, data, addr, false)                                                  // fresh
+	fb.Write(1, 3*cacheline.Size+7, data[:2*cacheline.Size], addr+BlockSize, true, tx) // gated
+	dev.ResetStats()
+	fb.Drop()
+	if got := dev.Stats().BytesFlushed; got != journal.EntrySize {
+		t.Errorf("drop flushed %d bytes, want only the %d-byte commit record", got, journal.EntrySize)
+	}
+	if got := p.Stats().LinesFlushed; got != 0 {
+		t.Errorf("drop flushed %d buffered lines, want 0", got)
+	}
+	if got := p.Stats().Drops; got != 2 {
+		t.Errorf("drops = %d, want 2", got)
+	}
+	if !tx.Committed() {
+		t.Error("the drop did not release the gated transaction")
+	}
+	got := make([]byte, len(stale))
+	dev.Read(got, addr)
+	if !bytes.Equal(got, stale) {
+		t.Error("drop changed NVMM bytes")
+	}
+	if p.FreeBlocks() != 8 || len(fb.BlockIndices()) != 0 {
+		t.Errorf("free = %d, buffered = %v after drop", p.FreeBlocks(), fb.BlockIndices())
+	}
+}
+
+// TestNudgeDrainFlushesOnlyOlderGates: the journal-pressure drain writes
+// back exactly the blocks that gate a transaction begun before its bound — a
+// block gating an older and a newer one included — and leaves dirty the
+// blocks that gate only newer transactions or none. A stall's bound (past
+// every txid handed out) releases every gated transaction; only a block that
+// gates nothing is left for sync.
+func TestNudgeDrainFlushesOnlyOlderGates(t *testing.T) {
+	p, dev := testPool(t, 8, true)
+	const addr, jbase = 1 << 20, 2 << 20
+	j, err := journal.NewLanes(dev, jbase, 2*BlockSize, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old1, old2, young := j.Begin(), j.Begin(), j.Begin()
+	fb := p.NewFile()
+	data := bytes.Repeat([]byte{0x2D}, BlockSize)
+	fb.Write(0, 0, data, addr, false, old1)
+	fb.Write(1, 0, data, addr+BlockSize, false, young)
+	fb.Write(2, 0, data, addr+2*BlockSize, false, old2, young)
+	fb.Write(3, 0, data, addr+3*BlockSize, true) // an overwrite gates nothing
+	old1.AddPending(1)
+	old2.AddPending(1)
+	young.AddPending(2)
+	for _, tx := range []*journal.Tx{old1, old2, young} {
+		tx.Seal()
+	}
+	dirty := func() (d []int64) {
+		for i := int64(0); i < 4; i++ {
+			if fb.DirtyLines(i) > 0 {
+				d = append(d, i)
+			}
+		}
+		return d
+	}
+
+	if got := p.DrainBefore(young.ID()); got != 2*cacheline.PerBlock {
+		t.Errorf("nudge drain flushed %d lines, want %d", got, 2*cacheline.PerBlock)
+	}
+	if !old1.Committed() || !old2.Committed() || young.Committed() {
+		t.Errorf("after the nudge drain: committed old1 %v old2 %v young %v, want true true false",
+			old1.Committed(), old2.Committed(), young.Committed())
+	}
+	if d := dirty(); !slices.Equal(d, []int64{1, 3}) {
+		t.Errorf("dirty after the nudge drain: %v, want [1 3]", d)
+	}
+
+	if got := p.DrainBefore(young.ID() + 1); got != cacheline.PerBlock {
+		t.Errorf("stall drain flushed %d lines, want %d", got, cacheline.PerBlock)
+	}
+	if !young.Committed() {
+		t.Error("the stall drain did not release every gated transaction")
+	}
+	if d := dirty(); !slices.Equal(d, []int64{3}) {
+		t.Errorf("dirty after the stall drain: %v, want [3]", d)
 	}
 }
 

@@ -224,7 +224,12 @@ func (fb *FileBuf) ReadMerge(idx int64, blkOff int, dst []byte, addr int64) bool
 // allocated, so the dirty lines of a fresh block or of one that gates a
 // transaction are zeroed on NVMM first: the window shows zeroes, never the
 // block's previous owner.
-func (fb *FileBuf) DropBlock(idx int64) {
+func (fb *FileBuf) DropBlock(idx int64) { fb.drop(idx, true) }
+
+// drop detaches block idx and discards its dirty lines, zeroing them on
+// NVMM first when zeroes is set and the block is fresh or gates a
+// transaction (see DropBlock), then releases its gated transactions.
+func (fb *FileBuf) drop(idx int64, zeroes bool) {
 	p := fb.pool
 	sh := p.shardFor(fb, idx)
 	for {
@@ -247,7 +252,7 @@ func (fb *FileBuf) DropBlock(idx int64) {
 		b.fmu.Lock()
 		if dirty := b.dirtyMap(); dirty.Any() {
 			p.drops.Add(1)
-			if b.fresh || len(b.txs) > 0 {
+			if zeroes && (b.fresh || len(b.txs) > 0) {
 				p.zeroLinesLocked(b, dirty)
 			}
 		}
@@ -395,12 +400,15 @@ func (fb *FileBuf) dropIfEmpty(idx int64) {
 	p.releaseBlock(b)
 }
 
-// Drop discards every buffered block of the file without writing it back:
-// the file was deleted, so its dirty data never needs to reach NVMM (§1's
+// Drop discards every buffered block of the file and writes nothing: the
+// file was deleted, so its dirty data never needs to reach NVMM (§1's
 // "writes to files that are later deleted do not need to be performed").
-// Ordered-mode transactions gated on dropped blocks are released, shard by
-// shard and lowest block index first within a shard — one sorted pass per
-// shard, so the release order is deterministic (see Flush).
+// It is the reclaim hook's drop, called after the file's dentry removal
+// committed: the transactions it releases commit on an unreachable inode,
+// so unlike DropBlock it owes no zeroes — a crash before the freeing commit
+// leaves an orphan, and recovery frees it unread. Gated transactions are
+// released shard by shard and lowest block index first within a shard — one
+// sorted pass per shard, so the release order is deterministic (see Flush).
 func (fb *FileBuf) Drop() {
 	var idxs []int64
 	for _, sh := range fb.pool.shards {
@@ -412,7 +420,7 @@ func (fb *FileBuf) Drop() {
 		sh.mu.Unlock()
 		slices.Sort(idxs)
 		for _, idx := range idxs {
-			fb.DropBlock(idx)
+			fb.drop(idx, false)
 		}
 	}
 }

@@ -37,9 +37,9 @@
 // consistent snapshots without locks. Same-file writer/reader exclusion is
 // provided by the owning file system's inode lock.
 //
-// Cross-shard operations (FlushAll, DirtyBlocks, Close) visit shards in
-// index order, locking one shard at a time; they never hold two shard
-// locks at once, so there is no lock-ordering hazard. FlushAll — the
+// Cross-shard operations (FlushAll, DrainBefore, DirtyBlocks, Close) visit
+// shards in index order, locking one shard at a time; they never hold two
+// shard locks at once, so there is no lock-ordering hazard. FlushAll — the
 // sync(2) path — pins every dirty block it finds regardless of the block's
 // current pin count: pins only block detachment, not writeback, so a
 // concurrent reader's pin must not (and no longer does) exempt a dirty
@@ -213,7 +213,8 @@ type block struct {
 	// the bytes that write covers un-zeroed, so until the block is flushed
 	// the dirty lines of the NVMM block still hold its previous owner's
 	// bytes. Set by Write(blockExists == false), cleared by a flush;
-	// DropBlock zeroes those lines on NVMM before it lets txs commit.
+	// DropBlock zeroes those lines on NVMM before it lets txs commit (Drop,
+	// whose file is already unreachable, does not).
 	fresh bool
 
 	pins atomic.Int32 // >0: block must not be detached or reclaimed
@@ -592,7 +593,20 @@ func (p *Pool) flushBlockLocked(b *block, kind obs.CopyKind) {
 // reader (ReadMerge) must not exempt a block from sync durability. Shards
 // are visited in index order; blocks dirtied after their shard was scanned
 // belong to the next sync.
-func (p *Pool) FlushAll() int {
+func (p *Pool) FlushAll() int { return p.flushDirty(false, 0) }
+
+// DrainBefore writes back the dirty blocks that gate a transaction begun
+// before bound (journal.Tx.BegunBefore) — the journal-pressure drain: those
+// are the transactions that can hold the lane half the journal must reuse
+// next, and each commits once its last gated block persists. Blocks that
+// gate only later transactions, or none, stay dirty, so a file that dies
+// before its turn never reaches NVMM. It returns the number of cachelines
+// flushed and walks the pool like FlushAll.
+func (p *Pool) DrainBefore(bound uint32) int { return p.flushDirty(true, bound) }
+
+// flushDirty pins every dirty block, shard by shard, and flushes each one —
+// with gated set, only those gating a transaction begun before bound.
+func (p *Pool) flushDirty(gated bool, bound uint32) int {
 	flushed := 0
 	var victims []*block
 	for _, sh := range p.shards {
@@ -607,13 +621,25 @@ func (p *Pool) FlushAll() int {
 		sh.mu.Unlock()
 		for _, b := range victims {
 			b.fmu.Lock()
-			flushed += b.dirtyMap().Count()
-			p.flushBlockLocked(b, obs.CopySyncFlush)
+			if !gated || gatesBefore(b.txs, bound) {
+				flushed += b.dirtyMap().Count()
+				p.flushBlockLocked(b, obs.CopySyncFlush)
+			}
 			b.fmu.Unlock()
 			b.pins.Add(-1)
 		}
 	}
 	return flushed
+}
+
+// gatesBefore reports whether any of txs began before bound.
+func gatesBefore(txs []*journal.Tx, bound uint32) bool {
+	for _, tx := range txs {
+		if tx.BegunBefore(bound) {
+			return true
+		}
+	}
+	return false
 }
 
 // writebackLoop is the background flusher (§3.2): it reclaims blocks from

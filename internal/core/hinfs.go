@@ -156,9 +156,10 @@ func wrap(base *pmfs.FS, dev *nvmm.Device, opts Options) *FS {
 		dev.SetObs(opts.Obs)
 		base.SetObs(opts.Obs)
 	}
-	// Under journal space pressure, drain deferred (ordered-mode) commits
-	// by flushing the write buffer.
-	base.Journal().SetPressure(func() { fs.pool.FlushAll() })
+	// Under journal space pressure, drain deferred (ordered-mode) commits:
+	// write back the buffered blocks that gate a transaction begun before
+	// the journal's bound, and only those.
+	base.Journal().SetPressure(func(bound uint32) { fs.pool.DrainBefore(bound) })
 	// A removed file's buffered dirty blocks are discarded after its dentry
 	// removal commits and before its NVMM storage is freed — at unlink,
 	// rename-over or last close: writes to short-lived files never pay NVMM

@@ -284,24 +284,25 @@ func (cfg *Config) runOnce(target int64, keep bool) (*runResult, error) {
 // makes the lanes rotate. The journal's early nudge runs its callback on a
 // goroutine of its own, whose buffer flush would interleave with the
 // workload; here that callback acts only for an op stalled on a full lane
-// (which calls it itself), and each nudge is served between ops instead —
-// a flush there is an unrecorded Sync, which the oracle already admits.
+// (which calls it itself), and each nudge is served between ops instead,
+// with the bound the nudge recorded — the same bounded drain core runs. A
+// drain there is a partial unrecorded Sync, which the oracle already admits.
 type pressure struct {
 	fs     *core.FS
 	nudges int64        // nudges served (workload goroutine only)
 	stalls atomic.Int64 // stalls served
 }
 
-func (p *pressure) stalled() {
+func (p *pressure) stalled(bound uint32) {
 	if s := p.fs.Journal().Stats().Stalls; p.stalls.Swap(s) != s {
-		p.fs.Pool().FlushAll()
+		p.fs.Pool().DrainBefore(bound)
 	}
 }
 
 func (p *pressure) between() {
 	if n := p.fs.Journal().Stats().Nudges; n != p.nudges {
 		p.nudges = n
-		p.fs.Pool().FlushAll()
+		p.fs.Pool().DrainBefore(p.fs.Journal().NudgeBound())
 	}
 }
 

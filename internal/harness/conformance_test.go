@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -174,6 +175,7 @@ func conformBlockMmap(t *testing.T, fs vfs.FileSystem, want bool) {
 	if got[0] != 0xAB || got[1] != 0x5C {
 		t.Fatalf("store through mapping not visible: % x", got)
 	}
+	runtime.KeepAlive(fs) // seg aliases the device image, which dies with it
 }
 
 func conformRoundTrip(t *testing.T, fs vfs.FileSystem) {

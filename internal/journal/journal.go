@@ -49,7 +49,9 @@
 // Every transaction reserves its commit slot before it logs into a half, so
 // writing a commit record never blocks — only new undo logging can stall on
 // a full lane, and the registered pressure callback (HiNFS wires it to the
-// write buffer's flusher) accelerates draining.
+// write buffer's flusher) accelerates draining. The callback gets a bound:
+// only transactions begun before it can hold the half that must be reused
+// next (see Tx.BegunBefore).
 package journal
 
 import (
@@ -125,6 +127,11 @@ type half struct {
 	count int   // entry capacity
 	next  int   // next free slot
 	live  int   // open transactions with entries or a commit slot here
+	// first is the first txid handed out after the lane rotated into this
+	// half: a transaction with a later id took its lane lock after that
+	// rotation, so it never held the other half. Zero before the first
+	// rotation, when the other half holds nothing.
+	first uint32
 }
 
 // slot returns the device address of entry slot s: slots skip line 0 of
@@ -166,11 +173,13 @@ type Journal struct {
 
 	// pressure, if set, is invoked (without any lane lock) when the log is
 	// under space pressure, to accelerate deferred-commit draining.
-	pressure atomic.Value // func()
+	pressure atomic.Value // func(bound uint32)
 	// nudging is set while an early nudge (a half passing 3/4 full) runs the
 	// callback: lanes fill round-robin and cross that mark together, and one
 	// drain serves them all.
 	nudging atomic.Bool
+	// nudgeBound is the bound the latest nudge passed (see NudgeBound).
+	nudgeBound atomic.Uint32
 
 	// col, if set, receives lane-contention counter increments.
 	col atomic.Pointer[obs.Collector]
@@ -189,9 +198,9 @@ type Journal struct {
 // via AddPending/Seal/BlockPersisted. After chains the commit record behind
 // another transaction's.
 //
-// The Tx is the one allocation on the journal hot path, and with the device
-// image on the Go heap the collector rarely runs, so bytes allocated per op
-// are resident memory: its fields are grouped to fit the 80-byte size class.
+// The Tx is the one allocation on the journal hot path, so its fields are
+// grouped to fit the 80-byte size class: bytes allocated per op are what
+// the collector has to keep up with.
 // It is not pooled, deliberately: deferred commits and After-chains hold
 // *Tx pointers for unbounded time, so reuse would alias a live chain.
 type Tx struct {
@@ -278,20 +287,40 @@ func (j *Journal) TxCapacity() int {
 }
 
 // SetPressure registers a callback invoked when the log is under space
-// pressure. The callback must not call back into the journal's Begin or
-// LogRange (committing via BlockPersisted is fine and is the point).
-func (j *Journal) SetPressure(fn func()) {
+// pressure, with a bound: a transaction holding the half its lane reuses
+// next began before it (Tx.BegunBefore). An early nudge — a half passing
+// 3/4 full — passes the first txid of that half, so only transactions that
+// can hold the other half count; a writer stalled on a full lane passes one
+// past every txid handed out so far. The callback must not call back into the journal's Begin or LogRange
+// (committing via BlockPersisted is fine and is the point).
+func (j *Journal) SetPressure(fn func(bound uint32)) {
 	j.pressure.Store(fn)
 }
+
+// NudgeBound returns the bound the latest early nudge passed, recorded on
+// the allocating goroutine when the half crossed its mark (Stats.Nudges
+// counts the same event), so a caller that serves nudges itself can drain
+// exactly what the nudge asked for.
+func (j *Journal) NudgeBound() uint32 { return j.nudgeBound.Load() }
+
+// ID returns t's transaction id, unique within a mount and increasing in
+// Begin order (modulo 2^32, see BegunBefore).
+func (t *Tx) ID() uint32 { return t.id }
+
+// BegunBefore reports whether t's txid precedes bound. Txids wrap, so the
+// order is the sign of the 32-bit difference: it holds while the
+// transactions compared are fewer than 2^31 ids apart, which open
+// transactions always are.
+func (t *Tx) BegunBefore(bound uint32) bool { return int32(t.id-bound) < 0 }
 
 // SetObs attaches a collector receiving lane-contention counters, or
 // detaches with nil.
 func (j *Journal) SetObs(c *obs.Collector) { j.col.Store(c) }
 
-func (j *Journal) callPressure() {
-	if fn, ok := j.pressure.Load().(func()); ok && fn != nil {
+func (j *Journal) callPressure(bound uint32) {
+	if fn, ok := j.pressure.Load().(func(uint32)); ok && fn != nil {
 		j.pressureCalls.Add(1)
-		fn()
+		fn(bound)
 	}
 }
 
@@ -352,13 +381,16 @@ func (j *Journal) allocSlotLocked(ln *lane, t *Tx, entry bool) int64 {
 				t.commitSlot, t.commitHalf = h.slot(first), uint8(ln.cur)
 			}
 			// Nudge the drainers early when a half passes 3/4 full, unless
-			// a nudge is already running.
+			// a nudge is already running. Only transactions begun before
+			// this half's first txid can hold the other half.
 			if mark := h.count * 3 / 4; first < mark && h.next >= mark {
 				j.nudges.Add(1)
+				bound := h.first
+				j.nudgeBound.Store(bound)
 				if j.nudging.CompareAndSwap(false, true) {
 					go func() {
 						defer j.nudging.Store(false)
-						j.callPressure()
+						j.callPressure(bound)
 					}()
 				}
 			}
@@ -371,13 +403,14 @@ func (j *Journal) allocSlotLocked(ln *lane, t *Tx, entry bool) int64 {
 		if other.live == 0 {
 			j.stamp(other)
 			other.next = 0
+			other.first = j.nextID.Load() + 1
 			ln.cur = 1 - ln.cur
 			j.checkpoints.Add(1)
 			continue
 		}
 		j.stalls.Add(1)
 		ln.mu.Unlock()
-		j.callPressure()
+		j.callPressure(j.nextID.Load() + 1)
 		time.Sleep(50 * time.Microsecond)
 		j.lock(ln)
 	}

@@ -250,16 +250,26 @@ func TestPressureCallbackDrainsStall(t *testing.T) {
 	dev.WriteNT(make([]byte, 4096), addr)
 	// Fill both halves with entries from one open tx per half... simpler:
 	// hold open transactions in both halves via interleaving, and rely on
-	// the pressure callback to release them. The callback also fires from
-	// the journal's early-nudge goroutine, so held needs a lock.
+	// the pressure callback to release them — only those begun before its
+	// bound, as HiNFS's drain does, so a stall whose bound missed a
+	// transaction it waits for would hang here. The callback also fires
+	// from the journal's early-nudge goroutine, so held needs a lock.
 	var (
 		mu   sync.Mutex
 		held []*Tx
 	)
-	release := func() {
+	release := func(bound uint32) {
 		mu.Lock()
-		txs := held
-		held = nil
+		var txs []*Tx
+		keep := held[:0]
+		for _, tx := range held {
+			if tx.BegunBefore(bound) {
+				txs = append(txs, tx)
+			} else {
+				keep = append(keep, tx)
+			}
+		}
+		held = keep
 		mu.Unlock()
 		for _, tx := range txs {
 			tx.BlockPersisted()
@@ -286,7 +296,7 @@ func TestPressureCallbackDrainsStall(t *testing.T) {
 			}
 		}
 	}
-	release()
+	release(j.nextID.Load() + 1)
 	if j.Stats().Checkpoints == 0 {
 		t.Fatal("journal never rotated under sustained deferred load")
 	}

@@ -174,13 +174,13 @@ func TestCrossLaneRollbackOrder(t *testing.T) {
 // TestEarlyNudgeIsSingleFlight: lanes fill round-robin, so all eight pass 3/4
 // within eight Begins of each other. While one nudge is running the callback
 // the other seven crossings must not start their own — HiNFS wires the
-// callback to a whole-pool flush — and once it has returned the next crossing
+// callback to a walk of the whole pool — and once it has returned the next crossing
 // nudges again. Stats.PressureCalls counts the invocations.
 func TestEarlyNudgeIsSingleFlight(t *testing.T) {
 	j := newJournal(t, testDev(t))
 	entered := make(chan struct{}, 2*DefaultLanes) // never blocks the callback
 	release := make(chan struct{})
-	j.SetPressure(func() {
+	j.SetPressure(func(uint32) {
 		entered <- struct{}{}
 		<-release
 	})
@@ -208,5 +208,103 @@ func TestEarlyNudgeIsSingleFlight(t *testing.T) {
 	<-entered
 	if n := j.Stats().PressureCalls; n < 2 {
 		t.Fatalf("%d pressure calls after a second round of crossings, want at least 2", n)
+	}
+}
+
+// TestNudgeBoundCoversOlderHalf: when the half a lane fills passes 3/4, the
+// nudge's bound — the first txid of that half — must cover every transaction
+// that holds the other half, which the lane reuses next: one begun and left
+// open there, and one begun there that logs only after the rotation (its
+// commit slot moves to the new half, its reservation in the old one stays).
+// A transaction begun after the rotation holds only the new half and must
+// fall outside the bound. Releasing exactly what the bound covers lets the
+// lane rotate back without a stall. The scenario runs once from txid 1 and
+// once with the txids wrapping past 2^32 between the old half and the
+// bound, where a plain comparison orders them backwards.
+func TestNudgeBoundCoversOlderHalf(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		start uint32 // the journal's txid counter before the first Begin
+	}{
+		{"from-1", 0},
+		{"wrapping", 1<<32 - 3},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dev := testDev(t)
+			j, err := NewLanes(dev, areaBase, 2*cacheline.BlockSize, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j.nextID.Store(c.start)
+			const addr = 700 * 4096
+			ln := j.lanes[0]
+			older := j.Begin() // open in half 0, gated on a buffered block
+			older.LogRange(addr, 8)
+			older.AddPending(1)
+			older.Seal()
+			straddler := j.Begin() // commit slot in half 0, no entry yet
+			for j.Stats().Checkpoints == 0 {
+				j.Begin().Commit()
+			}
+			straddler.LogRange(addr+64, 8) // its first entry lands in half 1
+			straddler.AddPending(1)
+			straddler.Seal()
+			younger := j.Begin() // begun after the rotation
+			younger.LogRange(addr+128, 8)
+			younger.AddPending(1)
+			younger.Seal()
+			if c.start != 0 && (older.ID() < 1<<31 || younger.ID() > 1<<31) {
+				t.Fatalf("txids %d and %d do not straddle the wrap", older.ID(), younger.ID())
+			}
+			for nudges := j.Stats().Nudges; j.Stats().Nudges == nudges; {
+				j.Begin().Commit()
+			}
+			bound := j.NudgeBound()
+			for _, tx := range []*Tx{older, straddler, younger} {
+				if tx.touched[1-ln.cur] && !tx.BegunBefore(bound) {
+					t.Fatalf("tx %d holds the half reused next but is not before the nudge bound %d", tx.ID(), bound)
+				}
+			}
+			if !straddler.touched[0] || !straddler.touched[1] {
+				t.Fatalf("straddler touched %v, want both halves", straddler.touched)
+			}
+			if younger.BegunBefore(bound) {
+				t.Fatalf("tx %d begun after the rotation is before the nudge bound %d", younger.ID(), bound)
+			}
+			older.BlockPersisted()
+			straddler.BlockPersisted()
+			for j.Stats().Checkpoints < 2 {
+				j.Begin().Commit()
+			}
+			if s := j.Stats().Stalls; s != 0 {
+				t.Fatalf("%d stalls: releasing what the bound covers did not free the older half", s)
+			}
+			younger.BlockPersisted()
+			if !younger.Committed() {
+				t.Fatal("younger transaction lost")
+			}
+		})
+	}
+}
+
+// TestNudgeBoundOrderWraps: BegunBefore orders txids by the sign of their
+// 32-bit difference, so the order survives the counter wrapping.
+func TestNudgeBoundOrderWraps(t *testing.T) {
+	for _, c := range []struct {
+		id, bound uint32
+		want      bool
+	}{
+		{4, 5, true},
+		{5, 5, false},
+		{6, 5, false},
+		{1<<32 - 1, 0, true},
+		{1<<32 - 2, 3, true},
+		{0, 1<<32 - 1, false},
+		{3, 1<<32 - 2, false},
+		{1<<31 - 1, 1 << 31, true},
+	} {
+		if got := (&Tx{id: c.id}).BegunBefore(c.bound); got != c.want {
+			t.Errorf("tx %d begun before %d = %v, want %v", c.id, c.bound, got, c.want)
+		}
 	}
 }

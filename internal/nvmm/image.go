@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"runtime"
 )
 
 // imageMagic identifies a serialized device image.
@@ -20,7 +21,9 @@ func (d *Device) Save(w io.Writer) error {
 	if _, err := w.Write(hdr[:]); err != nil {
 		return fmt.Errorf("nvmm: save header: %w", err)
 	}
-	if _, err := w.Write(d.data); err != nil {
+	_, err := w.Write(d.data)
+	runtime.KeepAlive(d) // d.data is unmapped once d is unreachable
+	if err != nil {
 		return fmt.Errorf("nvmm: save image: %w", err)
 	}
 	return nil

@@ -12,12 +12,20 @@
 // flushed data, so tests can call Crash and observe exactly the state a
 // real NVMM would retain after power loss: stores that were never flushed
 // disappear.
+//
+// The device image is an anonymous private mapping, not a Go allocation:
+// the collector paces itself by heap size, and a heap holding a
+// half-gigabyte image would let garbage grow by as much again before it
+// ran. The mapping is released when the Device becomes unreachable, so a
+// window returned by Slice must not outlive its device.
 package nvmm
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"hinfs/internal/cacheline"
@@ -152,13 +160,19 @@ func New(cfg Config) (*Device, error) {
 	if scale == 0 {
 		scale = 1
 	}
+	data, err := syscall.Mmap(-1, 0, int(cfg.Size), syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	if err != nil {
+		return nil, fmt.Errorf("nvmm: map %d-byte image: %w", cfg.Size, err)
+	}
 	d := &Device{
 		cfg:      cfg,
-		data:     make([]byte, cfg.Size),
+		data:     data,
 		base:     time.Now(),
 		effWrite: time.Duration(float64(cfg.WriteLatency) * scale),
 		effRead:  time.Duration(float64(cfg.ReadLatency) * scale),
 	}
+	// A failed unmap leaks the range; a cleanup has no one to report to.
+	runtime.AddCleanup(d, func(b []byte) { _ = syscall.Munmap(b) }, data)
 	if cfg.WriteBandwidth > 0 && cfg.WriteLatency > 0 {
 		n := int(cfg.WriteBandwidth * int64(cfg.WriteLatency) / int64(time.Second) / cacheline.Size)
 		if n < 1 {
@@ -357,7 +371,10 @@ func (d *Device) portWait(cost int64) int64 {
 // memory-mapped access (mmap). Stores through the slice are not durable
 // until Flush covers the range, exactly like stores through a real mapping
 // are not durable until msync. Persistence tracking does not observe
-// stores made through a slice until the corresponding Flush.
+// stores made through a slice until the corresponding Flush. The window
+// lives only as long as the device: once d is unreachable its image is
+// unmapped, and the slice must not be touched after that (hold d, or the
+// file system over it, with runtime.KeepAlive where nothing else does).
 func (d *Device) Slice(off int64, n int) []byte {
 	d.check(off, n)
 	return d.data[off : off+int64(n) : off+int64(n)]

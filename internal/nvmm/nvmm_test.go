@@ -2,6 +2,7 @@ package nvmm
 
 import (
 	"bytes"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -175,6 +176,7 @@ func TestSliceAliasesDeviceMemory(t *testing.T) {
 	if string(got) != "mapped" {
 		t.Fatalf("slice not aliased: %q", got)
 	}
+	runtime.KeepAlive(d) // s aliases d's image, which dies with d
 }
 
 func TestOutOfBoundsPanics(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"runtime"
 	"testing"
 
 	"hinfs/internal/nvmm"
@@ -453,6 +454,7 @@ func TestMmapBlock(t *testing.T) {
 	if string(buf) != "direct store" {
 		t.Fatalf("got %q", buf)
 	}
+	runtime.KeepAlive(fs) // m aliases the device image, which dies with it
 	_ = dev
 }
 
