@@ -1,11 +1,13 @@
 // Command hinfs-crash runs the systematic crash-point explorer: it
-// records a workload's persist-event schedule, re-executes it once per
-// crash point with the nvmm fault plane armed, materializes several
-// torn-cacheline images per point (seed 0 always drops every pending
-// line), remounts each through journal recovery, and verifies both the
-// metadata checker and the application-level oracle — plus, with the
-// flight recorder on (default), the flight-forensics invariants: the
-// recovered ring's record suffix must match the recorded op schedule.
+// runs a workload once while the nvmm device records its persist
+// history, walks that history to the state just before each crash point,
+// materializes several torn-cacheline images per point (seed 0 always
+// drops every pending line), remounts each through journal recovery,
+// and verifies both the metadata checker and the application-level
+// oracle — plus, with the flight recorder on (default), the
+// flight-forensics invariants: the recovered ring's record suffix must
+// match the recorded op schedule. After the one-line summary it prints
+// the exploration's cost: cases, wall time and cases per second.
 //
 //	$ go run ./cmd/hinfs-crash -workload varmail -points 500 -perms 3
 //	$ go run ./cmd/hinfs-crash -workload traffic -points 20
@@ -25,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"time"
 
 	"hinfs/internal/crashtest"
 )
@@ -76,12 +79,14 @@ func run() int {
 	if *selftest {
 		return runSelftest(cfg)
 	}
+	start := time.Now()
 	rep, err := crashtest.Explore(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hinfs-crash:", err)
 		return 2
 	}
 	fmt.Println(rep.Summary())
+	fmt.Println(rate(rep.Cases, start))
 	code := printViolations(rep.Violations, rep.Suppressed, reproPrefix(cfg))
 	if *forensics {
 		if ferr := dumpForensics(cfg, rep); ferr != nil {
@@ -152,12 +157,14 @@ func runTraffic(points, perms int, seed uint64, clients int, device int64, buffe
 	if verbose {
 		cfg.Log = os.Stderr
 	}
+	start := time.Now()
 	rep, err := crashtest.ExploreTraffic(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hinfs-crash:", err)
 		return 2
 	}
 	fmt.Println(rep.Summary())
+	fmt.Println(rate(rep.Cases, start))
 	// Traffic runs are not deterministic; the violation lines identify
 	// the case but there is no replayable -from/-to repro.
 	return printViolations(rep.Violations, rep.Suppressed, "")
@@ -173,24 +180,28 @@ func runSelftest(cfg crashtest.Config) int {
 		cfg.Workload = "append"
 	}
 	fmt.Printf("selftest 1/2: stock HiNFS, workload %s\n", cfg.Workload)
+	start := time.Now()
 	rep, err := crashtest.Explore(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hinfs-crash: selftest:", err)
 		return 2
 	}
 	fmt.Println("  " + rep.Summary())
+	fmt.Println("  " + rate(rep.Cases, start))
 	if code := printViolations(rep.Violations, rep.Suppressed, reproPrefix(cfg)); code != 0 {
 		fmt.Fprintln(os.Stderr, "hinfs-crash: selftest: stock HiNFS must explore clean")
 		return code
 	}
 	fmt.Println("selftest 2/2: seeded ordering bug (UnsafeSkipOrderedCommit)")
 	cfg.UnsafeSkipOrderedCommit = true
+	start = time.Now()
 	rep, err = crashtest.Explore(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hinfs-crash: selftest:", err)
 		return 2
 	}
 	fmt.Println("  " + rep.Summary())
+	fmt.Println("  " + rate(rep.Cases, start))
 	if len(rep.Violations) == 0 {
 		fmt.Fprintln(os.Stderr, "hinfs-crash: selftest: seeded ordering bug went UNDETECTED")
 		return 1
@@ -198,6 +209,13 @@ func runSelftest(cfg crashtest.Config) int {
 	fmt.Printf("  detected, first repro: %s\n", rep.Violations[0])
 	fmt.Println("selftest passed")
 	return 0
+}
+
+// rate renders an exploration's cost: its cases, its wall time since
+// start and the cases per second.
+func rate(cases int, start time.Time) string {
+	s := time.Since(start).Seconds()
+	return fmt.Sprintf("explored %d cases in %.1f s (%.1f cases/s)", cases, s, float64(cases)/s)
 }
 
 func printViolations(violations []crashtest.Violation, suppressed int, repro string) int {

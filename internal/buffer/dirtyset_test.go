@@ -274,14 +274,13 @@ func TestDropReleasesGatedTxsInOrder(t *testing.T) {
 	}
 	var got []int64
 	seen := make([]bool, n)
-	dev.SetCrashPlan(func(int64, nvmm.EventKind) bool {
+	dev.SetCrashPlan(func(int64, nvmm.EventKind) {
 		for i, tx := range txs {
 			if !seen[i] && tx.Committed() {
 				seen[i] = true
 				got = append(got, int64(i))
 			}
 		}
-		return false
 	})
 	before := p.Stats().Drops
 	fb.Drop()
@@ -321,14 +320,13 @@ func TestFlushCommitsGatedTxsInBlockOrder(t *testing.T) {
 	}
 	var got []int64
 	seen := make([]bool, n)
-	dev.SetCrashPlan(func(int64, nvmm.EventKind) bool {
+	dev.SetCrashPlan(func(int64, nvmm.EventKind) {
 		for i, tx := range txs {
 			if !seen[i] && tx.Committed() {
 				seen[i] = true
 				got = append(got, int64(i))
 			}
 		}
-		return false
 	})
 	lines, err := fb.Flush()
 	dev.SetCrashPlan(nil)

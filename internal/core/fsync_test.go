@@ -156,10 +156,9 @@ func runPersistLog(t *testing.T, seed int64) *persistLog {
 		t.Fatal(err)
 	}
 	log := &persistLog{}
-	dev.SetCrashPlan(func(_ int64, kind nvmm.EventKind) bool {
+	dev.SetCrashPlan(func(_ int64, kind nvmm.EventKind) {
 		log.kinds = append(log.kinds, kind)
 		log.flushed = append(log.flushed, dev.Stats().BytesFlushed)
-		return false
 	})
 	fs, err := Mkfs(dev, Options{
 		BufferBlocks:        512,
@@ -203,8 +202,8 @@ func runPersistLog(t *testing.T, seed int64) *persistLog {
 	return log
 }
 
-// TestPersistStreamDeterministic: the persist-event stream the crash
-// explorer replays is a pure function of the op sequence — two runs of one
+// TestPersistStreamDeterministic: the persist-event stream a crash
+// explorer repro re-runs is a pure function of the op sequence — two runs of one
 // sequence on four buffer shards issue the same events, each flushing the
 // same number of bytes. (TestFlushCommitsGatedTxsInBlockOrder in the
 // buffer package pins the fsync write-back order that makes it so.)

@@ -186,49 +186,40 @@ func TestOverwriteCrashImages(t *testing.T) {
 		{"lazy behind an open append", 0, true},
 	} {
 		t.Run(sc.name, func(t *testing.T) {
-			run := func(target int64) (from, to int64, state *nvmm.CrashState) {
-				dev, err := nvmm.New(nvmm.Config{Size: 8 << 20, TrackPersistence: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				fs, err := Mkfs(dev, quietOpts())
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer fs.Abandon()
-				f := overwriteFile(t, fs, "/f", old, sc.flags)
-				if sc.append {
-					if _, err := f.WriteAt(bytes.Repeat([]byte{tail}, BlockSize+300), size); err != nil {
-						t.Fatal(err)
-					}
-				}
-				from = dev.PersistEvents()
-				if target > 0 {
-					dev.SetCrashPlan(func(ev int64, _ nvmm.EventKind) bool { return ev == target })
-				}
-				if _, err := f.WriteAt(bytes.Repeat([]byte{new}, n), off); err != nil {
-					t.Fatal(err)
-				}
-				if sc.flags&vfs.OSync == 0 {
-					if fs.Pool().DirtyBlocks() == 0 {
-						t.Fatal("the overwrite left nothing dirty in the buffer: not lazy")
-					}
-					if err := f.Fsync(); err != nil {
-						t.Fatal(err)
-					}
-				}
-				dev.Fence() // one more event: a crash just after the last call returned
-				return from, dev.PersistEvents(), dev.TakeCrashState()
+			dev, err := nvmm.New(nvmm.Config{Size: 8 << 20, TrackPersistence: true})
+			if err != nil {
+				t.Fatal(err)
 			}
-			from, to, _ := run(0)
-			sawOld, sawAppended := false, false
-			for ev := from + 1; ev <= to; ev++ {
-				_, _, state := run(ev)
-				if state == nil {
-					t.Fatalf("no crash state captured at event %d", ev)
+			fs, err := Mkfs(dev, quietOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fs.Abandon()
+			f := overwriteFile(t, fs, "/f", old, sc.flags)
+			if sc.append {
+				if _, err := f.WriteAt(bytes.Repeat([]byte{tail}, BlockSize+300), size); err != nil {
+					t.Fatal(err)
 				}
+			}
+			history := dev.Record()
+			if _, err := f.WriteAt(bytes.Repeat([]byte{new}, n), off); err != nil {
+				t.Fatal(err)
+			}
+			if sc.flags&vfs.OSync == 0 {
+				if fs.Pool().DirtyBlocks() == 0 {
+					t.Fatal("the overwrite left nothing dirty in the buffer: not lazy")
+				}
+				if err := f.Fsync(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			dev.Fence() // one more event: a crash just after the last call returned
+			to := dev.PersistEvents()
+			sawOld, sawAppended := false, false
+			history.Walk(func(state *nvmm.CrashState) {
+				ev := state.Event()
 				for _, seed := range tornSeeds {
-					dev, err := state.Materialize(nvmm.Config{}, seed)
+					dev, err := state.Materialize(seed)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -262,7 +253,7 @@ func TestOverwriteCrashImages(t *testing.T) {
 						}
 					}
 				}
-			}
+			})
 			if !sawOld {
 				t.Fatal("no crash image showed the bytes before the overwrite: its window was not explored")
 			}

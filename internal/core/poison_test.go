@@ -196,57 +196,46 @@ func TestDropWindowShowsZeroesNeverStaleBytes(t *testing.T) {
 		PMFS:         pmfs.Options{JournalBlocks: 64, MaxInodes: 64},
 	}
 	payload := bytes.Repeat([]byte{0x5A}, 2*BlockSize+100)
-	// run replays the scenario with a crash plan armed at event target (0 =
-	// none) and returns the event window of the truncate.
-	run := func(target int64) (from, to int64, state *nvmm.CrashState) {
-		dev := poisonedDev(t, 8<<20, true)
-		fs, err := Mkfs(dev, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer fs.Abandon()
-		f, err := fs.Create("/f")
-		if err != nil {
-			t.Fatal(err)
-		}
-		// A synced first block: everything chained before the lazy write on
-		// this inode has committed, so nothing but the buffer holds it back.
-		// (sync(2), not fsync: an fsync would make the benefit model route
-		// the next write eager, and an eager write leaves nothing to drop.)
-		if _, err := f.WriteAt(payload[:BlockSize], 0); err != nil {
-			t.Fatal(err)
-		}
-		if err := fs.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		if target > 0 {
-			dev.SetCrashPlan(func(ev int64, _ nvmm.EventKind) bool { return ev == target })
-		}
-		// A lazy write of fresh blocks 1-3, starting and ending mid-line.
-		if _, err := f.WriteAt(payload, BlockSize+30); err != nil {
-			t.Fatal(err)
-		}
-		if fs.Pool().DirtyBlocks() != 3 {
-			t.Fatalf("the write of blocks 1-3 left %d dirty buffer blocks: not lazy", fs.Pool().DirtyBlocks())
-		}
-		from = dev.PersistEvents()
-		if err := f.Truncate(BlockSize); err != nil {
-			t.Fatal(err)
-		}
-		return from, dev.PersistEvents(), dev.TakeCrashState()
+	dev := poisonedDev(t, 8<<20, true)
+	fs, err := Mkfs(dev, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	from, to, _ := run(0)
-	if to-from < 4 {
+	defer fs.Abandon()
+	f, err := fs.Create("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A synced first block: everything chained before the lazy write on
+	// this inode has committed, so nothing but the buffer holds it back.
+	// (sync(2), not fsync: an fsync would make the benefit model route
+	// the next write eager, and an eager write leaves nothing to drop.)
+	if _, err := f.WriteAt(payload[:BlockSize], 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	// A lazy write of fresh blocks 1-3, starting and ending mid-line.
+	if _, err := f.WriteAt(payload, BlockSize+30); err != nil {
+		t.Fatal(err)
+	}
+	if fs.Pool().DirtyBlocks() != 3 {
+		t.Fatalf("the write of blocks 1-3 left %d dirty buffer blocks: not lazy", fs.Pool().DirtyBlocks())
+	}
+	from := dev.PersistEvents()
+	history := dev.Record()
+	if err := f.Truncate(BlockSize); err != nil {
+		t.Fatal(err)
+	}
+	if to := dev.PersistEvents(); to-from < 4 {
 		t.Fatalf("truncate spans only %d persist events", to-from)
 	}
 	sawOldSize := false
-	for ev := from + 1; ev <= to; ev++ {
-		_, _, state := run(ev)
-		if state == nil {
-			t.Fatalf("no crash state captured at event %d", ev)
-		}
+	history.Walk(func(state *nvmm.CrashState) {
+		ev := state.Event()
 		for _, seed := range []uint64{0, 0x9E3779B97F4A7C15, 0xD6E8FEB86659FD93} {
-			dev, err := state.Materialize(nvmm.Config{}, seed)
+			dev, err := state.Materialize(seed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -268,7 +257,7 @@ func TestDropWindowShowsZeroesNeverStaleBytes(t *testing.T) {
 					ev, seed, n, got[at], at)
 			}
 		}
-	}
+	})
 	if !sawOldSize {
 		t.Fatal("no crash image showed the file before the truncate: the drop window was not explored")
 	}

@@ -100,7 +100,9 @@ func (cfg *Config) fill() {
 
 // fsOpts builds the deterministic mount used for every run: one shard,
 // inline-only writeback, a fake clock that never advances — the whole
-// persist-event schedule must be a pure function of the op stream.
+// persist-event schedule is a pure function of the op stream, so a
+// printed "event N seed S" repro names the same crash image when
+// Forensics re-runs it.
 func (cfg *Config) fsOpts() core.Options {
 	var flightBlocks int64
 	if cfg.Flight {
@@ -171,20 +173,14 @@ func (v Violation) String() string {
 	return s
 }
 
-// Report aggregates one exploration.
-type Report struct {
-	Workload    string
-	Ops         int
-	SetupEvents int64 // persist events consumed by Setup (not crashed into)
-	TotalEvents int64 // schedule length of the full run
-	Points      int   // crash points explored
-	Cases       int   // points × permutations
-	Recovered   int   // cases that remounted successfully
-	RolledBack  int   // journal transactions rolled back across all cases
-	FsckErrors  int   // metadata-checker failures
-	Lanes       int   // journal lanes
-	Rotations   int64 // journal half rotations in the workload phase
-	Violations  []Violation
+// tally is what every exploration counts, case by case.
+type tally struct {
+	Points     int // crash points explored
+	Cases      int // points × permutations
+	Recovered  int // cases that remounted successfully
+	RolledBack int // journal transactions rolled back across all cases
+	FsckErrors int // metadata-checker failures
+	Violations []Violation
 	// Suppressed counts violations beyond the reporting cap (a seeded
 	// bug can fail thousands of cases; the first maxViolations carry
 	// all the signal).
@@ -193,34 +189,63 @@ type Report struct {
 
 const maxViolations = 512
 
-func (r *Report) add(v Violation, log io.Writer) {
-	if len(r.Violations) >= maxViolations {
-		r.Suppressed++
+func (t *tally) add(v Violation, log io.Writer) {
+	if len(t.Violations) >= maxViolations {
+		t.Suppressed++
 		return
 	}
-	r.Violations = append(r.Violations, v)
+	t.Violations = append(t.Violations, v)
 	if log != nil {
 		fmt.Fprintf(log, "VIOLATION %s\n", v)
 	}
 }
 
-// Summary renders a one-paragraph result.
-func (r *Report) Summary() string {
-	s := fmt.Sprintf("workload %s: %d events (%d setup), %d journal rotations over %d lanes, %d crash points × %d perms = %d cases, %d recovered, %d txs rolled back",
-		r.Workload, r.TotalEvents, r.SetupEvents, r.Rotations, r.Lanes, r.Points, r.Cases/max(r.Points, 1), r.Cases, r.Recovered, r.RolledBack)
-	if n := len(r.Violations) + r.Suppressed; n > 0 {
-		s += fmt.Sprintf(", %d VIOLATIONS", n)
-	} else {
-		s += ", no violations"
+// verdict renders the summary's closing clause.
+func (t *tally) verdict() string {
+	if n := len(t.Violations) + t.Suppressed; n > 0 {
+		return fmt.Sprintf(", %d VIOLATIONS", n)
 	}
-	return s
+	return ", no violations"
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
+// remount materializes the crash image seed selects, remounts it through
+// journal recovery and runs the metadata checker. fs is nil when the
+// image did not remount; otherwise the caller abandons it.
+func (t *tally) remount(state *nvmm.CrashState, seed uint64, opts core.Options, log io.Writer) (fs *core.FS, dev *nvmm.Device, rolled int) {
+	pt := state.Event()
+	dev, err := state.Materialize(seed)
+	if err != nil {
+		t.add(Violation{Event: pt, Seed: seed, Invariant: "materialize", Detail: err.Error()}, log)
+		return nil, nil, 0
 	}
-	return b
+	if fs, rolled, err = core.MountRecover(dev, opts); err != nil {
+		t.add(Violation{Event: pt, Seed: seed, Invariant: "recovery", Detail: "remount failed: " + err.Error()}, log)
+		return nil, nil, 0
+	}
+	t.Recovered++
+	t.RolledBack += rolled
+	for _, cerr := range fs.Fsck() {
+		t.FsckErrors++
+		t.add(Violation{Event: pt, Seed: seed, Invariant: "fsck", Detail: cerr.Error()}, log)
+	}
+	return fs, dev, rolled
+}
+
+// Report aggregates one exploration.
+type Report struct {
+	Workload    string
+	Ops         int
+	SetupEvents int64 // persist events consumed by Setup (not crashed into)
+	TotalEvents int64 // schedule length of the full run
+	Lanes       int   // journal lanes
+	Rotations   int64 // journal half rotations in the workload phase
+	tally
+}
+
+// Summary renders a one-paragraph result.
+func (r *Report) Summary() string {
+	return fmt.Sprintf("workload %s: %d events (%d setup), %d journal rotations over %d lanes, %d crash points × %d perms = %d cases, %d recovered, %d txs rolled back",
+		r.Workload, r.TotalEvents, r.SetupEvents, r.Rotations, r.Lanes, r.Points, r.Cases/max(r.Points, 1), r.Cases, r.Recovered, r.RolledBack) + r.verdict()
 }
 
 // runResult is one full workload execution.
@@ -228,16 +253,15 @@ type runResult struct {
 	recs      []opRecord
 	setupEv   int64
 	totalEv   int64
-	state     *nvmm.CrashState
+	history   *nvmm.Recording // the persist history after Setup
 	lanes     int
 	rotations int64 // journal half rotations after Setup
 }
 
-// runOnce executes the workload start to finish on a fresh device. With
-// target > 0 a CrashPlan snapshots the durability state at exactly that
-// persist event; the run still completes (the crash is virtual) and the
-// pool is abandoned rather than flushed, like a machine losing power.
-func (cfg *Config) runOnce(target int64, keep bool) (*runResult, error) {
+// runOnce executes the workload start to finish on a fresh device,
+// recording the persist history from the end of Setup. The pool is
+// abandoned rather than flushed, like a machine losing power.
+func (cfg *Config) runOnce() (*runResult, error) {
 	dev, err := nvmm.New(nvmm.Config{Size: cfg.DeviceSize, TrackPersistence: true})
 	if err != nil {
 		return nil, err
@@ -249,7 +273,7 @@ func (cfg *Config) runOnce(target int64, keep bool) (*runResult, error) {
 	defer fs.Abandon()
 	p := &pressure{fs: fs}
 	fs.Journal().SetPressure(p.stalled)
-	rec := &recorder{fs: fs, dev: dev, keep: keep, flt: fs.Flight(), between: p.between}
+	rec := &recorder{fs: fs, dev: dev, flt: fs.Flight(), between: p.between}
 	w, err := cfg.newWorkload()
 	if err != nil {
 		return nil, err
@@ -262,9 +286,7 @@ func (cfg *Config) runOnce(target int64, keep bool) (*runResult, error) {
 	}
 	setupEv := dev.PersistEvents()
 	rot := fs.Journal().Stats().Checkpoints
-	if target > 0 {
-		dev.SetCrashPlan(func(ev int64, _ nvmm.EventKind) bool { return ev == target })
-	}
+	history := dev.Record()
 	if _, err := w.Run(rec, 1, cfg.Ops); err != nil {
 		return nil, fmt.Errorf("crashtest: %s run: %w", w.Name(), err)
 	}
@@ -273,7 +295,7 @@ func (cfg *Config) runOnce(target int64, keep bool) (*runResult, error) {
 		recs:      rec.recs,
 		setupEv:   setupEv,
 		totalEv:   dev.PersistEvents(),
-		state:     dev.TakeCrashState(),
+		history:   history,
 		lanes:     st.Lanes,
 		rotations: st.Checkpoints - rot,
 	}, nil
@@ -356,13 +378,13 @@ func permSeeds(seed uint64, perms int) []uint64 {
 	return out
 }
 
-// Explore runs the full record / crash / verify loop and returns the
+// Explore runs the full record / walk / verify loop and returns the
 // aggregated report. A non-nil error means the exploration itself broke
-// (workload failure, non-deterministic schedule); consistency failures
-// are returned inside the report, not as errors.
+// (workload failure, empty crash window); consistency failures are
+// returned inside the report, not as errors.
 func Explore(cfg Config) (*Report, error) {
 	cfg.fill()
-	base, err := cfg.runOnce(0, true)
+	base, err := cfg.runOnce()
 	if err != nil {
 		return nil, err
 	}
@@ -387,49 +409,30 @@ func Explore(cfg Config) (*Report, error) {
 		Lanes:       base.lanes,
 		Rotations:   base.rotations,
 	}
-	for _, pt := range points {
-		run, err := cfg.runOnce(pt, false)
-		if err != nil {
-			return rep, err
+	base.history.Walk(func(state *nvmm.CrashState) {
+		if len(points) == 0 || state.Event() != points[0] {
+			return
 		}
-		if run.totalEv != base.totalEv {
-			return rep, fmt.Errorf("crashtest: non-deterministic persist-event schedule: record run has %d events, replay for point %d has %d",
-				base.totalEv, pt, run.totalEv)
-		}
-		if run.state == nil || run.state.Event() != pt {
-			return rep, fmt.Errorf("crashtest: crash plan armed at event %d captured nothing", pt)
-		}
+		points = points[1:]
 		rep.Points++
 		for _, s := range seeds {
 			rep.Cases++
-			cfg.verifyCase(rep, base, run.state, pt, s)
+			cfg.verifyCase(rep, base, state, s)
 		}
-	}
+	})
 	return rep, nil
 }
 
 // verifyCase materializes one torn image, remounts it through recovery
 // and checks both the metadata checker and the application oracle.
-func (cfg *Config) verifyCase(rep *Report, base *runResult, state *nvmm.CrashState, pt int64, seed uint64) {
-	dev, err := state.Materialize(nvmm.Config{}, seed)
-	if err != nil {
-		rep.add(Violation{Event: pt, Seed: seed, Invariant: "materialize", Detail: err.Error()}, cfg.Log)
-		return
-	}
-	fs, rolled, err := core.MountRecover(dev, cfg.fsOpts())
-	if err != nil {
-		rep.add(Violation{Event: pt, Seed: seed, Invariant: "recovery",
-			Detail: "remount failed: " + err.Error()}, cfg.Log)
+func (cfg *Config) verifyCase(rep *Report, base *runResult, state *nvmm.CrashState, seed uint64) {
+	pt := state.Event()
+	before := len(rep.Violations) + rep.Suppressed
+	fs, dev, rolled := rep.remount(state, seed, cfg.fsOpts(), cfg.Log)
+	if fs == nil {
 		return
 	}
 	defer fs.Abandon()
-	rep.Recovered++
-	rep.RolledBack += rolled
-	before := len(rep.Violations) + rep.Suppressed
-	for _, cerr := range fs.Fsck() {
-		rep.FsckErrors++
-		rep.add(Violation{Event: pt, Seed: seed, Invariant: "fsck", Detail: cerr.Error()}, cfg.Log)
-	}
 	m := buildModel(base.recs, pt, base.setupEv)
 	ovs := m.verify(fs)
 	switch cfg.Workload {

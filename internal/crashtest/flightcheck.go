@@ -11,23 +11,29 @@ import (
 )
 
 // Forensics is the post-mortem flow: re-execute the deterministic
-// workload with a crash armed at event, materialize the torn image
-// selected by tornSeed, remount it through journal recovery, and write
-// the surviving flight ring as JSON lines — one per record, trace IDs in
-// the same %016x form the slow-op logs use, so the two join directly.
+// workload, walk its recording to the crash state before event,
+// materialize the torn image selected by tornSeed, remount it through
+// journal recovery, and write the surviving flight ring as JSON lines —
+// one per record, trace IDs in the same %016x form the slow-op logs use,
+// so the two join directly.
 func Forensics(cfg Config, event int64, tornSeed uint64, w io.Writer) error {
 	cfg.fill()
 	cfg.Flight = true
-	run, err := cfg.runOnce(event, false)
+	run, err := cfg.runOnce()
 	if err != nil {
 		return err
 	}
-	if run.state == nil {
-		return fmt.Errorf("crashtest: no crash captured at event %d (schedule has %d events)", event, run.totalEv)
-	}
-	dev, err := run.state.Materialize(nvmm.Config{}, tornSeed)
+	var dev *nvmm.Device
+	run.history.Walk(func(s *nvmm.CrashState) {
+		if s.Event() == event {
+			dev, err = s.Materialize(tornSeed)
+		}
+	})
 	if err != nil {
 		return err
+	}
+	if dev == nil {
+		return fmt.Errorf("crashtest: no crash state at event %d (schedule has %d events, %d in setup)", event, run.totalEv, run.setupEv)
 	}
 	fs, _, err := core.MountRecover(dev, cfg.fsOpts())
 	if err != nil {

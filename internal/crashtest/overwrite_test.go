@@ -53,7 +53,7 @@ func TestOverwriteExercisesRoutesAndInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fs.Abandon()
-	rec := &recorder{fs: fs, dev: dev, keep: true}
+	rec := &recorder{fs: fs, dev: dev}
 	w := &Overwrite{}
 	if err := w.Setup(rec); err != nil {
 		t.Fatal(err)

@@ -5,10 +5,11 @@
 //  1. Record: run a deterministic workload once against a fresh HiNFS
 //     instance on a persistence-tracking device, stamping every
 //     state-changing VFS call with the device's persist-event ordinal
-//     (internal/nvmm's monotonic counter over Flush/WriteNT/Fence).
-//  2. Crash: for each chosen crash point, replay the identical workload
-//     with a CrashPlan armed at that event; the device captures the
-//     durable image plus the pending (stored-but-unflushed) cachelines.
+//     (internal/nvmm's monotonic counter over Flush/WriteNT/Fence), while
+//     the device records its persist history from the end of Setup.
+//  2. Walk: replay that history once, in event order; at each chosen
+//     crash point it yields the durable image plus the pending
+//     (stored-but-unflushed) cachelines just before the event.
 //  3. Verify: materialize several torn-subset images per point (seed 0
 //     drops every pending line; other seeds keep pseudo-random halves),
 //     remount each through journal recovery, run the metadata checker,
@@ -22,13 +23,14 @@
 // atomic. Operations in flight at the crash point are allowed either
 // their before- or after-state.
 //
-// Everything is deterministic by construction: workloads run single
-// threaded on a single-shard pool with inline-only writeback and a fake
-// clock, so the replay's persist-event schedule is identical to the
-// recording's — the explorer asserts this and fails loudly otherwise.
+// Workloads run single threaded on a single-shard pool with inline-only
+// writeback and a fake clock, so the persist-event schedule is a pure
+// function of the op stream: a printed "event N seed S" repro names the
+// same crash image when Forensics re-runs the workload.
 package crashtest
 
 import (
+	"bytes"
 	"sync"
 
 	"hinfs/internal/nvmm"
@@ -83,20 +85,16 @@ type opRecord struct {
 }
 
 // recorder wraps a FileSystem, logging every state-changing call with
-// persist-event stamps. With keep=false it is a transparent passthrough
-// (crash replays re-run the identical op stream but do not need a second
-// copy of the log). Read-only calls are never recorded; fs.Sync is
+// persist-event stamps. Read-only calls are never recorded; fs.Sync is
 // passed through unrecorded, which is sound — modelling it could only
 // make the oracle stricter, never looser.
 type recorder struct {
-	fs   vfs.FileSystem
-	dev  *nvmm.Device
-	keep bool
+	fs  vfs.FileSystem
+	dev *nvmm.Device
 	// flt, when set, appends one flight record per mutating op — the
 	// persisted black box the chaos invariants cross-check after a crash.
 	flt *flight.Recorder
-	// between, when set, runs after every recorded op, in replays too:
-	// add is called for every op in both modes.
+	// between, when set, runs after every recorded op.
 	between func()
 
 	mu   sync.Mutex
@@ -105,32 +103,30 @@ type recorder struct {
 
 func (r *recorder) events() int64 { return r.dev.PersistEvents() }
 
-// flightNote appends the flight record for one completed op and returns
-// its (seq, persist-event) stamps. It runs in BOTH record and replay
-// runs: the record's WriteNT is a persist event, so skipping it in
-// replays would desynchronize the two schedules the explorer compares.
-func (r *recorder) flightNote(op vfs.Op, ino uint64, off int64, n int) (uint64, int64) {
-	if r.flt == nil {
-		return 0, 0
+// log stamps one completed op's records with the persist event it
+// returned at, appends its flight record (stamped on recs[0]) when the
+// run keeps a flight ring, and appends them to the log. The flight
+// record's WriteNT is a persist event, and a crash point like any other.
+func (r *recorder) log(op vfs.Op, ino uint64, off int64, n int, recs ...opRecord) {
+	if r.flt != nil {
+		recs[0].flightSeq = r.flt.Record(&flight.Record{Ino: ino, Off: off, Len: uint32(n), Op: op})
+		// The record's NT store is the LAST persist event Record fired —
+		// but not necessarily the only one: under a fence-elision scope
+		// (batchfence) the store first materializes any pending elided
+		// fence, so counting events()+1 up front would stamp the record
+		// one event early and break the durability line verifyFlight
+		// draws.
+		recs[0].flightOp, recs[0].flightEv = op, r.events()
 	}
-	seq := r.flt.Record(&flight.Record{Ino: ino, Off: off, Len: uint32(n), Op: op})
-	// The record's NT store is the LAST persist event Record fired — but
-	// not necessarily the only one: under a fence-elision scope
-	// (batchfence) the store first materializes any pending elided
-	// fence, so counting events()+1 up front would stamp the record one
-	// event early and break the durability line verifyFlight draws.
-	return seq, r.events()
-}
-
-func (r *recorder) add(rec opRecord) {
+	ev := r.events()
+	for i := range recs {
+		recs[i].ev = ev
+	}
 	if r.between != nil {
 		r.between()
 	}
-	if !r.keep {
-		return
-	}
 	r.mu.Lock()
-	r.recs = append(r.recs, rec)
+	r.recs = append(r.recs, recs...)
 	r.mu.Unlock()
 }
 
@@ -142,9 +138,7 @@ func (r *recorder) Create(path string) (vfs.File, error) {
 		return nil, err
 	}
 	ino := vfs.InodeOf(f)
-	seq, fev := r.flightNote(vfs.OpCreate, ino, 0, 0)
-	r.add(opRecord{kind: opCreate, path: path, startEv: start, ev: r.events(),
-		flightSeq: seq, flightOp: vfs.OpCreate, flightEv: fev})
+	r.log(vfs.OpCreate, ino, 0, 0, opRecord{kind: opCreate, path: path, startEv: start})
 	return &recFile{r: r, f: f, path: path, ino: ino}, nil
 }
 
@@ -164,13 +158,9 @@ func (r *recorder) Open(path string, flags int) (vfs.File, error) {
 	}
 	ino := vfs.InodeOf(f)
 	if creating {
-		seq, fev := r.flightNote(vfs.OpCreate, ino, 0, 0)
-		r.add(opRecord{kind: opCreate, path: path, startEv: start, ev: r.events(),
-			flightSeq: seq, flightOp: vfs.OpCreate, flightEv: fev})
+		r.log(vfs.OpCreate, ino, 0, 0, opRecord{kind: opCreate, path: path, startEv: start})
 	} else if flags&vfs.OTrunc != 0 {
-		seq, fev := r.flightNote(vfs.OpTruncate, ino, 0, 0)
-		r.add(opRecord{kind: opUntrack, path: path, startEv: start, ev: r.events(),
-			flightSeq: seq, flightOp: vfs.OpTruncate, flightEv: fev})
+		r.log(vfs.OpTruncate, ino, 0, 0, opRecord{kind: opUntrack, path: path, startEv: start})
 	}
 	return &recFile{r: r, f: f, path: path, ino: ino, app: flags&vfs.OAppend != 0, osync: flags&vfs.OSync != 0}, nil
 }
@@ -180,9 +170,7 @@ func (r *recorder) Mkdir(path string) error {
 	start := r.events()
 	err := r.fs.Mkdir(path)
 	if err == nil {
-		seq, fev := r.flightNote(vfs.OpMkdir, 0, 0, 0)
-		r.add(opRecord{kind: opMkdir, path: path, startEv: start, ev: r.events(),
-			flightSeq: seq, flightOp: vfs.OpMkdir, flightEv: fev})
+		r.log(vfs.OpMkdir, 0, 0, 0, opRecord{kind: opMkdir, path: path, startEv: start})
 	}
 	return err
 }
@@ -192,9 +180,7 @@ func (r *recorder) Rmdir(path string) error {
 	start := r.events()
 	err := r.fs.Rmdir(path)
 	if err == nil {
-		seq, fev := r.flightNote(vfs.OpRmdir, 0, 0, 0)
-		r.add(opRecord{kind: opRmdir, path: path, startEv: start, ev: r.events(),
-			flightSeq: seq, flightOp: vfs.OpRmdir, flightEv: fev})
+		r.log(vfs.OpRmdir, 0, 0, 0, opRecord{kind: opRmdir, path: path, startEv: start})
 	}
 	return err
 }
@@ -204,9 +190,7 @@ func (r *recorder) Unlink(path string) error {
 	start := r.events()
 	err := r.fs.Unlink(path)
 	if err == nil {
-		seq, fev := r.flightNote(vfs.OpUnlink, 0, 0, 0)
-		r.add(opRecord{kind: opUnlink, path: path, startEv: start, ev: r.events(),
-			flightSeq: seq, flightOp: vfs.OpUnlink, flightEv: fev})
+		r.log(vfs.OpUnlink, 0, 0, 0, opRecord{kind: opUnlink, path: path, startEv: start})
 	}
 	return err
 }
@@ -217,11 +201,8 @@ func (r *recorder) Rename(oldpath, newpath string) error {
 	start := r.events()
 	err := r.fs.Rename(oldpath, newpath)
 	if err == nil {
-		seq, fev := r.flightNote(vfs.OpRename, 0, 0, 0)
-		ev := r.events()
-		r.add(opRecord{kind: opUntrack, path: oldpath, startEv: start, ev: ev,
-			flightSeq: seq, flightOp: vfs.OpRename, flightEv: fev})
-		r.add(opRecord{kind: opUntrack, path: newpath, startEv: start, ev: ev})
+		r.log(vfs.OpRename, 0, 0, 0, opRecord{kind: opUntrack, path: oldpath, startEv: start},
+			opRecord{kind: opUntrack, path: newpath, startEv: start})
 	}
 	return err
 }
@@ -265,14 +246,8 @@ func (f *recFile) WriteAt(p []byte, off int64) (int, error) {
 		if f.app {
 			at = f.f.Size() - int64(n)
 		}
-		seq, fev := f.r.flightNote(vfs.OpWrite, f.ino, at, n)
-		var data []byte
-		if f.r.keep {
-			data = make([]byte, n)
-			copy(data, p[:n])
-		}
-		f.r.add(opRecord{kind: opWrite, path: f.path, off: at, data: data, startEv: start, ev: f.r.events(), osync: f.osync,
-			flightSeq: seq, flightOp: vfs.OpWrite, flightEv: fev})
+		f.r.log(vfs.OpWrite, f.ino, at, n,
+			opRecord{kind: opWrite, path: f.path, off: at, data: bytes.Clone(p[:n]), startEv: start, osync: f.osync})
 	}
 	return n, err
 }
@@ -282,9 +257,7 @@ func (f *recFile) Fsync() error {
 	start := f.r.events()
 	err := f.f.Fsync()
 	if err == nil {
-		seq, fev := f.r.flightNote(vfs.OpFsync, f.ino, 0, 0)
-		f.r.add(opRecord{kind: opFsync, path: f.path, startEv: start, ev: f.r.events(),
-			flightSeq: seq, flightOp: vfs.OpFsync, flightEv: fev, synced: f.f.Size()})
+		f.r.log(vfs.OpFsync, f.ino, 0, 0, opRecord{kind: opFsync, path: f.path, startEv: start, synced: f.f.Size()})
 	}
 	return err
 }
@@ -294,9 +267,7 @@ func (f *recFile) Truncate(size int64) error {
 	start := f.r.events()
 	err := f.f.Truncate(size)
 	if err == nil {
-		seq, fev := f.r.flightNote(vfs.OpTruncate, f.ino, size, 0)
-		f.r.add(opRecord{kind: opUntrack, path: f.path, startEv: start, ev: f.r.events(),
-			flightSeq: seq, flightOp: vfs.OpTruncate, flightEv: fev})
+		f.r.log(vfs.OpTruncate, f.ino, size, 0, opRecord{kind: opUntrack, path: f.path, startEv: start})
 	}
 	return err
 }

@@ -124,11 +124,12 @@ type trafficFile struct {
 }
 
 // trafficRun is one completed crash run: the op log, the files, and the
-// captured crash state.
+// persist history recorded past the sampled crash event.
 type trafficRun struct {
-	ops   map[uint64]*trafficOp
-	files []*trafficFile
-	state *nvmm.CrashState
+	ops     map[uint64]*trafficOp
+	files   []*trafficFile
+	history *nvmm.Recording
+	target  int64
 }
 
 // pathSalt seeds the per-file byte pattern (FNV-1a of the path).
@@ -207,7 +208,8 @@ func (tc *trafficClient) run(ready *sync.WaitGroup, stop <-chan struct{}, done *
 }
 
 // runTraffic executes one crash run: a fresh image, a live server, the
-// client fleet, a crash plan armed at a sampled event past warm-up.
+// client fleet, recorded from warm-up until the traffic passes a sampled
+// crash event.
 func (cfg *TrafficConfig) runTraffic(rng *workload.Rand) (*trafficRun, error) {
 	dev, err := nvmm.New(nvmm.Config{Size: cfg.DeviceSize, TrackPersistence: true})
 	if err != nil {
@@ -261,28 +263,20 @@ func (cfg *TrafficConfig) runTraffic(rng *workload.Rand) (*trafficRun, error) {
 		go tc.run(&ready, stop, &done)
 	}
 	ready.Wait()
-	// Warm-up is over (every client attached and opened); sample the
-	// crash event from the traffic that follows. The plan fires at the
-	// first event at or past the target — the client loops keep the
-	// event counter moving, so it always fires.
+	// Warm-up is over (every client attached and opened); record, and
+	// sample the crash event from the traffic that follows. The client
+	// loops keep the event counter moving, so it always gets there.
+	history := dev.Record()
 	target := dev.PersistEvents() + 1 + rng.Int63n(cfg.HorizonEvents)
-	dev.SetCrashPlan(func(ev int64, _ nvmm.EventKind) bool { return ev >= target })
-	var state *nvmm.CrashState
-	deadline := time.Now().Add(30 * time.Second)
-	for state == nil {
-		if time.Now().After(deadline) {
-			close(stop)
-			done.Wait()
-			return nil, fmt.Errorf("crashtest: traffic crash plan at event %d never fired (now %d)",
-				target, dev.PersistEvents())
-		}
+	for deadline := time.Now().Add(30 * time.Second); dev.PersistEvents() < target && time.Now().Before(deadline); {
 		time.Sleep(500 * time.Microsecond)
-		state = dev.TakeCrashState()
 	}
-	dev.SetCrashPlan(nil)
 	close(stop)
 	done.Wait()
-	run := &trafficRun{ops: make(map[uint64]*trafficOp), state: state}
+	if dev.PersistEvents() < target {
+		return nil, fmt.Errorf("crashtest: traffic never reached crash event %d (now %d)", target, dev.PersistEvents())
+	}
+	run := &trafficRun{ops: make(map[uint64]*trafficOp), history: history, target: target}
 	for _, tc := range clients {
 		tc.cl.Unmount()
 		run.files = append(run.files, tc.file)
@@ -307,26 +301,12 @@ type TenantDamage struct {
 
 // TrafficReport aggregates one chaos-under-traffic exploration.
 type TrafficReport struct {
-	Points, Cases, Recovered int
-	RolledBack, FsckErrors   int
+	tally
 	// OpsIssued counts wire ops across all runs; RecordsDecoded /
 	// RecordsJoined / TornRecords count the recovered ring's contents
 	// across all cases — joined/decoded is the recorder-suffix accuracy.
 	OpsIssued, RecordsDecoded, RecordsJoined, TornRecords int64
-	Violations                                            []Violation
-	Suppressed                                            int
 	Tenants                                               map[string]*TenantDamage
-}
-
-func (r *TrafficReport) add(v Violation, log io.Writer) {
-	if len(r.Violations) >= maxViolations {
-		r.Suppressed++
-		return
-	}
-	r.Violations = append(r.Violations, v)
-	if log != nil {
-		fmt.Fprintf(log, "VIOLATION %s\n", v)
-	}
 }
 
 // Summary renders a one-paragraph result.
@@ -343,12 +323,7 @@ func (r *TrafficReport) Summary() string {
 				tn.name, d.OpsIssued, d.OpsRecorded, d.WritesLost, d.SyncedBytes)
 		}
 	}
-	if n := len(r.Violations) + r.Suppressed; n > 0 {
-		s += fmt.Sprintf(", %d VIOLATIONS", n)
-	} else {
-		s += ", no violations"
-	}
-	return s
+	return s + r.verdict()
 }
 
 // ExploreTraffic runs the chaos-under-traffic loop: Points independent
@@ -371,10 +346,15 @@ func ExploreTraffic(cfg TrafficConfig) (*TrafficReport, error) {
 		for _, op := range run.ops {
 			rep.Tenants[op.tenant].OpsIssued++
 		}
-		for _, seed := range permSeeds(cfg.Seed^(uint64(p)*0x9E3779B97F4A7C15+7), cfg.Perms) {
-			rep.Cases++
-			cfg.verifyTrafficCase(rep, run, seed)
-		}
+		run.history.Walk(func(state *nvmm.CrashState) {
+			if state.Event() != run.target {
+				return
+			}
+			for _, seed := range permSeeds(cfg.Seed^(uint64(p)*0x9E3779B97F4A7C15+7), cfg.Perms) {
+				rep.Cases++
+				cfg.verifyTrafficCase(rep, run, state, seed)
+			}
+		})
 	}
 	return rep, nil
 }
@@ -391,27 +371,14 @@ func ExploreTraffic(cfg TrafficConfig) (*TrafficReport, error) {
 //	traffic-torn-size a recovered append-only file's size is not a chunk
 //	                  boundary (a lazy write leaked partially)
 //	traffic-content   recovered bytes disagree with the written pattern
-func (cfg *TrafficConfig) verifyTrafficCase(rep *TrafficReport, run *trafficRun, seed uint64) {
-	pt := run.state.Event()
-	dev, err := run.state.Materialize(nvmm.Config{}, seed)
-	if err != nil {
-		rep.add(Violation{Event: pt, Seed: seed, Invariant: "materialize", Detail: err.Error()}, cfg.Log)
-		return
-	}
-	fs, rolled, err := core.MountRecover(dev, cfg.fsOpts())
-	if err != nil {
-		rep.add(Violation{Event: pt, Seed: seed, Invariant: "recovery",
-			Detail: "remount failed: " + err.Error()}, cfg.Log)
+func (cfg *TrafficConfig) verifyTrafficCase(rep *TrafficReport, run *trafficRun, state *nvmm.CrashState, seed uint64) {
+	pt := state.Event()
+	before := len(rep.Violations) + rep.Suppressed
+	fs, dev, rolled := rep.remount(state, seed, cfg.fsOpts(), cfg.Log)
+	if fs == nil {
 		return
 	}
 	defer fs.Abandon()
-	rep.Recovered++
-	rep.RolledBack += rolled
-	before := len(rep.Violations) + rep.Suppressed
-	for _, cerr := range fs.Fsck() {
-		rep.FsckErrors++
-		rep.add(Violation{Event: pt, Seed: seed, Invariant: "fsck", Detail: cerr.Error()}, cfg.Log)
-	}
 	off, size := fs.FlightRegion()
 	if size == 0 {
 		rep.add(Violation{Event: pt, Seed: seed, Invariant: "flight-region",

@@ -274,97 +274,91 @@ func TestReusedHalvesRecoverOnlyOpenTxs(t *testing.T) {
 	}
 	word := func(w int) int64 { return dataBase + int64(w)*64 }
 	straddle := func(k int) int64 { return word(200) + int64(k)*4096 } // clear of every word
-	// run replays the scenario with a crash plan armed at event target and
-	// returns each transaction's record window (0, 0 if never written).
-	run := func(target int64) ([]txRec, *nvmm.CrashState, Stats) {
-		dev, err := nvmm.New(nvmm.Config{Size: 64 << 10, TrackPersistence: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		j, err := NewLanes(dev, base, size, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dev.SetCrashPlan(func(ev int64, _ nvmm.EventKind) bool { return ev == target })
-		var recs []txRec
-		var txs []*Tx
-		// call runs f and stamps the window on every record f wrote.
-		call := func(f func()) {
-			from := dev.PersistEvents()
-			f()
-			to := dev.PersistEvents()
-			for i, tx := range txs {
-				if tx.recorded && recs[i].to == 0 {
-					recs[i].from, recs[i].to = from, to
-				}
-			}
-		}
-		put := func(at int64, v uint64) {
-			var b [8]byte
-			binary.LittleEndian.PutUint64(b[:], v)
-			dev.Write(b[:], at)
-			dev.Flush(at, 8)
-		}
-		begin := func(at int64, n int) *Tx {
-			tx := j.Begin()
-			val := uint64(len(txs) + 1)
-			tx.LogRange(at, n)
-			put(at, val)
-			txs = append(txs, tx)
-			recs = append(recs, txRec{at: at, val: val})
-			return tx
-		}
-		var deferred []*Tx
-		for i := 0; i < steps; i++ {
-			switch i % 4 {
-			case 0: // committed at once
-				tx := begin(word(i), 8)
-				call(tx.Commit)
-			case 1: // deferred on one pending block, persisted a few steps on
-				tx := begin(word(i), 8)
-				tx.AddPending(1)
-				call(tx.Seal)
-				deferred = append(deferred, tx)
-			case 2: // chained behind the deferred one, on its word
-				prev := txs[len(txs)-1]
-				tx := begin(recs[len(recs)-1].at, 8)
-				tx.After(prev)
-				call(tx.Commit)
-			case 3: // two entries
-				tx := begin(word(i), 48)
-				call(tx.Commit)
-			}
-			if i%40 == 13 { // the next step chains behind it
-				for _, tx := range deferred { // nothing open pins the other half
-					call(tx.BlockPersisted)
-				}
-				h := &j.lanes[0].halves[j.lanes[0].cur]
-				n := (h.count - h.next) * MaxUndoBytes // the rest of the half, less the commit slot, plus one
-				tx := begin(straddle(i/40), n)
-				put(straddle(i/40)+int64(n)-8, recs[len(recs)-1].val)
-				recs[len(recs)-1].tail = straddle(i/40) + int64(n) - 8
-				if !tx.touched[0] || !tx.touched[1] {
-					t.Fatalf("step %d: the straddler stayed in one half", i)
-				}
-				tx.AddPending(1)
-				call(tx.Seal)
-				deferred = []*Tx{tx}
-			}
-			if len(deferred) > 2 {
-				call(deferred[0].BlockPersisted)
-				deferred = deferred[1:]
-			}
-		}
-		// Left open: the last deferred ones (and the chain behind them),
-		// and transactions that never ask to commit.
-		for i := 0; i < 3; i++ {
-			begin(word(steps+i), 8)
-		}
-		return recs, dev.TakeCrashState(), j.Stats()
+	dev, err := nvmm.New(nvmm.Config{Size: 64 << 10, TrackPersistence: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	recs, _, st := run(0)
-	if st.Checkpoints < 5 {
-		t.Fatalf("the scenario rotated %d times, want at least 5", st.Checkpoints)
+	j, err := NewLanes(dev, base, size, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	history := dev.Record()
+	var recs []txRec
+	var txs []*Tx
+	// call runs f and stamps the window on every record f wrote.
+	call := func(f func()) {
+		from := dev.PersistEvents()
+		f()
+		to := dev.PersistEvents()
+		for i, tx := range txs {
+			if tx.recorded && recs[i].to == 0 {
+				recs[i].from, recs[i].to = from, to
+			}
+		}
+	}
+	put := func(at int64, v uint64) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		dev.Write(b[:], at)
+		dev.Flush(at, 8)
+	}
+	begin := func(at int64, n int) *Tx {
+		tx := j.Begin()
+		val := uint64(len(txs) + 1)
+		tx.LogRange(at, n)
+		put(at, val)
+		txs = append(txs, tx)
+		recs = append(recs, txRec{at: at, val: val})
+		return tx
+	}
+	var deferred []*Tx
+	for i := 0; i < steps; i++ {
+		switch i % 4 {
+		case 0: // committed at once
+			tx := begin(word(i), 8)
+			call(tx.Commit)
+		case 1: // deferred on one pending block, persisted a few steps on
+			tx := begin(word(i), 8)
+			tx.AddPending(1)
+			call(tx.Seal)
+			deferred = append(deferred, tx)
+		case 2: // chained behind the deferred one, on its word
+			prev := txs[len(txs)-1]
+			tx := begin(recs[len(recs)-1].at, 8)
+			tx.After(prev)
+			call(tx.Commit)
+		case 3: // two entries
+			tx := begin(word(i), 48)
+			call(tx.Commit)
+		}
+		if i%40 == 13 { // the next step chains behind it
+			for _, tx := range deferred { // nothing open pins the other half
+				call(tx.BlockPersisted)
+			}
+			h := &j.lanes[0].halves[j.lanes[0].cur]
+			n := (h.count - h.next) * MaxUndoBytes // the rest of the half, less the commit slot, plus one
+			tx := begin(straddle(i/40), n)
+			put(straddle(i/40)+int64(n)-8, recs[len(recs)-1].val)
+			recs[len(recs)-1].tail = straddle(i/40) + int64(n) - 8
+			if !tx.touched[0] || !tx.touched[1] {
+				t.Fatalf("step %d: the straddler stayed in one half", i)
+			}
+			tx.AddPending(1)
+			call(tx.Seal)
+			deferred = []*Tx{tx}
+		}
+		if len(deferred) > 2 {
+			call(deferred[0].BlockPersisted)
+			deferred = deferred[1:]
+		}
+	}
+	// Left open: the last deferred ones (and the chain behind them),
+	// and transactions that never ask to commit.
+	for i := 0; i < 3; i++ {
+		begin(word(steps+i), 8)
+	}
+	if c := j.Stats().Checkpoints; c < 5 {
+		t.Fatalf("the scenario rotated %d times, want at least 5", c)
 	}
 	open, straddlers := 0, 0
 	for _, r := range recs {
@@ -378,13 +372,10 @@ func TestReusedHalvesRecoverOnlyOpenTxs(t *testing.T) {
 	if open < 5 || straddlers != 3 {
 		t.Fatalf("%d transactions left open, %d straddlers; want at least 5 and 3", open, straddlers)
 	}
-	for ev := int64(1); ; ev++ {
-		_, state, _ := run(ev)
-		if state == nil {
-			break
-		}
+	history.Walk(func(state *nvmm.CrashState) {
+		ev := state.Event()
 		for _, seed := range []uint64{0, 0x9E3779B97F4A7C15} {
-			dev, err := state.Materialize(nvmm.Config{}, seed)
+			dev, err := state.Materialize(seed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -422,7 +413,7 @@ func TestReusedHalvesRecoverOnlyOpenTxs(t *testing.T) {
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestTornStampKeepsCommittedTx crashes at every persist event of a rotation
@@ -440,39 +431,38 @@ func TestTornStampKeepsCommittedTx(t *testing.T) {
 		n    = entriesPerBlock * MaxUndoBytes // 63 entries: the last one in block 1
 	)
 	newData := bytes.Repeat([]byte{0xAB}, n)
-	// run commits the straddling transaction, then one-entry transactions
-	// until the lane rotates back into its first half, and returns the
-	// persist-event window of the transaction that rotated.
-	run := func(target int64) (from, to int64, state *nvmm.CrashState) {
-		dev, err := nvmm.New(nvmm.Config{Size: 64 << 10, TrackPersistence: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		j, err := NewLanes(dev, base, size, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dev.SetCrashPlan(func(ev int64, _ nvmm.EventKind) bool { return ev == target })
-		tx := j.Begin()
-		tx.LogRange(data, n)
-		dev.Write(newData, data)
-		dev.Flush(data, n)
-		tx.Commit()
-		for j.Stats().Checkpoints < 2 {
-			from = dev.PersistEvents()
-			tx := j.Begin()
-			tx.LogRange(word, 8)
-			tx.Commit()
-			to = dev.PersistEvents()
-		}
-		return from, to, dev.TakeCrashState()
+	dev, err := nvmm.New(nvmm.Config{Size: 64 << 10, TrackPersistence: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	from, to, _ := run(0)
+	j, err := NewLanes(dev, base, size, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	history := dev.Record()
+	tx := j.Begin()
+	tx.LogRange(data, n)
+	dev.Write(newData, data)
+	dev.Flush(data, n)
+	tx.Commit()
+	// One-entry transactions until the lane rotates back into its first
+	// half; (from, to] is the window of the one that rotated.
+	var from, to int64
+	for j.Stats().Checkpoints < 2 {
+		from = dev.PersistEvents()
+		tx := j.Begin()
+		tx.LogRange(word, 8)
+		tx.Commit()
+		to = dev.PersistEvents()
+	}
 	torn := 0
-	for ev := from + 1; ev <= to; ev++ {
-		_, _, state := run(ev)
+	history.Walk(func(state *nvmm.CrashState) {
+		ev := state.Event()
+		if ev <= from || ev > to {
+			return
+		}
 		for seed := uint64(0); seed < 8; seed++ {
-			dev, err := state.Materialize(nvmm.Config{}, seed)
+			dev, err := state.Materialize(seed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -491,7 +481,7 @@ func TestTornStampKeepsCommittedTx(t *testing.T) {
 				t.Fatalf("event %d (%s) seed %d: the committed transaction was rolled back", ev, state.Kind(), seed)
 			}
 		}
-	}
+	})
 	if torn == 0 {
 		t.Fatal("no crash image held a torn stamp")
 	}

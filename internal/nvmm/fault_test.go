@@ -2,6 +2,8 @@ package nvmm
 
 import (
 	"bytes"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"hinfs/internal/cacheline"
@@ -35,35 +37,37 @@ func TestCrashPlanSnapshotPrePersist(t *testing.T) {
 	d := trackedDev(t)
 	pattern := bytes.Repeat([]byte{0xab}, cacheline.Size)
 	d.Write(pattern, 0)
-	// Arm the plan to fire at the very next event: the Flush that would
-	// make the line durable. The snapshot must see the line still pending.
-	d.SetCrashPlan(func(ev int64, kind EventKind) bool { return true })
+	// The recording starts with the line pending; the state just before
+	// the Flush that makes it durable must still hold it pending.
+	rec := d.Record()
 	d.Flush(0, cacheline.Size)
-	s := d.TakeCrashState()
-	if s == nil {
-		t.Fatal("no snapshot captured")
-	}
-	if s.Kind() != EvFlush || s.Event() != 1 {
-		t.Fatalf("snapshot at %v, want event 1 flush", s)
-	}
-	if s.PendingLines() != 1 {
-		t.Fatalf("PendingLines = %d, want 1 (snapshot taken pre-persist)", s.PendingLines())
-	}
-	// The device itself carried on: the flush completed after the snapshot.
+	// The device itself carried on: the flush completed.
 	if d.PendingLines() != 0 {
 		t.Fatalf("device still has %d pending lines after flush", d.PendingLines())
 	}
-
-	// Seed 0 drops the pending line; a materialized image must not
-	// contain the pattern.
-	img, err := s.Materialize(Config{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, cacheline.Size)
-	img.Read(got, 0)
-	if bytes.Equal(got, pattern) {
-		t.Fatal("seed 0 materialization kept a pending line")
+	n := 0
+	rec.Walk(func(s *CrashState) {
+		n++
+		if s.Kind() != EvFlush || s.Event() != 1 {
+			t.Fatalf("state at event %d (%s), want event 1 flush", s.Event(), s.Kind())
+		}
+		if s.PendingLines() != 1 {
+			t.Fatalf("PendingLines = %d, want 1 (state taken pre-persist)", s.PendingLines())
+		}
+		// Seed 0 drops the pending line; a materialized image must not
+		// contain the pattern.
+		img, err := s.Materialize(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, cacheline.Size)
+		img.Read(got, 0)
+		if bytes.Equal(got, pattern) {
+			t.Fatal("seed 0 materialization kept a pending line")
+		}
+	})
+	if n != 1 {
+		t.Fatalf("walked %d states, want 1", n)
 	}
 }
 
@@ -74,13 +78,8 @@ func TestMaterializeDeterministicSubset(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		d.Write(line, int64(i)*cacheline.Size)
 	}
-	d.SetCrashPlan(func(ev int64, kind EventKind) bool { return true })
+	rec := d.Record()
 	d.Fence()
-	s := d.TakeCrashState()
-	if s == nil || s.PendingLines() != 64 {
-		t.Fatalf("snapshot = %v, want 64 pending lines", s)
-	}
-
 	kept := func(img *Device) []int {
 		var ks []int
 		got := make([]byte, cacheline.Size)
@@ -92,19 +91,22 @@ func TestMaterializeDeterministicSubset(t *testing.T) {
 		}
 		return ks
 	}
-	a1, err := s.Materialize(Config{}, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := s.Materialize(Config{}, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := s.Materialize(Config{}, 43)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k1, k2, kb := kept(a1), kept(a2), kept(b)
+	var k1, k2, kb []int
+	rec.Walk(func(s *CrashState) {
+		if s.PendingLines() != 64 {
+			t.Fatalf("state has %d pending lines, want 64", s.PendingLines())
+		}
+		for _, c := range []struct {
+			seed uint64
+			ks   *[]int
+		}{{42, &k1}, {42, &k2}, {43, &kb}} {
+			img, err := s.Materialize(c.seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			*c.ks = kept(img)
+		}
+	})
 	if len(k1) == 0 || len(k1) == 64 {
 		t.Fatalf("seed 42 kept %d/64 lines, want a proper subset", len(k1))
 	}
@@ -147,26 +149,125 @@ func TestCrashPartialInPlace(t *testing.T) {
 	}
 }
 
+// TestCrashPlanRearmsAfterTake walks every event a recording logged, in
+// order, each state holding exactly the lines pending before its event,
+// and logs nothing once the walk has ended the recording.
 func TestCrashPlanRearmsAfterTake(t *testing.T) {
 	d := trackedDev(t)
-	var fireAt int64 = 2
-	d.SetCrashPlan(func(ev int64, kind EventKind) bool { return ev == fireAt })
+	rec := d.Record()
 	d.Write([]byte{1}, 0)
-	d.Flush(0, 1) // event 1
-	d.Fence()     // event 2: snapshot
-	if s := d.TakeCrashState(); s == nil || s.Event() != 2 {
-		t.Fatalf("first snapshot = %v, want event 2", s)
+	d.Flush(0, 1) // event 1: line 0 pending
+	d.Fence()     // event 2: nothing pending
+	d.Write([]byte{2}, 64)
+	d.Fence()                 // event 3: line 64 pending
+	d.WriteNT([]byte{3}, 128) // event 4: lines 64 and 128 pending
+	type walked struct {
+		ev      int64
+		kind    EventKind
+		pending int
 	}
-	fireAt = 4
-	d.Fence() // event 3
-	d.Fence() // event 4: snapshot again after take
-	if s := d.TakeCrashState(); s == nil || s.Event() != 4 {
-		t.Fatalf("second snapshot missing (plan did not re-arm)")
+	var got []walked
+	rec.Walk(func(s *CrashState) {
+		got = append(got, walked{s.Event(), s.Kind(), s.PendingLines()})
+	})
+	want := []walked{{1, EvFlush, 1}, {2, EvFence, 0}, {3, EvFence, 1}, {4, EvWriteNT, 2}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("walked %v, want %v", got, want)
 	}
-	d.SetCrashPlan(nil)
-	d.Fence()
-	if s := d.TakeCrashState(); s != nil {
-		t.Fatalf("snapshot captured with nil plan: %v", s)
+	if d.rec != nil {
+		t.Fatal("the walk left the recording attached")
+	}
+}
+
+// TestRecordingMatchesCrashPartial checks the walk against the in-place
+// crash it replaces: for a seeded mix of cached, Slice and non-temporal
+// stores, flushes and fences, begun with lines already pending, the image
+// each state materializes must equal the same prefix replayed on a fresh
+// device, stopped before the event and crashed with CrashPartial.
+func TestRecordingMatchesCrashPartial(t *testing.T) {
+	const size, span = 64 << 10, 16 << 10 // every op lands in 4 blocks
+	type op struct {
+		kind   int // 0 Write, 1 Slice store, 2 Flush, 3 WriteNT, 4 WriteNTPosted, 5 Fence
+		off, n int64
+		fill   byte
+	}
+	rng := rand.New(rand.NewSource(3))
+	ops := make([]op, 400)
+	for i := range ops {
+		o := op{kind: rng.Intn(6), off: rng.Int63n(span - 200), n: 1 + rng.Int63n(200), fill: byte(i)}
+		if i < 40 {
+			o.kind = i % 3 // the pre-recording prefix: stores, Slice stores, flushes
+		}
+		ops[i] = o
+	}
+	apply := func(d *Device, o op) {
+		buf := bytes.Repeat([]byte{o.fill}, int(o.n))
+		switch o.kind {
+		case 0:
+			d.Write(buf, o.off)
+		case 1:
+			copy(d.Slice(o.off, int(o.n)), buf)
+		case 2:
+			d.Flush(o.off, int(o.n))
+		case 3:
+			d.WriteNT(buf, o.off)
+		case 4:
+			d.WriteNTPosted(buf, o.off)
+		case 5:
+			d.Fence()
+		}
+	}
+	// reference replays the ops on a fresh device until the next one
+	// would fire event ev — a non-temporal store's event fires after its
+	// store, so that much of it runs — then crashes it in place.
+	reference := func(ev int64, seed uint64) []byte {
+		d := MustNew(Config{Size: size, TrackPersistence: true})
+		for _, o := range ops {
+			if o.kind >= 2 && d.PersistEvents() == ev-1 {
+				if o.kind == 3 || o.kind == 4 {
+					apply(d, op{kind: 0, off: o.off, n: o.n, fill: o.fill})
+				}
+				break
+			}
+			apply(d, o)
+		}
+		d.CrashPartial(seed)
+		img := make([]byte, size)
+		d.Read(img, 0)
+		return img
+	}
+	d := MustNew(Config{Size: size, TrackPersistence: true})
+	for _, o := range ops[:40] {
+		apply(d, o)
+	}
+	if d.PendingLines() == 0 {
+		t.Fatal("no line pending when the recording starts")
+	}
+	first := d.PersistEvents() + 1
+	rec := d.Record()
+	for _, o := range ops[40:] {
+		apply(d, o)
+	}
+	next := first
+	rec.Walk(func(s *CrashState) {
+		if s.Event() != next {
+			t.Fatalf("walked event %d, want %d", s.Event(), next)
+		}
+		next++
+		for _, seed := range []uint64{0, 0x9E3779B97F4A7C15, 7} {
+			img, err := s.Materialize(seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]byte, size)
+			img.Read(got, 0)
+			if want := reference(s.Event(), seed); !bytes.Equal(got, want) {
+				t.Fatalf("event %d (%s) seed %#x: the materialized image differs from CrashPartial's", s.Event(), s.Kind(), seed)
+			}
+		}
+	})
+	if next != d.PersistEvents()+1 {
+		t.Fatalf("walked events [%d, %d), the device fired %d", first, next, d.PersistEvents())
 	}
 }
 

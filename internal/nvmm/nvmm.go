@@ -139,16 +139,16 @@ type Device struct {
 	// (obs.PathNVMMFlush). Set before concurrent use.
 	col atomic.Pointer[obs.Collector]
 
-	// Fault plane (see fault.go): persist-event counter, optional crash
-	// plan and the snapshot it captures.
+	// Fault plane (see fault.go): persist-event counter and optional
+	// event observer.
 	events   atomic.Int64
-	plan     atomic.Pointer[CrashPlan]
-	snapshot *CrashState // guarded by pmu
+	observer atomic.Pointer[func(int64, EventKind)]
 
 	// Persistence tracking (TrackPersistence only).
 	pmu     sync.Mutex
 	durable []byte
 	pending map[int64]struct{} // dirty cacheline start offsets
+	rec     *Recording         // the active recording, if any
 }
 
 // New creates a device from cfg.
@@ -233,7 +233,7 @@ func (d *Device) Write(src []byte, off int64) {
 }
 
 // store is the image update every write makes. With persistence tracking,
-// the copy and the pending-mark are one pmu section, so a crash snapshot
+// the copy and the pending-mark are one pmu section, so a recording
 // (faultPoint) or a commit never reads a line while it is being stored.
 func (d *Device) store(src []byte, off int64) {
 	d.check(off, len(src))
@@ -264,8 +264,8 @@ func (d *Device) WriteNT(src []byte, off int64) {
 
 // WriteNTPosted stores src at off with a non-temporal store that is
 // *posted*: durability semantics are identical to WriteNT (the lines
-// commit at this persist event, so a crash snapshot taken at it still
-// sees them pending/torn), but the issuing CPU never waits on the
+// commit at this persist event, so the crash state just before it still
+// holds them pending/torn), but the issuing CPU never waits on the
 // media — the store drains from the write-combining buffer in the
 // background. This is the honest timing model for a caller that never
 // fences the store (the flight recorder): on real hardware an unfenced
@@ -407,28 +407,19 @@ func (d *Device) commitPending(off int64, n int) {
 	end := off + int64(n)
 	d.pmu.Lock()
 	for a := first; a < end; a += cacheline.Size {
-		hi := a + cacheline.Size
-		if hi > d.cfg.Size {
-			hi = d.cfg.Size
-		}
-		copy(d.durable[a:hi], d.data[a:hi])
+		copy(d.durable[a:a+cacheline.Size], d.data[a:])
 		delete(d.pending, a)
+	}
+	if d.rec != nil {
+		d.rec.commit(first, end)
 	}
 	d.pmu.Unlock()
 }
 
 // Crash simulates power loss: every store not yet flushed is discarded and
-// the device image reverts to the durable state. It panics unless the
-// device was created with TrackPersistence.
-func (d *Device) Crash() {
-	if !d.cfg.TrackPersistence {
-		panic("nvmm: Crash requires TrackPersistence")
-	}
-	d.pmu.Lock()
-	copy(d.data, d.durable)
-	d.pending = make(map[int64]struct{})
-	d.pmu.Unlock()
-}
+// the device image reverts to the durable state — CrashPartial(0). It
+// panics unless the device was created with TrackPersistence.
+func (d *Device) Crash() { d.CrashPartial(0) }
 
 // PendingLines returns the number of cachelines stored but not yet flushed.
 // It requires TrackPersistence.

@@ -335,10 +335,11 @@ func TestStatsConcurrentWithWritersRace(t *testing.T) {
 	wg.Wait()
 }
 
-// TestCrashSnapshotConcurrentWithStoresRace captures crash snapshots
-// while two goroutines keep storing to the lines being copied. With
-// persistence tracking a store and its pending-mark are one critical
-// section, so under the race detector no snapshot reads a line mid-store.
+// TestCrashSnapshotConcurrentWithStoresRace records while two goroutines
+// keep storing to the lines being logged, as the traffic explorer records a
+// live server. With persistence tracking a store and its pending-mark are
+// one critical section, so under the race detector no event's log reads a
+// line mid-store; the walk then yields every event in order.
 func TestCrashSnapshotConcurrentWithStoresRace(t *testing.T) {
 	d := MustNew(Config{Size: 64 << 10, TrackPersistence: true})
 	stop := make(chan struct{})
@@ -348,24 +349,37 @@ func TestCrashSnapshotConcurrentWithStoresRace(t *testing.T) {
 		go func(off int64) {
 			defer wg.Done()
 			buf := make([]byte, 256)
-			for {
+			for i := 0; ; i++ {
 				select {
 				case <-stop:
 					return
 				default:
+					buf[0] = byte(i)
 					d.Write(buf, off)
 					d.WriteNTPosted(buf[:64], off+256)
 				}
 			}
 		}(int64(w) * 4096)
 	}
-	d.SetCrashPlan(func(int64, EventKind) bool { return true })
+	rec := d.Record()
 	for i := 0; i < 200; i++ {
 		d.Flush(8192, 64)
-		if d.TakeCrashState() == nil {
-			t.Fatal("an armed crash plan captured no snapshot")
-		}
 	}
 	close(stop)
 	wg.Wait()
+	var prev, n int64
+	rec.Walk(func(s *CrashState) {
+		if prev != 0 && s.Event() != prev+1 {
+			t.Fatalf("walked event %d after %d", s.Event(), prev)
+		}
+		prev = s.Event()
+		if n++; n%50 == 0 {
+			if _, err := s.Materialize(uint64(n)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if n < 200 {
+		t.Fatalf("walked %d events, want at least the 200 flushes", n)
+	}
 }

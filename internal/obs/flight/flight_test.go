@@ -188,45 +188,41 @@ func TestTornPermutations(t *testing.T) {
 		t.Fatalf("test assumes 2-line slots (SlotSize=%d)", SlotSize)
 	}
 	const regionSize = 4096
-	run := func(seed uint64) (*Log, []byte) {
-		dev := testDevice(t, regionSize, true)
-		if err := Format(dev, 0, regionSize); err != nil {
-			t.Fatal(err)
-		}
-		r, err := Attach(dev, 0, regionSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 3; i++ {
-			r.Record(&Record{Trace: uint64(i + 1), Op: vfs.OpWrite})
-		}
-		dev.Fence() // make records 1..3 durable
-		// Crash exactly at the 4th record's WriteNT persist event: its two
-		// cachelines are pending, and seed selects the surviving subset.
-		target := dev.PersistEvents() + 1
-		dev.SetCrashPlan(func(ev int64, _ nvmm.EventKind) bool { return ev == target })
-		r.Record(&Record{Trace: 4, Op: vfs.OpFsync})
-		st := dev.TakeCrashState()
-		if st == nil {
-			t.Fatal("crash plan did not fire")
-		}
-		img, err := st.Materialize(nvmm.Config{Size: regionSize, TrackPersistence: true}, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := make([]byte, regionSize)
-		img.Read(b, 0)
-		log, err := DecodeBytes(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return log, b
+	dev := testDevice(t, regionSize, true)
+	if err := Format(dev, 0, regionSize); err != nil {
+		t.Fatal(err)
 	}
+	r, err := Attach(dev, 0, regionSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		r.Record(&Record{Trace: uint64(i + 1), Op: vfs.OpWrite})
+	}
+	dev.Fence() // make records 1..3 durable
+	// Crash exactly at the 4th record's WriteNT persist event: its two
+	// cachelines are pending, and seed selects the surviving subset.
+	history := dev.Record()
+	target := dev.PersistEvents() + 1
+	r.Record(&Record{Trace: 4, Op: vfs.OpFsync})
+	var logs []*Log
+	history.Walk(func(st *nvmm.CrashState) {
+		for seed := uint64(0); seed < 64 && st.Event() == target; seed++ {
+			img, err := st.Materialize(seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			log, err := Decode(img, 0, regionSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			logs = append(logs, log)
+		}
+	})
 	sawWhole, sawTorn, sawMissing := false, false, false
 	// Seed 0 drops every pending line; other seeds keep pseudo-random
 	// subsets. Sweeping many seeds hits each of the 4 line subsets.
-	for seed := uint64(0); seed < 64; seed++ {
-		log, _ := run(seed)
+	for seed, log := range logs {
 		// Records 1..3 were fenced durable before the crash: they must
 		// decode bit-exact under every permutation.
 		if len(log.Records) < 3 {

@@ -24,53 +24,44 @@ var tornSeeds = []uint64{0, 0x9E3779B97F4A7C15, 0xD6E8FEB86659FD93, 0xBF58476D1C
 // new; after the write has returned, Mtime and data are new.
 func TestOverwriteCrashImages(t *testing.T) {
 	const off, n = 100, BlockSize + 100 // the tail of block 0, the head of block 1
-	var before [40]byte
-	var ino Ino
-	run := func(target int64) (from, to int64, state *nvmm.CrashState) {
-		dev, err := nvmm.New(nvmm.Config{Size: 16 << 20, TrackPersistence: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fs, err := Mkfs(dev, Options{JournalBlocks: 64, MaxInodes: 64})
-		if err != nil {
-			t.Fatal(err)
-		}
-		clk := clock.NewFake(time.Unix(1000, 0))
-		fs.SetClock(clk)
-		v, err := fs.Create("/f")
-		if err != nil {
-			t.Fatal(err)
-		}
-		f := v.(*File)
-		if _, err := f.WriteAt(bytes.Repeat([]byte{0x11}, 4*BlockSize), 0); err != nil {
-			t.Fatal(err)
-		}
-		ino = f.Ino()
-		dev.Read(before[:], fs.l.inodeAddr(ino))
-		clk.Advance(time.Second)
-		from = dev.PersistEvents()
-		if target > 0 {
-			dev.SetCrashPlan(func(ev int64, _ nvmm.EventKind) bool { return ev == target })
-		}
-		if _, err := f.WriteAt(bytes.Repeat([]byte{0x22}, n), off); err != nil {
-			t.Fatal(err)
-		}
-		dev.Fence() // one more event: a crash just after the write returned
-		return from, dev.PersistEvents(), dev.TakeCrashState()
+	dev, err := nvmm.New(nvmm.Config{Size: 16 << 20, TrackPersistence: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	from, to, _ := run(0)
+	fs, err := Mkfs(dev, Options{JournalBlocks: 64, MaxInodes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := clock.NewFake(time.Unix(1000, 0))
+	fs.SetClock(clk)
+	v, err := fs.Create("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := v.(*File)
+	if _, err := f.WriteAt(bytes.Repeat([]byte{0x11}, 4*BlockSize), 0); err != nil {
+		t.Fatal(err)
+	}
+	ino := f.Ino()
+	var before [40]byte
+	dev.Read(before[:], fs.l.inodeAddr(ino))
+	clk.Advance(time.Second)
+	history := dev.Record()
+	from := dev.PersistEvents()
+	if _, err := f.WriteAt(bytes.Repeat([]byte{0x22}, n), off); err != nil {
+		t.Fatal(err)
+	}
+	dev.Fence() // one more event: a crash just after the write returned
+	to := dev.PersistEvents()
 	if got := to - from - 1; got != 4 { // the Mtime flush, two WriteNTs, the fence
 		t.Fatalf("an overwrite of two blocks spans %d persist events, want 4", got)
 	}
 	oldStamp := binary.LittleEndian.Uint64(before[inoMtime:])
 	newStamp := uint64(time.Unix(1001, 0).UnixNano())
-	for ev := from + 1; ev <= to; ev++ {
-		_, _, state := run(ev)
-		if state == nil {
-			t.Fatalf("no crash state captured at event %d", ev)
-		}
+	history.Walk(func(state *nvmm.CrashState) {
+		ev := state.Event()
 		for _, seed := range tornSeeds {
-			dev, err := state.Materialize(nvmm.Config{}, seed)
+			dev, err := state.Materialize(seed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -109,7 +100,7 @@ func TestOverwriteCrashImages(t *testing.T) {
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestEmptyWriteIsANoOp: a zero-length write used to run a whole transaction

@@ -471,9 +471,7 @@ func TestChunkedFreeCrashImages(t *testing.T) {
 	const blocks = 24
 	want := payload(rand.New(rand.NewSource(7)), blocks*BlockSize)
 	const newSize = BlockSize + 10
-	// run replays the scenario with a crash plan armed at event target and
-	// returns the persist-event window of the operation under test.
-	run := func(unlink bool, target int64) (from, to int64, state *nvmm.CrashState) {
+	for _, unlink := range []bool{false, true} {
 		dev, err := nvmm.New(nvmm.Config{Size: 8 << 20, TrackPersistence: true})
 		if err != nil {
 			t.Fatal(err)
@@ -494,8 +492,7 @@ func TestChunkedFreeCrashImages(t *testing.T) {
 		if unlink {
 			f.Close()
 		}
-		from = dev.PersistEvents()
-		dev.SetCrashPlan(func(ev int64, _ nvmm.EventKind) bool { return ev == target })
+		history := dev.Record()
 		if unlink {
 			err = fs.Unlink("/f")
 		} else {
@@ -507,15 +504,11 @@ func TestChunkedFreeCrashImages(t *testing.T) {
 		if errs := fs.Check(); len(errs) != 0 {
 			t.Fatalf("check after the live operation: %v", errs)
 		}
-		return from, dev.PersistEvents(), dev.TakeCrashState()
-	}
-	for _, unlink := range []bool{false, true} {
-		from, to, _ := run(unlink, 0)
 		sizes := map[int64]bool{}
-		for ev := from + 1; ev <= to; ev++ {
-			_, _, state := run(unlink, ev)
+		history.Walk(func(state *nvmm.CrashState) {
+			ev := state.Event()
 			for _, seed := range []uint64{0, 0x9E3779B97F4A7C15} {
-				dev, err := state.Materialize(nvmm.Config{}, seed)
+				dev, err := state.Materialize(seed)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -545,7 +538,7 @@ func TestChunkedFreeCrashImages(t *testing.T) {
 					t.Fatalf("event %d seed %#x: the recovered %d bytes differ from the file's", ev, seed, size)
 				}
 			}
-		}
+		})
 		if !unlink && len(sizes) < blocks/4 {
 			t.Fatalf("truncate crash images showed only sizes %v: the chunk transactions were not explored", sizes)
 		}
@@ -637,47 +630,40 @@ func TestDirectPointerCrashImages(t *testing.T) {
 		s.model(m)
 		states = append(states, m)
 	}
-	// run replays the steps with a crash plan armed at event target and
-	// returns each step's persist-event window (ends[k-1], ends[k]].
-	run := func(target int64) (ends []int64, state *nvmm.CrashState) {
-		dev, err := nvmm.New(nvmm.Config{Size: 1 << 20, TrackPersistence: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fs, err := Mkfs(dev, Options{MaxInodes: 64, JournalBlocks: 16})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ends = []int64{dev.PersistEvents()}
-		dev.SetCrashPlan(func(ev int64, _ nvmm.EventKind) bool { return ev == target })
-		for k, s := range steps {
-			if err := s.do(fs); err != nil {
-				t.Fatalf("step %d: %v", k, err)
-			}
-			ends = append(ends, dev.PersistEvents())
-			if target == 0 {
-				for p, want := range states[k+1] {
-					if got := readAll(t, fs, p); !bytes.Equal(got, want) {
-						t.Fatalf("step %d: live %s differs from the model", k, p)
-					}
-				}
-			}
-		}
-		if errs := fs.Check(); len(errs) != 0 {
-			t.Fatalf("check after the live run: %v", errs)
-		}
-		return ends, dev.TakeCrashState()
+	dev, err := nvmm.New(nvmm.Config{Size: 1 << 20, TrackPersistence: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	ends, _ := run(0)
+	fs, err := Mkfs(dev, Options{MaxInodes: 64, JournalBlocks: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Step k's persist-event window is (ends[k], ends[k+1]].
+	ends := []int64{dev.PersistEvents()}
+	history := dev.Record()
+	for k, s := range steps {
+		if err := s.do(fs); err != nil {
+			t.Fatalf("step %d: %v", k, err)
+		}
+		ends = append(ends, dev.PersistEvents())
+		for p, want := range states[k+1] {
+			if got := readAll(t, fs, p); !bytes.Equal(got, want) {
+				t.Fatalf("step %d: live %s differs from the model", k, p)
+			}
+		}
+	}
+	if errs := fs.Check(); len(errs) != 0 {
+		t.Fatalf("check after the live run: %v", errs)
+	}
 	k := 0
-	for ev := ends[0] + 1; ev <= ends[len(ends)-1]; ev++ {
+	history.Walk(func(state *nvmm.CrashState) {
+		ev := state.Event()
 		for ev > ends[k+1] {
 			k++
 		}
 		before, after := states[k], states[k+1]
-		_, state := run(ev)
 		for _, seed := range []uint64{0, 0x9E3779B97F4A7C15, 7} {
-			dev, err := state.Materialize(nvmm.Config{}, seed)
+			dev, err := state.Materialize(seed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -703,5 +689,5 @@ func TestDirectPointerCrashImages(t *testing.T) {
 				}
 			}
 		}
-	}
+	})
 }
