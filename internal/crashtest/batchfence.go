@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"hinfs/internal/nvmm"
+	"hinfs/internal/obs"
 	"hinfs/internal/vfs"
 	"hinfs/internal/workload"
 )
@@ -11,7 +12,8 @@ import (
 // BatchFence is a crash-test workload personality that drives the
 // fence-coalescing path the pipelined server uses: ops are issued in
 // groups bracketed by an nvmm.FenceScope with an OpBoundary between
-// ops, exactly how a session reader runs a grouped dispatch. Each
+// ops, under an attached obs.OpCtx that carries the scope, exactly how a
+// session reader runs a grouped dispatch. Each
 // group's trailing fences collapse into one ordering point at scope
 // close, so the explorer's crash points land on the *production*
 // persist-event schedule of batched execution — fewer, later fences —
@@ -108,12 +110,15 @@ func (w *BatchFence) Run(fs vfs.FileSystem, threads, ops int) (workload.Result, 
 		return nil
 	}
 	total := ops * threads
+	var ctx obs.OpCtx
 	for op := 0; op < total; {
 		group := w.BatchOps
 		if rest := total - op; group > rest {
 			group = rest
 		}
 		scope := w.Dev.EnterFenceScope()
+		ctx.Scope = scope
+		ctx.Attach()
 		var err error
 		for g := 0; g < group; g++ {
 			if g > 0 {
@@ -124,6 +129,7 @@ func (w *BatchFence) Run(fs vfs.FileSystem, threads, ops int) (workload.Result, 
 			}
 			op++
 		}
+		ctx.Detach()
 		scope.Close()
 		if err != nil {
 			return res, err

@@ -1,15 +1,15 @@
 // Package goid returns the current goroutine's ID cheaply and keeps the
 // tree's one goroutine-keyed table (Local) on top of it.
 //
-// obs's per-request OpCtx attachment and nvmm's fence scopes are both a
-// Local keyed by goroutine ID. The portable way to get that ID is parsing the
-// runtime.Stack header ("goroutine N [running]:"), but the traceback
-// machinery behind runtime.Stack costs on the order of a microsecond,
-// and the lookups sit on the per-persist device hot path: with a server
-// op attached, every flush paid a traceback. ID replaces that with two
-// loads: the g pointer from thread-local storage (one assembly
-// instruction, stable across Go releases) and the goid field at an
-// offset discovered at init.
+// obs's per-request OpCtx attachment is that Local, keyed by goroutine
+// ID. The portable way to get that ID is parsing the runtime.Stack
+// header ("goroutine N [running]:"), but the traceback machinery behind
+// runtime.Stack costs on the order of a microsecond, and the lookups sit
+// on the per-persist device hot path: with a server op attached, every
+// flush paid a traceback. ID replaces that with two loads: the g
+// pointer from thread-local storage (one assembly instruction, stable
+// across Go releases) and the goid field at an offset discovered at
+// init. Race builds run the same path.
 //
 // The offset is not hard-coded. runtime.g's layout shifts between Go
 // releases (1.24 inserted syscallbp, for example), so init derives it
@@ -33,15 +33,12 @@ import (
 // during package init, read-only after.
 var goidOffset = -1
 
-// scanWords bounds the offset scan: goid sits a few hundred bytes into
-// runtime.g on every release since the field existed, and g structs are
-// heap objects comfortably larger than this window.
-const scanWords = 64
+// scanWords bounds the offset scan to 256 bytes: goid sits at byte 160
+// of runtime.g on go1.24, and the window must stay inside the g
+// allocation (448 bytes), or a -race build's checkptr aborts on the read.
+const scanWords = 32
 
 func init() {
-	if checkptrActive {
-		return // sanitizer build: raw g derefs would trip checkptr
-	}
 	if getg() == nil {
 		return // no assembly shim for this architecture
 	}

@@ -7,8 +7,9 @@ import "sync/atomic"
 // allocation on any path. It exists because deep layers (pmfs directory
 // locks, journal lanes, buffer stalls, nvmm persists and fences) sit
 // behind interfaces that must not grow context parameters, so the
-// executing goroutine carries the per-request state instead. obs keeps
-// the attached OpCtx in one, nvmm the active FenceScope in another.
+// executing goroutine carries the per-request state instead: obs keeps
+// the attached OpCtx in one, and everything else per-request (nvmm's
+// fence scope included) rides on that OpCtx.
 //
 // A count of live bindings makes Get a single atomic load while nothing
 // is bound anywhere — workloads that never attach pay ~nothing. The zero

@@ -126,11 +126,11 @@ type Device struct {
 	flushes      atomic.Int64
 	fences       atomic.Int64
 	fencesElided atomic.Int64
-	// fencesPending counts this device's fence scopes holding a pending
-	// (requested but unissued) fence. It gates materializeFence: stores
-	// and flushes only pay the goroutine-ID lookup when some scope might
-	// actually need materializing — one atomic load otherwise, which
-	// keeps scoped batches from taxing every other goroutine's hot path.
+	// openScopes counts this device's open fence scopes and gates Fence's
+	// op lookup; fencesPending counts the scopes holding a pending
+	// (requested but unissued) fence and gates materializeFence. Either
+	// way a device with nothing to find pays one atomic load per call.
+	openScopes    atomic.Int64
 	fencesPending atomic.Int64
 	readTime      atomic.Int64
 	writeTime     atomic.Int64
@@ -382,10 +382,11 @@ func (d *Device) Slice(off int64, n int) []byte {
 
 // Fence is an ordering point (mfence). The Go memory model plus the
 // file-system locks already order our operations, so it only counts
-// (and feeds the persist-event stream, see fault.go). Inside a
-// FenceScope the fence is held pending instead: it materializes before
-// the goroutine's next store/flush, or coalesces into the scope's
-// single closing fence if it proves trailing (see fence.go).
+// (and feeds the persist-event stream, see fault.go). When the calling
+// goroutine's op carries a FenceScope on this device, the fence is held
+// pending instead: it materializes before the op's next store/flush, or
+// coalesces into the scope's single closing fence if it proves trailing
+// (see fence.go).
 func (d *Device) Fence() {
 	if s := d.fenceScope(); s != nil {
 		if !s.pending {

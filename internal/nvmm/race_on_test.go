@@ -2,7 +2,7 @@
 
 package nvmm
 
-// raceEnabled reports a -race build, in which goroutine identification and
-// sync.Pool allocate where a plain build does not, so allocation counts
-// are not meaningful.
+// raceEnabled reports a -race build, in which sync.Pool drops items at
+// random and so allocates where a plain build does not: allocation
+// counts are not meaningful.
 const raceEnabled = true

@@ -68,6 +68,10 @@ func Stages() []Stage {
 type OpCtx struct {
 	// Trace is the wire-propagated request/trace ID (client-assigned).
 	Trace uint64
+	// Scope is the persist scope of the dispatch running the op (an
+	// *nvmm.FenceScope), nil for a lone op. The dispatcher sets it on
+	// every op; nvmm's Fence finds it through CurrentOp.
+	Scope any
 
 	stage [NumStages]int64
 	slot  goid.Slot
@@ -111,12 +115,12 @@ func (c *OpCtx) Breakdown() [NumStages]int64 {
 // --- goroutine-local attachment ---
 //
 // Deep layers (pmfs directory locks, journal lanes, buffer stalls, nvmm
-// persists) sit behind interfaces that must not grow context parameters,
-// so the executing goroutine carries the OpCtx instead: the scheduler
-// worker Attaches the context around the request body and those layers
-// look it up with CurrentOp. goid.ID is two loads on amd64, which is
-// what lets CurrentOp sit on the per-persist device path: with a server
-// op attached everywhere, a traceback-based ID would tax every flush.
+// persists and fences) sit behind interfaces that must not grow context
+// parameters, so the executing goroutine carries the OpCtx instead: the
+// server's dispatch Attaches the context around the request body and
+// those layers look it up with CurrentOp. This is the process's one
+// goroutine-keyed table. goid.ID is two loads on amd64, which is what
+// lets CurrentOp sit on the per-persist device path.
 
 var attached goid.Local[OpCtx]
 

@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"hinfs/internal/nvmm"
+	"hinfs/internal/pmfs"
 	"hinfs/internal/vfs"
 )
 
@@ -260,6 +262,75 @@ func TestPipelinedSessionRunsInOrder(t *testing.T) {
 	}
 	if grouped < n/2 {
 		t.Fatalf("only %d of %d pipelined writes ran grouped (scopes %v)", grouped, n, probe.scopeOps)
+	}
+}
+
+// TestBatchFencesCoalesceOnDevice runs one pipelined burst of writes
+// and fsyncs over a loopback server on pmfs on a real nvmm device. With
+// BatchFences wired, the dispatch scopes reach the device through each
+// op's context and elide trailing fences; issued plus elided fences
+// equal what the same burst issues with BatchFences nil.
+func TestBatchFencesCoalesceOnDevice(t *testing.T) {
+	burst := func(coalesce bool) nvmm.Stats {
+		dev, err := nvmm.New(nvmm.Config{Size: 128 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs, err := pmfs.Mkfs(dev, pmfs.Options{MaxInodes: 8192})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{FS: fs, Tenants: twoTenants(), Workers: 4}
+		if coalesce {
+			cfg.BatchFences = func() PersistScope { return dev.EnterFenceScope() }
+		}
+		srv, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go srv.Serve(ln)
+		c, err := Dial(ln.Addr().String(), "alpha")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Unmount()
+		f, err := c.Create("/fenced")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		before := dev.Stats()
+		b := c.NewBatch()
+		for i := 0; i < 96; i++ {
+			b.WriteAt(f, make([]byte, 512), int64(i)*512)
+			if i%4 == 3 {
+				b.Fsync(f)
+			}
+		}
+		if err := b.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		after := dev.Stats()
+		return nvmm.Stats{
+			Fences:       after.Fences - before.Fences,
+			FencesElided: after.FencesElided - before.FencesElided,
+		}
+	}
+	plain, coalesced := burst(false), burst(true)
+	if plain.FencesElided != 0 {
+		t.Fatalf("%d fences elided with BatchFences nil", plain.FencesElided)
+	}
+	if coalesced.FencesElided == 0 {
+		t.Fatalf("no fence elided with BatchFences wired (%d issued)", coalesced.Fences)
+	}
+	if got := coalesced.Fences + coalesced.FencesElided; got != plain.Fences {
+		t.Fatalf("coalesced burst issued %d + elided %d = %d fences, uncoalesced issued %d",
+			coalesced.Fences, coalesced.FencesElided, got, plain.Fences)
 	}
 }
 

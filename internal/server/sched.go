@@ -58,6 +58,8 @@ type sched struct {
 // PersistScope brackets a multi-op dispatch for fence coalescing. The
 // concrete implementation is nvmm.FenceScope; the indirection keeps the
 // server ignorant of the device (baselines and tests run without one).
+// dispatch puts the scope on each op's obs.OpCtx (nil for a lone op),
+// which is how the device's fences find it.
 type PersistScope interface {
 	// OpBoundary marks the seam between two independent ops.
 	OpBoundary()

@@ -566,7 +566,8 @@ func (sess *session) admit(req *request) bool {
 
 // dispatch runs a group of admitted requests under one slot grant costed
 // at their summed estimates: in arrival order, inside one persist scope
-// when there is more than one, with each op's context attached. After
+// when there is more than one, with each op's context attached and
+// carrying that scope (OpCtx.Scope is nil for a lone op). After
 // the ops it closes the scope, settles the tenant's clock once to the
 // measured time and releases the slot, and only then replies: a lone
 // flagged request on the reader itself — its client is reading, so this
@@ -596,6 +597,7 @@ func (sess *session) dispatch(group []*request) {
 		if i > 0 && scope != nil {
 			scope.OpBoundary()
 		}
+		req.opctx.Scope = scope
 		done = req.run(done)
 	}
 	if scope != nil {
